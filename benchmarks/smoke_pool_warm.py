@@ -1,6 +1,6 @@
 """Warm worker-pool runtime smoke benchmark for CI.
 
-Guards the persistent-runtime seam on its three production shapes:
+Guards the persistent-runtime seam on its two production shapes:
 
 * **Dispatch overhead** -- repeated small ``parallel_map`` calls (the
   q-point proposal groups a mid-run optimiser emits) must be at least
@@ -10,12 +10,6 @@ Guards the persistent-runtime seam on its three production shapes:
 * **Shared-memory batch transport** -- a large warm ``evaluate_batch``
   must be bit-identical to the cold oracle, and the zero-copy design
   matrix must be smaller than the pickle payload it replaces.
-* **Concurrent bench cells** -- a multi-cell sweep at
-  ``--bench-parallel 2`` must produce a report byte-identical to the
-  sequential oracle; on a multi-core machine it must also be at least
-  ``MIN_BENCH_SPEEDUP`` faster wall-clock.  Single-core runners skip
-  the speedup assertion (recorded as ``skipped``) -- concurrent cells
-  then just time-slice one core.
 
 Best of ``REPS`` repetitions per timed side; numbers land in the
 ``runtime`` section of ``BENCH_phase2.json``.
@@ -27,7 +21,6 @@ Run directly (exit code 0/1) or via pytest::
 
 from __future__ import annotations
 
-import os
 import pickle
 import sys
 import time
@@ -35,14 +28,12 @@ import time
 import numpy as np
 
 from _results import PHASE2_RESULTS, merge_results
-from repro.bench import BenchRunner, build_suite, render_bench_report
 from repro.core.evalcache import reset_shared_cache
 from repro.core.parallel import (
     DEFAULT_CHUNKSIZE,
     BatchDssocEvaluator,
     parallel_map,
 )
-from repro.core.pipeline import AutoPilot
 from repro.core.workers import shutdown_warm_pool, warm_pool
 from repro.nn.template import PolicyHyperparams
 from repro.scalesim.config import (
@@ -59,9 +50,6 @@ REPS = 5
 DISPATCH_ITEMS = 64
 DISPATCH_CHUNKSIZE = 8
 MIN_DISPATCH_SPEEDUP = 3.0
-MIN_BENCH_SPEEDUP = 2.0
-BENCH_IDS = ["dense", "corridor-narrow", "open-field", "low"]
-BENCH_BUDGET = 6
 
 
 def _square(x):
@@ -146,45 +134,11 @@ def bench_shm_batch() -> dict:
     }
 
 
-def bench_parallel_cells() -> dict:
-    """Multi-cell sweep, sequential oracle vs --bench-parallel 2."""
-    suite = build_suite(ids=BENCH_IDS, platforms=["nano"])
-    timings = {}
-    reports = {}
-    for label, width in (("sequential", 1), ("parallel", 2)):
-        best_s = float("inf")
-        for _ in range(REPS):
-            # Cold caches each rep: a populated evaluation cache would
-            # make every cell near-instant and time only scheduling.
-            reset_shared_cache()
-            pilot = AutoPilot(seed=3, workers=2, pool="warm")
-            start = time.perf_counter()
-            result = BenchRunner(pilot, budget=BENCH_BUDGET,
-                                 cell_parallel=width).run(suite)
-            best_s = min(best_s, time.perf_counter() - start)
-        timings[label] = best_s
-        reports[label] = render_bench_report(result.metrics)
-    cores = os.cpu_count() or 1
-    return {
-        "cells": len(suite.cells()),
-        "budget": BENCH_BUDGET,
-        "cell_parallel": 2,
-        "reps": REPS,
-        "cpu_count": cores,
-        "sequential_s": timings["sequential"],
-        "parallel_s": timings["parallel"],
-        "speedup": timings["sequential"] / timings["parallel"],
-        "report_identical": reports["sequential"] == reports["parallel"],
-        "speedup_check_skipped": cores < 2,
-    }
-
-
 def run_smoke() -> dict:
     try:
         return {
             "dispatch": bench_dispatch(),
             "shm_batch": bench_shm_batch(),
-            "bench_parallel": bench_parallel_cells(),
         }
     finally:
         shutdown_warm_pool()
@@ -205,17 +159,6 @@ def check(measurements: dict) -> list:
         failures.append(
             f"shm payload ({shm['shm_bytes']} B) not smaller than the "
             f"pickle payload ({shm['pickle_bytes']} B)")
-    bench = measurements["bench_parallel"]
-    if not bench["report_identical"]:
-        failures.append(
-            "concurrent bench report diverged from the sequential oracle")
-    if bench["cells"] < 4:
-        failures.append(f"bench sweep has {bench['cells']} cells < 4")
-    if not bench["speedup_check_skipped"] and \
-            bench["speedup"] < MIN_BENCH_SPEEDUP:
-        failures.append(
-            f"bench-parallel speedup {bench['speedup']:.2f}x < "
-            f"{MIN_BENCH_SPEEDUP:.1f}x")
     return failures
 
 
@@ -223,7 +166,6 @@ def main() -> int:
     measurements = run_smoke()
     dispatch = measurements["dispatch"]
     shm = measurements["shm_batch"]
-    bench = measurements["bench_parallel"]
     print("Warm-pool runtime smoke benchmark")
     print(f"  dispatch ({dispatch['items']} items / "
           f"{dispatch['chunksize']} per chunk, best of "
@@ -236,13 +178,6 @@ def main() -> int:
           f"{shm['shm_bytes']} B zero-copy vs "
           f"{shm['pickle_bytes']} B pickled "
           f"({shm['payload_ratio']:.1f}x smaller)")
-    print(f"  bench cells ({bench['cells']} cells, budget "
-          f"{bench['budget']}, {bench['cpu_count']} cores): sequential "
-          f"{bench['sequential_s']:.2f}s, parallel "
-          f"{bench['parallel_s']:.2f}s -> {bench['speedup']:.2f}x "
-          f"(report-identical={bench['report_identical']})")
-    if bench["speedup_check_skipped"]:
-        print("  bench speedup check skipped: single-core machine")
     merge_results(PHASE2_RESULTS, measurements, section="runtime")
     print(f"  wrote {PHASE2_RESULTS.name}")
     failures = check(measurements)

@@ -30,12 +30,6 @@ from repro.airlearning.scenarios import (
     scenario_ids,
 )
 from repro.airlearning.trainer import CemTrainer, ROLLOUT_ENGINES
-from repro.backend import (
-    get_backend,
-    registered_backends,
-    resolve_backend_name,
-    use_backend,
-)
 from repro.baselines.computers import FIG5_BASELINES
 from repro.bench import (
     BenchManifest,
@@ -87,15 +81,7 @@ def _task(args: argparse.Namespace) -> TaskSpec:
                     sensor_fps=args.sensor_fps)
 
 
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=registered_backends(),
-                        default=None,
-                        help="array backend for the batched kernels "
-                             "(default: REPRO_BACKEND or numpy). numpy is "
-                             "the bit-exact oracle; threaded chunk-splits "
-                             "the oracle kernels over a thread pool "
-                             "(bit-identical); numba/jax need the 'accel' "
-                             "extra and are validated to tolerance tiers")
+def _add_pool(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pool", choices=POOL_MODES, default=None,
                         help="worker-pool mode (default: REPRO_POOL or "
                              "cold). cold spawns a fresh process pool per "
@@ -167,7 +153,6 @@ def _autopilot(args: argparse.Namespace) -> AutoPilot:
                      optimizer_kwargs=optimizer_kwargs or None,
                      fidelity=getattr(args, "fidelity", "off"),
                      promotion_eta=getattr(args, "promotion_eta", 0.5),
-                     array_backend=getattr(args, "backend", None),
                      pool=getattr(args, "pool", None))
 
 
@@ -178,9 +163,9 @@ def _restore_from_manifest(args: argparse.Namespace,
     args.budget = manifest.budget
     args.phase1_backend = manifest.frontend_backend
     args.proposal_batch = manifest.proposal_batch
+    args.gp_refit_every = manifest.gp_refit_every
     args.fidelity = manifest.fidelity
     args.promotion_eta = manifest.promotion_eta
-    args.backend = manifest.array_backend
     args.pool = manifest.pool
     if manifest.trainer:
         args.cem_population = manifest.trainer["population_size"]
@@ -242,15 +227,10 @@ def _restore_bench_args(args: argparse.Namespace,
     args.sensor_fps = manifest.sensor_fps
     args.phase1_backend = manifest.frontend_backend
     args.proposal_batch = manifest.proposal_batch
+    args.gp_refit_every = manifest.gp_refit_every
     args.fidelity = manifest.fidelity
     args.promotion_eta = manifest.promotion_eta
-    args.backend = manifest.array_backend
     args.pool = manifest.pool
-    # A scheduling knob, not part of the sweep identity: restored for
-    # convenience but overridable (resume on a different machine may
-    # legitimately pick a different width).
-    if getattr(args, "bench_parallel", None) is None:
-        args.bench_parallel = manifest.bench_parallel
     if manifest.trainer:
         args.cem_population = manifest.trainer["population_size"]
         args.cem_iterations = manifest.trainer["iterations"]
@@ -280,8 +260,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     runner = BenchRunner(autopilot, budget=args.budget,
                          sensor_fps=args.sensor_fps,
                          checkpoint_dir=checkpoint_dir, resume=resume,
-                         profile=args.profile,
-                         cell_parallel=getattr(args, "bench_parallel", None))
+                         profile=args.profile)
     try:
         result = runner.run(suite)
     except CheckpointError as exc:
@@ -357,11 +336,8 @@ def cmd_f1(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     policy = PolicyHyperparams(num_layers=args.layers,
                                num_filters=args.filters)
-    backend = get_backend(resolve_backend_name(
-        getattr(args, "backend", None)))
     profiler = Profiler()
-    profiler.annotate("backend", f"{backend.name} [{backend.tier.name}]")
-    with use_backend(backend), profiler.phase("sweep") as record:
+    with profiler.phase("sweep") as record:
         results = accelerator_frontier(policy=policy)
         record.evaluations += len(results)
     rows = [[f"{r.pe_rows}x{r.pe_cols}", r.sram_kb,
@@ -405,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     checkpointing.add_argument(
         "--resume", metavar="DIR", default=None,
         help="resume the checkpointed run in DIR (task, seed, budget "
-             "and backend are restored from its manifest); the result "
-             "is bit-identical to an uninterrupted run")
-    _add_backend(design)
+             "and pipeline options are restored from its manifest); the "
+             "result is bit-identical to an uninterrupted run")
+    _add_pool(design)
     _add_phase1(design)
     _add_phase2(design)
     design.set_defaults(func=cmd_design)
@@ -436,13 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, default=None,
                        help="processes for batched design evaluation "
                             "and Phase 1 training")
-    bench.add_argument("--bench-parallel", type=int, default=None,
-                       metavar="N",
-                       help="independent bench cells run concurrently "
-                            "(default: REPRO_BENCH_PARALLEL or 1); cells "
-                            "share one evaluation cache and one warm pool, "
-                            "and the report is byte-identical to the "
-                            "sequential sweep")
     bench_ckpt = bench.add_mutually_exclusive_group()
     bench_ckpt.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
@@ -451,10 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_ckpt.add_argument(
         "--resume", metavar="DIR", default=None,
         help="resume the checkpointed bench sweep in DIR (scenario set, "
-             "platforms, seed, budget and backend are restored from its "
-             "manifest); the report is bit-identical to an "
+             "platforms, seed, budget and pipeline options are restored "
+             "from its manifest); the report is bit-identical to an "
              "uninterrupted sweep")
-    _add_backend(bench)
+    _add_pool(bench)
     _add_phase1(bench)
     _add_phase2(bench)
     bench.set_defaults(func=cmd_bench)
@@ -466,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=None,
                          help="processes for batched design evaluation "
                               "and Phase 1 training")
-    _add_backend(compare)
+    _add_pool(compare)
     _add_phase1(compare)
     _add_phase2(compare)
     compare.set_defaults(func=cmd_compare)
@@ -486,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--profile", action="store_true",
                        help="print sweep timing, throughput and "
                             "simulator-cache statistics")
-    _add_backend(sweep)
+    _add_pool(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -140,6 +140,11 @@ class RunManifest:
     #: different value would diverge from the journal.  Defaults to 1 so
     #: manifests written before this field existed load unchanged.
     proposal_batch: int = 1
+    #: Full GP refit cadence in observations.  Part of the run identity
+    #: for the same reason as ``proposal_batch``: between refits the GP
+    #: extends cached factors, so the proposal sequence depends on it.
+    #: Defaults to 1 so older manifests load unchanged.
+    gp_refit_every: int = 1
     #: Multi-fidelity mode (``"off"``/``"on"``) and successive-halving
     #: promotion fraction.  Part of the run identity for the same reason
     #: as ``proposal_batch``: with fidelity on, which proposals consume
@@ -149,21 +154,12 @@ class RunManifest:
     #: unchanged (and bit-identical single-fidelity behaviour).
     fidelity: str = "off"
     promotion_eta: float = 0.5
-    #: Array backend the run executes its batched kernels on.  Part of
-    #: the run identity so ``--resume`` restores (and verifies) it: the
-    #: registered backends are tolerance-tier-validated, not all
-    #: bit-exact, so silently resuming a journal under a different
-    #: backend could splice two numeric streams.  Defaults to the
-    #: oracle so manifests written before this field existed load
-    #: unchanged.
-    array_backend: str = "numpy"
     #: Worker-pool mode (``"cold"``/``"warm"``) the run executes under.
-    #: Recorded (and restored by ``--resume``) for provenance, and
-    #: verified like ``array_backend``: warm runs are required to be
-    #: bit-identical to cold, but recording the mode keeps any future
-    #: divergence diagnosable from the manifest alone.  Defaults to the
-    #: oracle so manifests written before this field existed load
-    #: unchanged.
+    #: Recorded, restored and verified by ``--resume``: warm runs are
+    #: required to be bit-identical to cold, but recording the mode
+    #: keeps any future divergence diagnosable from the manifest alone.
+    #: Defaults to the oracle so manifests written before this field
+    #: existed load unchanged.
     pool: str = "cold"
     status: Dict[str, str] = field(default_factory=lambda: {
         "phase1": "pending", "phase2": "pending", "phase3": "pending"})

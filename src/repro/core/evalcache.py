@@ -445,10 +445,11 @@ class EvalCache:
             return _MISS
         if not path.exists():
             legacy = self._legacy_disk_path(key)
-            if legacy is None or not legacy.exists():
-                return _MISS
-            self._migrate_legacy(legacy, path)
-            if not path.exists():  # racing migration lost the entry
+            if legacy.exists():
+                self._migrate_legacy(legacy, path)
+            # Probe the shard again: another process may have moved the
+            # legacy entry into it since the first probe.
+            if not path.exists():
                 return _MISS
         try:
             with path.open("rb") as handle:

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
                     TypeVar)
 
-from repro.backend.autotune import autotuner
 from repro.core.evalcache import design_key, shared_report_cache
 from repro.core.workers import (ShmView, attach_view, publish_array,
                                 resolve_pool_mode, unpublish, warm_pool)
@@ -486,21 +485,14 @@ class BatchDssocEvaluator:
         if self.workers > 1:
             missing = self._uncached_unique(designs)
             if len(missing) > 1:
-                chunksize = self.pool_chunksize(len(missing))
                 cache = shared_report_cache()
-                start = time.perf_counter()
-                for key, report in self._simulate_missing(missing,
-                                                          chunksize):
+                for key, report in self._simulate_missing(missing):
                     cache.put(key, report)
-                autotuner().observe("pool", "simulate", chunksize,
-                                    len(missing),
-                                    time.perf_counter() - start)
         if len(designs) <= 1:
             return [self._evaluator.evaluate(design) for design in designs]
         return self._evaluator.evaluate_batch(designs)
 
-    def _simulate_missing(self, missing: List[DssocDesign],
-                          chunksize: int
+    def _simulate_missing(self, missing: List[DssocDesign]
                           ) -> List[Tuple[Tuple[object, ...], object]]:
         """Fan the uncached designs out over the configured pool.
 
@@ -513,8 +505,8 @@ class BatchDssocEvaluator:
         """
         if self.pool != "warm":
             return parallel_map(_simulate_design, missing,
-                                workers=self.workers, chunksize=chunksize,
-                                retry=self.retry)
+                                workers=self.workers,
+                                chunksize=self.chunksize, retry=self.retry)
         from functools import partial
 
         from repro.soc.batch import pack_design_matrix
@@ -526,26 +518,11 @@ class BatchDssocEvaluator:
         try:
             return parallel_map(partial(_simulate_shm_row, view),
                                 list(range(len(missing))),
-                                workers=self.workers, chunksize=chunksize,
-                                retry=self.retry, pool="warm")
+                                workers=self.workers,
+                                chunksize=self.chunksize, retry=self.retry,
+                                pool="warm")
         finally:
             unpublish(segment)
-
-    def pool_chunksize(self, missing_count: int) -> int:
-        """Designs per pool chunk for a batch of ``missing_count`` misses.
-
-        A tuned per-machine profile (two or more distinct chunk sizes
-        measured on the pool surface) wins; without one, the PR-6
-        spread heuristic is the fallback: spread small batches (e.g. a
-        q-point proposal group no larger than one configured chunk)
-        across every worker instead of handing them to a single
-        process.  Chunking never affects results -- pool outputs are
-        keyed and re-ordered -- so tuning is free to chase wall time.
-        """
-        tuned = autotuner().best_chunk("pool", "simulate", missing_count)
-        if tuned is not None:
-            return max(1, tuned)
-        return min(self.chunksize, -(-missing_count // self.workers))
 
     def _uncached_unique(self, designs: Iterable[DssocDesign]
                          ) -> List[DssocDesign]:

@@ -22,8 +22,6 @@ from typing import Dict, Optional, Tuple, Type, Union
 from repro.airlearning.database import AirLearningDatabase
 from repro.airlearning.scenarios import Scenario
 from repro.airlearning.trainer import CemTrainer
-from repro.backend import get_backend, resolve_backend_name, use_backend
-from repro.backend.autotune import autotuner
 from repro.core.checkpoint import RunCheckpoint, RunManifest
 from repro.core.workers import resolve_pool_mode
 from repro.core.phase1 import FrontEnd, Phase1Result
@@ -46,9 +44,6 @@ class AutoPilotResult:
     phase3: Phase3Result
     #: Per-phase wall time, throughput and cache activity for this run.
     profile: Optional[ProfileReport] = None
-    #: Array backend the batched kernels ran on (defaulted last for
-    #: backward-compatible construction).
-    array_backend: str = "numpy"
 
     @property
     def selected(self) -> RankedDesign:
@@ -73,18 +68,13 @@ class AutoPilot:
                  trainer: Optional[CemTrainer] = None,
                  fidelity: str = "off",
                  promotion_eta: float = 0.5,
-                 array_backend: Optional[str] = None,
                  pool: Optional[str] = None):
         self.seed = seed
         self.fidelity = fidelity
         self.promotion_eta = promotion_eta
-        # Resolve now (explicit > REPRO_BACKEND > numpy) and fail fast
-        # on an unknown/unavailable name rather than mid-run.
-        self.array_backend = resolve_backend_name(array_backend)
-        get_backend(self.array_backend)
-        # Same convention for the pool mode (explicit > REPRO_POOL >
-        # cold); warm runs reuse one process-wide executor and ship
-        # design batches through shared memory.
+        # Resolve now (explicit > REPRO_POOL > cold); warm runs reuse
+        # one process-wide executor and ship design batches through
+        # shared memory.
         self.pool = resolve_pool_mode(pool)
         self.frontend = FrontEnd(backend=frontend_backend, seed=seed,
                                  trainer=trainer, workers=workers,
@@ -131,72 +121,60 @@ class AutoPilot:
                 self._verify_manifest(previous, manifest, checkpoint)
             manifest.save(checkpoint.run_dir)
 
-        array_backend = get_backend(self.array_backend)
         profiler = Profiler()
-        profiler.annotate(
-            "backend",
-            f"{array_backend.name} [{array_backend.tier.name}]")
-        with use_backend(array_backend):
-            if manifest is not None:
-                manifest.status["phase1"] = "running"
-                manifest.save(checkpoint.run_dir)
-            with profiler.phase("phase1"):
-                phase1 = self.frontend.run(task, database=self.database,
-                                           profiler=profiler,
-                                           checkpoint=checkpoint,
-                                           resume=resume)
-            if manifest is not None:
-                manifest.status["phase1"] = "complete"
-                manifest.save(checkpoint.run_dir)
+        if manifest is not None:
+            manifest.status["phase1"] = "running"
+            manifest.save(checkpoint.run_dir)
+        with profiler.phase("phase1"):
+            phase1 = self.frontend.run(task, database=self.database,
+                                       profiler=profiler,
+                                       checkpoint=checkpoint,
+                                       resume=resume)
+        if manifest is not None:
+            manifest.status["phase1"] = "complete"
+            manifest.save(checkpoint.run_dir)
 
-            cache_key = (task.scenario, budget)
-            phase2 = (self._phase2_cache.get(cache_key)
-                      if reuse_phase2 else None)
-            if phase2 is None:
-                dse = MultiObjectiveDse(
-                    database=self.database,
-                    optimizer_cls=self.optimizer_cls,
-                    seed=self.seed,
-                    optimizer_kwargs=self.optimizer_kwargs,
-                    workers=self.workers,
-                    fidelity=self.fidelity,
-                    promotion_eta=self.promotion_eta,
-                    pool=self.pool)
-                journal = (checkpoint.phase2_journal()
-                           if checkpoint is not None else None)
-                promotion_journal = (checkpoint.phase2_promotions_journal()
-                                     if checkpoint is not None else None)
-                if manifest is not None:
-                    manifest.status["phase2"] = "running"
-                    manifest.save(checkpoint.run_dir)
-                with profiler.phase("phase2"):
-                    phase2 = dse.run(task, budget=budget, profiler=profiler,
-                                     journal=journal,
-                                     promotion_journal=promotion_journal,
-                                     resume=resume)
-                self._phase2_cache[cache_key] = phase2
+        cache_key = (task.scenario, budget)
+        phase2 = (self._phase2_cache.get(cache_key)
+                  if reuse_phase2 else None)
+        if phase2 is None:
+            dse = MultiObjectiveDse(
+                database=self.database,
+                optimizer_cls=self.optimizer_cls,
+                seed=self.seed,
+                optimizer_kwargs=self.optimizer_kwargs,
+                workers=self.workers,
+                fidelity=self.fidelity,
+                promotion_eta=self.promotion_eta,
+                pool=self.pool)
+            journal = (checkpoint.phase2_journal()
+                       if checkpoint is not None else None)
+            promotion_journal = (checkpoint.phase2_promotions_journal()
+                                 if checkpoint is not None else None)
             if manifest is not None:
-                manifest.status["phase2"] = "complete"
-                manifest.phase2_evaluations = len(
-                    phase2.optimization.evaluations)
+                manifest.status["phase2"] = "running"
                 manifest.save(checkpoint.run_dir)
+            with profiler.phase("phase2"):
+                phase2 = dse.run(task, budget=budget, profiler=profiler,
+                                 journal=journal,
+                                 promotion_journal=promotion_journal,
+                                 resume=resume)
+            self._phase2_cache[cache_key] = phase2
+        if manifest is not None:
+            manifest.status["phase2"] = "complete"
+            manifest.phase2_evaluations = len(
+                phase2.optimization.evaluations)
+            manifest.save(checkpoint.run_dir)
 
-            with profiler.phase("phase3"):
-                phase3 = self.backend.run(phase2.candidates, task)
-            if manifest is not None:
-                manifest.status["phase3"] = "complete"
-                manifest.save(checkpoint.run_dir)
+        with profiler.phase("phase3"):
+            phase3 = self.backend.run(phase2.candidates, task)
+        if manifest is not None:
+            manifest.status["phase3"] = "complete"
+            manifest.save(checkpoint.run_dir)
 
-        # Feed this run's kernel timings back into the per-machine
-        # chunk-tuning profile so the next sweep starts tuned.
-        report = profiler.report()
-        tuner = autotuner()
-        tuner.ingest_report(report, array_backend.name)
-        tuner.save()
         return AutoPilotResult(
             task=task, phase1=phase1, phase2=phase2, phase3=phase3,
-            profile=report if profile else None,
-            array_backend=self.array_backend)
+            profile=profiler.report() if profile else None)
 
     # ------------------------------------------------------------------
     def _manifest_for(self, task: TaskSpec, budget: int) -> RunManifest:
@@ -212,17 +190,19 @@ class AutoPilot:
                 "initial_std": trainer.initial_std,
                 "engine": trainer.engine,
             }
+        optimizer_kwargs = self.optimizer_kwargs or {}
         return RunManifest(uav=task.platform.name,
                            scenario=task.scenario.value,
                            seed=self.seed, budget=budget,
                            sensor_fps=task.sensor_fps,
                            frontend_backend=self.frontend.backend,
                            trainer=trainer_cfg,
-                           proposal_batch=(self.optimizer_kwargs or {}).get(
+                           proposal_batch=optimizer_kwargs.get(
                                "proposal_batch", 1),
+                           gp_refit_every=optimizer_kwargs.get(
+                               "gp_refit_every", 1),
                            fidelity=self.fidelity,
                            promotion_eta=self.promotion_eta,
-                           array_backend=self.array_backend,
                            pool=self.pool)
 
     @staticmethod
@@ -232,8 +212,8 @@ class AutoPilot:
         mismatched = [
             name for name in ("uav", "scenario", "seed", "budget",
                               "sensor_fps", "frontend_backend", "trainer",
-                              "proposal_batch", "fidelity", "promotion_eta",
-                              "array_backend", "pool")
+                              "proposal_batch", "gp_refit_every",
+                              "fidelity", "promotion_eta", "pool")
             if getattr(previous, name) != getattr(current, name)]
         if mismatched:
             details = ", ".join(

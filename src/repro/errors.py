@@ -23,7 +23,3 @@ class InfeasibleDesignError(ReproError):
 
 class CheckpointError(ReproError):
     """A run checkpoint is missing, corrupt or inconsistent with the run."""
-
-
-class BackendValidationError(ReproError):
-    """An array backend diverged from the NumPy oracle beyond its tier."""

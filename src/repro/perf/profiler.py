@@ -68,10 +68,6 @@ class ProfileReport:
     phases: List[PhaseRecord]
     total_wall_s: float
     counters: Dict[str, int]
-    #: Free-form run annotations (e.g. ``backend`` -> ``threaded [exact]``),
-    #: rendered as ``key: value`` lines.  Defaulted last for backward
-    #: compatibility with positional construction.
-    labels: Dict[str, str] = field(default_factory=dict)
 
     @property
     def total_evaluations(self) -> int:
@@ -131,7 +127,6 @@ class Profiler:
         self._phases: "Dict[str, PhaseRecord]" = {}
         self._order: List[str] = []
         self._counters: Dict[str, int] = {}
-        self._labels: Dict[str, str] = {}
         self._started = time.perf_counter()
 
     @contextmanager
@@ -186,17 +181,12 @@ class Profiler:
         """Bump a named counter."""
         self._counters[name] = self._counters.get(name, 0) + increment
 
-    def annotate(self, key: str, value: str) -> None:
-        """Attach a run-level ``key: value`` label to the report."""
-        self._labels[key] = value
-
     def report(self) -> ProfileReport:
         """Snapshot the measurements collected so far."""
         return ProfileReport(
             phases=[self._phases[name] for name in self._order],
             total_wall_s=time.perf_counter() - self._started,
             counters=dict(self._counters),
-            labels=dict(self._labels),
         )
 
 
@@ -204,8 +194,6 @@ def render_profile(report: ProfileReport) -> str:
     """Render a profile as a compact fixed-width table."""
     lines: List[str] = []
     lines.append("## Profile")
-    for key in sorted(report.labels):
-        lines.append(f"{key}: {report.labels[key]}")
     header = (f"{'phase':<18} {'wall s':>8} {'evals':>7} "
               f"{'evals/s':>9} {'steps':>9} {'steps/s':>9} {'hit rate':>9}")
     lines.append(header)

@@ -4,7 +4,9 @@ The registry widened the scenario axis from an enum to id strings; an
 old checkpoint directory written before that must keep loading, and its
 ``scenario`` field must resolve to the same enum handle (hence the same
 cache keys and journals) it was written with.  New registry ids must
-round-trip through the same manifest machinery.
+round-trip through the same manifest machinery.  Manifests that carry
+fields of removed features (the array backend, concurrent bench cells)
+must load and resume as if the fields were absent.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import json
 import pytest
 
 from repro.airlearning.scenarios import Scenario, ScenarioSpec, scenario_ids
-from repro.cli import _restore_from_manifest, build_parser
+from repro.bench.runner import BENCH_MANIFEST_NAME, BenchManifest
+from repro.cli import _restore_from_manifest, build_parser, main
 from repro.core.checkpoint import MANIFEST_NAME, RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import TaskSpec
 from repro.errors import CheckpointError
+from repro.testing import faults
 from repro.uav.platforms import NANO_ZHANG
 
 # The exact manifest JSON shape the pre-registry code wrote (schema 1,
@@ -48,7 +52,7 @@ def _design_args(**overrides):
     args = argparse.Namespace(
         uav="nano", scenario="dense", sensor_fps=60.0, seed=0, budget=1,
         phase1_backend="surrogate", proposal_batch=1, fidelity="off",
-        promotion_eta=0.5, backend=None, workers=None)
+        promotion_eta=0.5, workers=None)
     for key, value in overrides.items():
         setattr(args, key, value)
     return args
@@ -114,6 +118,40 @@ def test_checkpointed_run_with_registry_scenario_resumes(tmp_path):
     with pytest.raises(CheckpointError, match="scenario"):
         AutoPilot(seed=5).run(other, budget=6, checkpoint_dir=run_dir,
                               resume=True)
+
+
+#: Fields that earlier versions wrote and this one no longer has.
+_REMOVED_FIELDS = {"array_backend": "threaded", "bench_parallel": 2}
+
+
+@pytest.mark.parametrize("command, kill_at, manifest_cls, patterns", [
+    (["design", "--uav", "nano", "--scenario", "low", "--budget", "15",
+      "--seed", "3"], 35, RunManifest, [MANIFEST_NAME]),
+    (["bench", "--tags", "smoke", "--platforms", "nano", "--budget", "6",
+      "--seed", "3"], 40, BenchManifest,
+     [BENCH_MANIFEST_NAME, f"cells/*/{MANIFEST_NAME}"]),
+], ids=["run-manifest", "bench-manifest"])
+def test_manifest_with_removed_fields_resumes_identically(
+        tmp_path, capsys, command, kill_at, manifest_cls, patterns):
+    assert main(command) == 0
+    baseline = capsys.readouterr().out
+    run_dir = tmp_path / "run"
+    with pytest.raises(faults.SimulatedKill):
+        with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
+            main(command + ["--checkpoint-dir", str(run_dir)])
+    capsys.readouterr()
+    for pattern in patterns:
+        paths = list(run_dir.glob(pattern))
+        assert paths
+        for path in paths:
+            payload = json.loads(path.read_text())
+            payload.update(_REMOVED_FIELDS)
+            path.write_text(json.dumps(payload))
+    manifest = manifest_cls.load(run_dir)
+    assert not any(hasattr(manifest, name) for name in _REMOVED_FIELDS)
+
+    assert main([command[0], "--resume", str(run_dir)]) == 0
+    assert capsys.readouterr().out == baseline
 
 
 class TestParserScenarioChoices:

@@ -18,6 +18,7 @@ from repro.bench import (
 )
 from repro.cli import main
 from repro.core.pipeline import AutoPilot
+from repro.core.workers import shutdown_warm_pool
 from repro.errors import CheckpointError, ConfigError
 from repro.testing import faults
 
@@ -118,6 +119,36 @@ class TestRunner:
             BenchRunner(AutoPilot(seed=3), budget=7,
                         checkpoint_dir=bench_dir, resume=True).run(suite)
 
+    def test_manifest_records_pool(self, tmp_path):
+        suite = build_suite(ids=["dense"], platforms=["nano"])
+        bench_dir = tmp_path / "bench"
+        try:
+            BenchRunner(AutoPilot(seed=3, pool="warm"), budget=6,
+                        checkpoint_dir=bench_dir).run(suite)
+        finally:
+            shutdown_warm_pool()
+        assert BenchManifest.load(bench_dir).pool == "warm"
+
+    def test_resume_under_different_pool_refused(self, tmp_path):
+        suite = build_suite(ids=["dense"], platforms=["nano"])
+        bench_dir = tmp_path / "bench"
+        BenchRunner(AutoPilot(seed=3, pool="cold"), budget=6,
+                    checkpoint_dir=bench_dir).run(suite)
+        with pytest.raises(CheckpointError, match="pool"):
+            BenchRunner(AutoPilot(seed=3, pool="warm"), budget=6,
+                        checkpoint_dir=bench_dir, resume=True).run(suite)
+
+    def test_warm_pool_sweep_matches_oracle(self):
+        suite = build_suite(ids=["dense", "low"], platforms=["nano"])
+        oracle = BenchRunner(AutoPilot(seed=3), budget=6).run(suite)
+        try:
+            warm = BenchRunner(AutoPilot(seed=3, workers=2, pool="warm"),
+                               budget=6).run(suite)
+        finally:
+            shutdown_warm_pool()
+        assert (render_bench_report(warm.metrics)
+                == render_bench_report(oracle.metrics))
+
     def test_resume_without_manifest_refused(self, tmp_path):
         suite = build_suite(ids=["dense"], platforms=["nano"])
         with pytest.raises(CheckpointError, match="no bench manifest"):
@@ -159,6 +190,23 @@ class TestBenchCli:
         capsys.readouterr()
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == baseline
+
+    @pytest.mark.parametrize("kill_at", [3, 5, 8])
+    def test_gp_refit_every_survives_kill_and_resume(self, tmp_path,
+                                                     capsys, kill_at):
+        args = ["bench", "--scenarios", "dense", "--platforms", "nano",
+                "--seed", "7", "--budget", "60", "--proposal-batch", "4",
+                "--gp-refit-every", "8"]
+        assert main(args) == 0
+        baseline = capsys.readouterr().out
+        bench_dir = tmp_path / "bench"
+        with pytest.raises(faults.SimulatedKill):
+            with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
+                main(args + ["--checkpoint-dir", str(bench_dir)])
+        capsys.readouterr()
+        assert main(["bench", "--resume", str(bench_dir)]) == 0
+        assert capsys.readouterr().out == baseline
+        assert BenchManifest.load(bench_dir).gp_refit_every == 8
 
     def test_resume_missing_manifest_is_a_clean_error(self, tmp_path,
                                                       capsys):

@@ -6,8 +6,6 @@ whole suite stays fast while still exercising the real code paths.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -18,27 +16,6 @@ from repro.nn.template import PolicyHyperparams
 from repro.scalesim.config import AcceleratorConfig
 from repro.soc.dssoc import DssocDesign
 from repro.uav.platforms import NANO_ZHANG
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_autotune_store(tmp_path_factory):
-    """Keep chunk-tuning writes out of the real user cache.
-
-    Pipeline runs feed the per-machine autotune store; during tests
-    that store lives in a session temp directory so the suite neither
-    reads a developer's tuned profile nor pollutes it.
-    """
-    from repro.backend.autotune import reset_autotuner
-    root = tmp_path_factory.mktemp("autotune")
-    previous = os.environ.get("REPRO_TUNE_DIR")
-    os.environ["REPRO_TUNE_DIR"] = str(root)
-    reset_autotuner()
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_TUNE_DIR", None)
-    else:
-        os.environ["REPRO_TUNE_DIR"] = previous
-    reset_autotuner()
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ observe a torn entry and never lose a published value.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -91,6 +92,28 @@ class TestLegacyMigration:
         fresh = EvalCache(capacity=8, persist_dir=tmp_path)
         assert fresh.get(("old",)) == "v"
         assert fresh.stats.migrated == 0
+
+    def test_entry_migrated_by_another_process_mid_lookup_is_a_hit(
+            self, tmp_path, monkeypatch):
+        # Another process moves the legacy entry into its shard after
+        # this lookup found the shard empty but before it probes the
+        # legacy path; the entry exists throughout, so it must be a hit.
+        self._write_legacy(tmp_path, ("old",), "v")
+        cache = EvalCache(capacity=8, persist_dir=tmp_path)
+        shard_path = cache._disk_path(("old",))
+        legacy_disk_path = EvalCache._legacy_disk_path
+
+        def migrated_meanwhile(self, key):
+            legacy = legacy_disk_path(self, key)
+            shard_path.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(legacy, shard_path)
+            return legacy
+
+        monkeypatch.setattr(EvalCache, "_legacy_disk_path",
+                            migrated_meanwhile)
+        assert cache.get(("old",)) == "v"
+        assert cache.stats.disk_hits == 1
+        assert cache.stats.migrated == 0
 
     def test_corrupt_entry_quarantined_inside_shard(self, tmp_path):
         cache = EvalCache(capacity=8, persist_dir=tmp_path)

@@ -42,13 +42,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--layers", "42"])
 
-    def test_backend_defaults_to_unset(self):
-        for command in ("design", "compare", "sweep"):
-            assert build_parser().parse_args([command]).backend is None
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["design", "--backend", "cuda"])
+    def test_removed_flags_are_rejected(self):
+        for argv in (["design", "--backend", "numpy"],
+                     ["bench", "--bench-parallel", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestCommands:
@@ -89,32 +87,10 @@ class TestCommands:
 
     def test_design_report_names_the_backend(self, capsys):
         assert main(["design", "--uav", "nano", "--scenario", "low",
-                     "--budget", "15", "--seed", "3",
-                     "--backend", "threaded", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "Array backend: threaded" in out
-        assert "backend: threaded [exact]" in out  # --profile label
-
-    def test_threaded_design_report_matches_numpy(self, capsys):
-        args = ["design", "--uav", "nano", "--scenario", "low",
-                "--budget", "15", "--seed", "3"]
-        assert main(args + ["--backend", "numpy"]) == 0
-        reference = capsys.readouterr().out
-        assert main(args + ["--backend", "threaded"]) == 0
-        threaded = capsys.readouterr().out
-        # Only the backend line may differ; every number is identical.
-        assert threaded.replace("threaded", "numpy") == reference
-
-    def test_env_var_selects_backend(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BACKEND", "threaded")
-        assert main(["design", "--uav", "nano", "--scenario", "low",
                      "--budget", "15", "--seed", "3"]) == 0
-        assert "Array backend: threaded" in capsys.readouterr().out
-
-    def test_sweep_honours_backend(self, capsys):
-        assert main(["sweep", "--layers", "4", "--filters", "32",
-                     "--backend", "threaded", "--profile"]) == 0
-        assert "backend: threaded [exact]" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert ("- Array backend: numpy [exact (bit-identical to the "
+                "NumPy oracle)]") in lines
 
 
 DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
@@ -179,15 +155,21 @@ class TestCheckpointCli:
         assert manifest["seed"] == 3
         assert manifest["budget"] == 15
 
-    def test_resume_restores_the_recorded_backend(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kill_at", [3, 5, 8])
+    def test_gp_refit_every_survives_kill_and_resume(self, tmp_path,
+                                                     capsys, kill_at):
+        args = ["design", "--uav", "nano", "--scenario", "dense",
+                "--seed", "7", "--budget", "60", "--proposal-batch", "4",
+                "--gp-refit-every", "8"]
+        assert main(args) == 0
+        baseline = capsys.readouterr().out
         run_dir = tmp_path / "run"
-        assert main(DESIGN_ARGS + ["--backend", "threaded",
-                                   "--checkpoint-dir", str(run_dir)]) == 0
-        first = capsys.readouterr().out
-        assert "Array backend: threaded" in first
-        assert RunManifest.load(run_dir).array_backend == "threaded"
-        # The resume command line does not name a backend; the manifest
-        # restores it (and a conflicting one would be rejected by the
-        # manifest verification).
+        with pytest.raises(faults.SimulatedKill):
+            with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
+                main(args + ["--checkpoint-dir", str(run_dir)])
+        capsys.readouterr()
+        # The resume command line names no pipeline option: the
+        # manifest restores the refit cadence.
         assert main(["design", "--resume", str(run_dir)]) == 0
-        assert capsys.readouterr().out == first
+        assert capsys.readouterr().out == baseline
+        assert RunManifest.load(run_dir).gp_refit_every == 8
