@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -31,20 +31,12 @@ from repro.airlearning.scenarios import (
 )
 from repro.airlearning.trainer import CemTrainer, ROLLOUT_ENGINES
 from repro.baselines.computers import FIG5_BASELINES
-from repro.bench import (
-    BenchManifest,
-    BenchRunner,
-    build_suite,
-    render_bench_report,
-)
 from repro.core.checkpoint import RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.workers import POOL_MODES
 from repro.core.report import render_report
 from repro.core.spec import TaskSpec
 from repro.errors import CheckpointError, ConfigError
-from repro.experiments.fig3b import accelerator_frontier
-from repro.experiments.runner import format_table
 from repro.nn.template import (
     FILTER_CHOICES,
     LAYER_CHOICES,
@@ -55,6 +47,11 @@ from repro.perf import Profiler, render_profile
 from repro.uav.f1_model import F1Model
 from repro.uav.mission import evaluate_mission
 from repro.uav.platforms import UavClass, platform_by_class, platform_by_name
+
+# The bench harness and the experiment drivers are imported inside the
+# subcommands that use them, so ``design`` loads neither.
+if TYPE_CHECKING:
+    from repro.bench import BenchManifest
 
 _CLASS_BY_NAME = {c.value: c for c in UavClass}
 
@@ -239,6 +236,13 @@ def _restore_bench_args(args: argparse.Namespace,
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench import (
+        BenchManifest,
+        BenchRunner,
+        build_suite,
+        render_bench_report,
+    )
+
     checkpoint_dir = args.checkpoint_dir
     resume = args.resume is not None
     if resume:
@@ -288,6 +292,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import format_table
+
     task = _task(args)
     autopilot = _autopilot(args)
     result = autopilot.run(task, budget=args.budget)
@@ -318,6 +324,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_f1(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import format_table
+
     platform = _platform(args.uav)
     f1 = F1Model(platform=platform, compute_weight_g=args.payload,
                  sensor_fps=args.sensor_fps)
@@ -334,6 +342,9 @@ def cmd_f1(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.fig3b import accelerator_frontier
+    from repro.experiments.runner import format_table
+
     policy = PolicyHyperparams(num_layers=args.layers,
                                num_filters=args.filters)
     profiler = Profiler()

@@ -115,7 +115,15 @@ class CachingEvaluator:
 
     def seen(self, assignment: Assignment) -> bool:
         """True when the point was already evaluated."""
-        return self.space.key(assignment) in self._cache
+        return self.seen_key(self.space.key(assignment))
+
+    def seen_key(self, key: Tuple[object, ...]) -> bool:
+        """:meth:`seen` for a point's :meth:`DesignSpace.key`.
+
+        Callers holding keys from :meth:`DesignSpace.sample_block` use
+        this to skip re-validating points they just drew.
+        """
+        return key in self._cache
 
     def evaluate(self, assignment: Assignment) -> np.ndarray:
         """Evaluate (or return cached) objectives for an assignment."""

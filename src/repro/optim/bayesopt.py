@@ -166,7 +166,7 @@ class SmsEgoBayesOpt(Optimizer):
             block = min(needed, miss_limit + 1 - misses)
             points, keys = evaluator.space.sample_block(rng, block)
             for point, key in zip(points, keys):
-                if key in queued_keys or evaluator.seen(point):
+                if key in queued_keys or evaluator.seen_key(key):
                     misses += 1
                     if misses > miss_limit:
                         break
@@ -196,7 +196,7 @@ class SmsEgoBayesOpt(Optimizer):
             points, keys = evaluator.space.sample_block(rng, block)
             attempts += block
             for point, key in zip(points, keys):
-                if key in seen_keys or evaluator.seen(point):
+                if key in seen_keys or evaluator.seen_key(key):
                     continue
                 seen_keys.add(key)
                 pool.append(point)

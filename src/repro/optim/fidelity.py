@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,9 +154,8 @@ class MultiFidelityEvaluator(CachingEvaluator):
         self.promotion_observer = promotion_observer
         self._pruned_keys: set = set()
 
-    def seen(self, assignment: Assignment) -> bool:
+    def seen_key(self, key: Tuple[object, ...]) -> bool:
         """True for evaluated *and* pruned points (never re-propose)."""
-        key = self.space.key(assignment)
         return key in self._cache or key in self._pruned_keys
 
     def evaluate_screened(self, assignments: Sequence[Assignment]

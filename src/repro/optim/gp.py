@@ -27,6 +27,10 @@ a single bit of its output:
   alpha is always re-derived from the updated factor against the
   re-standardised targets.  The default ``refit_every=1`` keeps the
   exact legacy refit-every-iteration behaviour.
+
+Every solve, incremental ones included, is NumPy's ``np.linalg.solve``:
+with no optional SciPy path, a fit's bits do not depend on which
+packages the host has installed.
 """
 
 from __future__ import annotations
@@ -38,11 +42,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-
-try:  # scipy is optional: triangular solves merely accelerate updates
-    from scipy.linalg import solve_triangular as _solve_triangular
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _solve_triangular = None
 
 
 def pairwise_sq(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -115,15 +114,6 @@ def _log_marginal(y_std: np.ndarray, chol: np.ndarray,
     return float(-0.5 * y_std @ alpha
                  - np.sum(np.log(np.diag(chol)))
                  - 0.5 * n * np.log(2 * np.pi))
-
-
-def _tri_solve(matrix: np.ndarray, rhs: np.ndarray,
-               lower: bool) -> np.ndarray:
-    """Triangular solve; falls back to a general solve without scipy."""
-    if _solve_triangular is not None:
-        return _solve_triangular(matrix, rhs, lower=lower,
-                                 check_finite=False)
-    return np.linalg.solve(matrix, rhs)
 
 
 @dataclass
@@ -436,9 +426,8 @@ class MultiObjectiveGP:
                 ls = model.lengthscale
                 corner = kernel_from_sq(sq_corner, ls, self._variance)
                 corner[np.diag_indices_from(corner)] += jitter
-                b = _tri_solve(model.chol,
-                               kernel_from_sq(sq_cross, ls, self._variance),
-                               lower=True)
+                b = np.linalg.solve(
+                    model.chol, kernel_from_sq(sq_cross, ls, self._variance))
                 corner_chol = np.linalg.cholesky(corner - b.T @ b)
                 _gp_stats.factorisations += 1
                 new_chol = np.empty((n, n))
@@ -448,9 +437,8 @@ class MultiObjectiveGP:
                 new_chol[prev_n:, prev_n:] = corner_chol
                 extended[id(model.chol)] = new_chol
             y_mean, y_scale, y_std = _standardise(y[:, j])
-            alpha = _tri_solve(new_chol.T,
-                               _tri_solve(new_chol, y_std, lower=True),
-                               lower=False)
+            alpha = np.linalg.solve(new_chol.T,
+                                    np.linalg.solve(new_chol, y_std))
             models.append(_ObjectiveModel(
                 lengthscale=model.lengthscale, chol=new_chol, alpha=alpha,
                 y_mean=y_mean, y_std=y_scale))

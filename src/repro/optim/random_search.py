@@ -38,9 +38,9 @@ class RandomSearch(Optimizer):
                 queued_keys.clear()
 
         while evaluator.evaluations_used + len(queued) < evaluator.budget:
-            point = evaluator.space.sample(rng, 1)[0]
-            key = evaluator.space.key(point)
-            if key in queued_keys or evaluator.seen(point):
+            points, keys = evaluator.space.sample_block(rng, 1)
+            point, key = points[0], keys[0]
+            if key in queued_keys or evaluator.seen_key(key):
                 misses += 1
                 # The space may be smaller than the budget; bail out once
                 # resampling stops finding new points.

@@ -67,7 +67,11 @@ class DesignSpace:
         self.dimensions: Tuple[Dimension, ...] = tuple(dimensions)
         self._by_name = {d.name: d for d in self.dimensions}
         self._names = tuple(d.name for d in self.dimensions)
+        self._name_set = frozenset(self._names)
         self._value_counts = np.array([len(d.values) for d in self.dimensions])
+        # Encoding divides each value index by these; max(1, ...) keeps
+        # a single-valued dimension at 0.
+        self._denominators = np.maximum(self._value_counts - 1, 1)
 
     @property
     def num_dimensions(self) -> int:
@@ -83,32 +87,41 @@ class DesignSpace:
 
     def validate(self, assignment: Assignment) -> None:
         """Raise if ``assignment`` is not a complete point in the space."""
-        if set(assignment) != set(self._by_name):
-            raise DesignSpaceError(
-                f"assignment keys {sorted(assignment)} do not match "
-                f"dimensions {sorted(self._by_name)}")
+        self._check_keys(assignment)
         for dim in self.dimensions:
             dim.index_of(assignment[dim.name])
 
+    def _check_keys(self, assignment: Assignment) -> None:
+        if assignment.keys() != self._name_set:
+            raise DesignSpaceError(
+                f"assignment keys {sorted(assignment)} do not match "
+                f"dimensions {sorted(self._by_name)}")
+
     def encode(self, assignment: Assignment) -> np.ndarray:
         """Map an assignment to [0, 1]^d by normalised value index."""
-        self.validate(assignment)
-        vec = np.empty(self.num_dimensions)
-        for i, dim in enumerate(self.dimensions):
-            index = dim.index_of(assignment[dim.name])
-            denom = max(1, len(dim.values) - 1)
-            vec[i] = index / denom
-        return vec
+        return self.encode_many([assignment])[0]
 
     def encode_many(self, assignments: Sequence[Assignment]) -> np.ndarray:
-        """Encode a batch of assignments to an (n x d) matrix in [0, 1]."""
-        out = np.empty((len(assignments), self.num_dimensions))
-        for row, assignment in enumerate(assignments):
-            self.validate(assignment)
-            for i, dim in enumerate(self.dimensions):
-                denom = max(1, len(dim.values) - 1)
-                out[row, i] = dim.index_of(assignment[dim.name]) / denom
-        return out
+        """Encode a batch of assignments to an (n x d) matrix in [0, 1].
+
+        Each row's key set is checked once; the value lookup that finds
+        a column's indices also validates its values, and one vectorised
+        division scales them.
+        """
+        for assignment in assignments:
+            self._check_keys(assignment)
+        indices = np.empty((len(assignments), self.num_dimensions),
+                           dtype=np.int64)
+        for i, dim in enumerate(self.dimensions):
+            name = dim.name
+            try:
+                indices[:, i] = [dim._index_map[a[name]]
+                                 for a in assignments]
+            except KeyError:
+                # A value outside the dimension: let index_of raise the
+                # DesignSpaceError naming it.
+                indices[:, i] = [dim.index_of(a[name]) for a in assignments]
+        return indices / self._denominators
 
     def decode(self, vector: np.ndarray) -> Assignment:
         """Map a [0, 1]^d vector to the nearest assignment."""
@@ -141,13 +154,11 @@ class DesignSpace:
             return [], []
         draws = rng.integers(self._value_counts,
                              size=(count, self.num_dimensions))
-        dims = self.dimensions
-        points: List[Assignment] = []
-        keys: List[Tuple[object, ...]] = []
-        for row in draws.tolist():
-            values = [dim.values[index] for dim, index in zip(dims, row)]
-            points.append(dict(zip(self._names, values)))
-            keys.append(tuple(values))
+        columns = [[dim.values[index] for index in column]
+                   for dim, column in zip(self.dimensions, draws.T.tolist())]
+        keys: List[Tuple[object, ...]] = list(zip(*columns))
+        names = self._names
+        points: List[Assignment] = [dict(zip(names, key)) for key in keys]
         return points, keys
 
     def neighbor(self, assignment: Assignment,

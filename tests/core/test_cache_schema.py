@@ -1,0 +1,118 @@
+"""Golden digest of the values the cross-run cache stores.
+
+The disk store keys every entry with ``CACHE_SCHEMA_VERSION``, so an
+entry written by older code is served only while the version is
+unchanged.  This test recomputes a fixed probe set -- one value of
+each cached kind -- and pins the digest of its exact bits together
+with the version.  A change to any cached computation fails it until
+the version is bumped and the digest re-pinned, so stale entries can
+never be served as current ones.
+"""
+
+import dataclasses
+import enum
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.airlearning.scenarios import Scenario
+from repro.airlearning.trainer import CemTrainer
+from repro.core import evalcache
+from repro.core.evalcache import (
+    CACHE_SCHEMA_VERSION,
+    EvalCache,
+    design_key,
+    estimate_key,
+    training_key,
+    workload_fingerprint,
+)
+from repro.nn.template import PolicyHyperparams, build_policy_network
+from repro.nn.workload import lower_network
+from repro.scalesim.config import AcceleratorConfig, Dataflow
+from repro.scalesim.simulator import SystolicArraySimulator
+from repro.soc.dssoc import DssocDesign
+from repro.soc.estimate import Tier0Estimator
+
+#: Re-pin both together, and only when a cached computation is meant
+#: to change.
+PINNED = (
+    1, "845dd60fb57e891ea2b74e35ffd6c874199df6dd1c41f06149018a76c0765e23")
+
+PROBE_DESIGNS = (
+    DssocDesign(policy=PolicyHyperparams(num_layers=2, num_filters=32),
+                accelerator=AcceleratorConfig(
+                    pe_rows=16, pe_cols=16, ifmap_sram_kb=64,
+                    filter_sram_kb=64, ofmap_sram_kb=64)),
+    DssocDesign(policy=PolicyHyperparams(num_layers=7, num_filters=48),
+                accelerator=AcceleratorConfig(
+                    pe_rows=32, pe_cols=128, ifmap_sram_kb=256,
+                    filter_sram_kb=512, ofmap_sram_kb=128,
+                    dataflow=Dataflow.OUTPUT_STATIONARY)),
+    DssocDesign(policy=PolicyHyperparams(num_layers=10, num_filters=64),
+                accelerator=AcceleratorConfig(
+                    pe_rows=256, pe_cols=8, ifmap_sram_kb=32,
+                    filter_sram_kb=4096, ofmap_sram_kb=1024,
+                    dataflow=Dataflow.INPUT_STATIONARY, clock_hz=120e6)),
+)
+
+
+def canonical(value) -> str:
+    """An exact text form: ``float.hex`` for every float, field names
+    for every dataclass, dtype and shape for every array."""
+    if dataclasses.is_dataclass(value):
+        fields = ",".join(f"{f.name}={canonical(getattr(value, f.name))}"
+                          for f in dataclasses.fields(value))
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if isinstance(value, np.ndarray):
+        return (f"array[{value.dtype.str}{value.shape}]"
+                + canonical(value.tolist()))
+    if isinstance(value, (bool, str)) or value is None:
+        return repr(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(canonical(item) for item in value) + "]"
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """A private, empty process-wide cache, so every probe value is
+    computed here rather than served from an earlier test."""
+    cache = EvalCache()
+    monkeypatch.setattr(evalcache, "_shared_cache", cache)
+    return cache
+
+
+def probe_values(cache):
+    """Each cached kind, read back from the cache it was stored in."""
+    values = []
+    estimator = Tier0Estimator()
+    estimator.estimate_designs(PROBE_DESIGNS)
+    for design in PROBE_DESIGNS:
+        workload = lower_network(build_policy_network(design.policy))
+        SystolicArraySimulator(design.accelerator).run(workload)
+        fingerprint = workload_fingerprint(workload)
+        values.append(cache.get(design_key(workload, design.accelerator)))
+        values.append(cache.get(estimate_key(None, design.accelerator,
+                                             workload_fp=fingerprint)))
+    trainer = CemTrainer(population_size=4, iterations=1,
+                         episodes_per_candidate=1, seed=0, cache=True)
+    policy = PolicyHyperparams(num_layers=2, num_filters=32)
+    trainer.train(policy, Scenario.LOW)
+    values.append(cache.get(training_key(trainer, policy, Scenario.LOW)))
+    assert all(value is not None for value in values)
+    return values
+
+
+def test_cached_values_match_the_pinned_schema_version(fresh_cache):
+    text = canonical(probe_values(fresh_cache))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert (CACHE_SCHEMA_VERSION, digest) == PINNED, (
+        "a cached value changed: bump CACHE_SCHEMA_VERSION in "
+        "repro/core/evalcache.py and re-pin PINNED here")

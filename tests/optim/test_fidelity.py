@@ -107,6 +107,26 @@ class TestPromotion:
         assert all(r is None for r in again)
         assert evaluator.evaluations_used == used
 
+    def test_candidate_pool_skips_pruned_keys(self):
+        space = make_space()
+        evaluator = make_evaluator(screen=exact_screen, eta=0.25)
+        points = list(space.all_points())
+        evaluator.evaluate(points[0])
+        results = evaluator.evaluate_screened(points[8:16])
+        pruned = {space.key(p) for p, r in zip(points[8:16], results)
+                  if r is None}
+        assert pruned
+        assert all(evaluator.seen_key(key) for key in pruned)
+        # The pool filters sample_block's keys through seen_key; with
+        # 20 draws per slot it finds every point neither evaluated nor
+        # pruned, and nothing else.
+        evaluated = {space.key(e.assignment)
+                     for e in evaluator.result.evaluations}
+        pool = SmsEgoBayesOpt(space, pool_size=space.size())._candidate_pool(
+            evaluator, np.random.default_rng(0))
+        assert {space.key(p) for p in pool} == (
+            {space.key(p) for p in points} - evaluated - pruned)
+
     def test_pruned_points_never_reach_the_gp_history(self):
         evaluator = make_evaluator(screen=exact_screen, eta=0.25)
         points = list(make_space().all_points())

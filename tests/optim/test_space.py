@@ -61,6 +61,25 @@ class TestDesignSpace:
         assert vec[0] == pytest.approx(1.0)
         assert vec[1] == pytest.approx(0.0)
 
+    def test_encode_many_is_index_over_last_index(self, space):
+        points = list(space.all_points())
+        expected = [[dim.index_of(p[dim.name]) / (len(dim.values) - 1)
+                     for dim in space.dimensions] for p in points]
+        assert space.encode_many(points).tolist() == expected
+        single = DesignSpace([Dimension("one", (5,)),
+                              Dimension("b", ("x", "y", "z"))])
+        assert single.encode_many([{"one": 5, "b": "z"}]).tolist() == [
+            [0.0, 1.0]]
+
+    def test_encode_many_validates_every_row(self, space):
+        with pytest.raises(DesignSpaceError):
+            space.encode_many([{"a": 1, "b": "x"}, {"a": 3, "b": "y"}])
+        with pytest.raises(DesignSpaceError):
+            space.encode_many([{"a": 1, "b": "x"}, {"a": 1}])
+        with pytest.raises(DesignSpaceError):
+            space.encode_many([{"a": 1, "b": "x", "c": 0}])
+        assert space.encode_many([]).shape == (0, 2)
+
     def test_encode_decode_roundtrip(self, space):
         for point in space.all_points():
             assert space.decode(space.encode(point)) == point

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,38 @@ class TestCommands:
         lines = capsys.readouterr().out.splitlines()
         assert ("- Array backend: numpy [exact (bit-identical to the "
                 "NumPy oracle)]") in lines
+
+
+#: Runs ``design`` in a fresh interpreter and prints the top-level
+#: packages it loaded that the design path has no use for.
+STARTUP_PROBE = """
+import sys
+import repro.cli
+status = repro.cli.main(["design", "--uav", "nano", "--scenario", "low",
+                         "--budget", "20", "--seed", "3",
+                         "--proposal-batch", "4", "--gp-refit-every", "4",
+                         "--output", sys.argv[1]])
+print(sorted(name for name in sys.modules if name == "scipy"
+             or name.startswith(("scipy.", "repro.bench",
+                                 "repro.experiments"))))
+sys.exit(status)
+"""
+
+
+class TestStartup:
+    def test_design_loads_no_scipy_bench_or_experiments(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = src
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE,
+             str(tmp_path / "report.md")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert "AutoPilot design report" in (
+            tmp_path / "report.md").read_text()
 
 
 DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
