@@ -66,8 +66,6 @@ class BenchManifest:
     gp_refit_every: int = 1
     fidelity: str = "off"
     promotion_eta: float = 0.5
-    #: Worker-pool mode (``"cold"``/``"warm"``); verified on resume.
-    pool: str = "cold"
     #: cell id -> ``pending`` / ``running`` / ``complete``.
     cells: Dict[str, str] = field(default_factory=dict)
     schema: int = BENCH_SCHEMA_VERSION
@@ -164,7 +162,6 @@ class BenchRunner:
             gp_refit_every=optimizer_kwargs.get("gp_refit_every", 1),
             fidelity=pilot.fidelity,
             promotion_eta=pilot.promotion_eta,
-            pool=pilot.pool,
             cells={cell.cell_id: "pending" for cell in suite.cells()})
 
     @staticmethod
@@ -175,7 +172,7 @@ class BenchRunner:
             name for name in ("scenarios", "platforms", "budget", "seed",
                               "sensor_fps", "frontend_backend", "trainer",
                               "proposal_batch", "gp_refit_every",
-                              "fidelity", "promotion_eta", "pool")
+                              "fidelity", "promotion_eta")
             if getattr(previous, name) != getattr(current, name)]
         if mismatched:
             details = ", ".join(
@@ -196,8 +193,8 @@ class BenchRunner:
         """Run (or resume) every cell of the suite.
 
         Cells run through the shared pipeline instance sequentially in
-        suite order; parallelism lives *inside* each cell (the
-        pipeline's process pool and batched kernels), which is what
+        suite order; parallelism lives *inside* each cell (Phase 1's
+        training pool and Phase 2's batched kernels), which is what
         lets consecutive cells share the scenario database and Phase 2
         cache.
         """

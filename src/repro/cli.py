@@ -33,7 +33,6 @@ from repro.airlearning.trainer import CemTrainer, ROLLOUT_ENGINES
 from repro.baselines.computers import FIG5_BASELINES
 from repro.core.checkpoint import RunManifest
 from repro.core.pipeline import AutoPilot
-from repro.core.workers import POOL_MODES
 from repro.core.report import render_report
 from repro.core.spec import TaskSpec
 from repro.errors import CheckpointError, ConfigError
@@ -78,14 +77,11 @@ def _task(args: argparse.Namespace) -> TaskSpec:
                     sensor_fps=args.sensor_fps)
 
 
-def _add_pool(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pool", choices=POOL_MODES, default=None,
-                        help="worker-pool mode (default: REPRO_POOL or "
-                             "cold). cold spawns a fresh process pool per "
-                             "batch (the oracle); warm keeps one persistent "
-                             "pool for the whole run and ships design "
-                             "batches through shared memory (bit-identical, "
-                             "much lower dispatch overhead)")
+def _add_workers(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, default=None,
+                        help="Phase 1 training processes for the trainer "
+                             "backend (default: REPRO_WORKERS or serial); "
+                             "Phase 2 always evaluates in-process")
 
 
 def _add_phase1(parser: argparse.ArgumentParser) -> None:
@@ -116,9 +112,9 @@ def _add_phase2(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--proposal-batch", type=int, default=1,
                         help="SMS-EGO candidates proposed per GP fit (q); "
                              "each group is submitted as one evaluation "
-                             "batch so the process pool and the batched "
-                             "SoC kernel stay saturated mid-run (1 = the "
-                             "exact serial reference behaviour)")
+                             "batch so the batched SoC kernel stays "
+                             "saturated mid-run (1 = the exact serial "
+                             "reference behaviour)")
     parser.add_argument("--fidelity", choices=("off", "on"), default="off",
                         help="multi-fidelity Phase 2: screen each proposal "
                              "group with the closed-form tier-0 bound "
@@ -149,8 +145,7 @@ def _autopilot(args: argparse.Namespace) -> AutoPilot:
                      frontend_backend=args.phase1_backend, trainer=trainer,
                      optimizer_kwargs=optimizer_kwargs or None,
                      fidelity=getattr(args, "fidelity", "off"),
-                     promotion_eta=getattr(args, "promotion_eta", 0.5),
-                     pool=getattr(args, "pool", None))
+                     promotion_eta=getattr(args, "promotion_eta", 0.5))
 
 
 def _restore_from_manifest(args: argparse.Namespace,
@@ -163,7 +158,6 @@ def _restore_from_manifest(args: argparse.Namespace,
     args.gp_refit_every = manifest.gp_refit_every
     args.fidelity = manifest.fidelity
     args.promotion_eta = manifest.promotion_eta
-    args.pool = manifest.pool
     if manifest.trainer:
         args.cem_population = manifest.trainer["population_size"]
         args.cem_iterations = manifest.trainer["iterations"]
@@ -227,7 +221,6 @@ def _restore_bench_args(args: argparse.Namespace,
     args.gp_refit_every = manifest.gp_refit_every
     args.fidelity = manifest.fidelity
     args.promotion_eta = manifest.promotion_eta
-    args.pool = manifest.pool
     if manifest.trainer:
         args.cem_population = manifest.trainer["population_size"]
         args.cem_iterations = manifest.trainer["iterations"]
@@ -380,10 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--profile", action="store_true",
                         help="append per-phase timing, throughput and "
                              "cache statistics to the report")
-    design.add_argument("--workers", type=int, default=None,
-                        help="processes for batched design evaluation "
-                             "and Phase 1 training "
-                             "(default: REPRO_WORKERS or serial)")
+    _add_workers(design)
     checkpointing = design.add_mutually_exclusive_group()
     checkpointing.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
@@ -394,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume the checkpointed run in DIR (task, seed, budget "
              "and pipeline options are restored from its manifest); the "
              "result is bit-identical to an uninterrupted run")
-    _add_pool(design)
     _add_phase1(design)
     _add_phase2(design)
     design.set_defaults(func=cmd_design)
@@ -420,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--profile", action="store_true",
                        help="append per-cell timing, throughput and "
                             "cache statistics to the report")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="processes for batched design evaluation "
-                            "and Phase 1 training")
+    _add_workers(bench)
     bench_ckpt = bench.add_mutually_exclusive_group()
     bench_ckpt.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
@@ -434,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
              "platforms, seed, budget and pipeline options are restored "
              "from its manifest); the report is bit-identical to an "
              "uninterrupted sweep")
-    _add_pool(bench)
     _add_phase1(bench)
     _add_phase2(bench)
     bench.set_defaults(func=cmd_bench)
@@ -443,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     help="compare against baselines")
     _add_common(compare)
     compare.add_argument("--budget", type=int, default=100)
-    compare.add_argument("--workers", type=int, default=None,
-                         help="processes for batched design evaluation "
-                              "and Phase 1 training")
-    _add_pool(compare)
+    _add_workers(compare)
     _add_phase1(compare)
     _add_phase2(compare)
     compare.set_defaults(func=cmd_compare)
@@ -466,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--profile", action="store_true",
                        help="print sweep timing, throughput and "
                             "simulator-cache statistics")
-    _add_pool(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

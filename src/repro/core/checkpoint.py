@@ -154,13 +154,6 @@ class RunManifest:
     #: unchanged (and bit-identical single-fidelity behaviour).
     fidelity: str = "off"
     promotion_eta: float = 0.5
-    #: Worker-pool mode (``"cold"``/``"warm"``) the run executes under.
-    #: Recorded, restored and verified by ``--resume``: warm runs are
-    #: required to be bit-identical to cold, but recording the mode
-    #: keeps any future divergence diagnosable from the manifest alone.
-    #: Defaults to the oracle so manifests written before this field
-    #: existed load unchanged.
-    pool: str = "cold"
     status: Dict[str, str] = field(default_factory=lambda: {
         "phase1": "pending", "phase2": "pending", "phase3": "pending"})
     #: Completed Phase 2 evaluations at the last manifest write.

@@ -1,12 +1,11 @@
-"""Fault-tolerant, process-parallel batch evaluation of DSSoC designs.
+"""Fault-tolerant, process-parallel map for Phase 1 policy training.
 
-Phase 2's optimisers hand the evaluation engine whole *batches* of
-design points (initial sampling, NSGA-II generations, exhaustive
-chunks).  This module fans a batch out over a process pool with
-deterministic result ordering, deduplicates against the shared
-content-addressed report cache first (a cached design never reaches the
-pool), and -- new in the fault-tolerant runtime -- survives worker
-failures without degrading the whole batch:
+Phase 1's trainer backend trains every uncached Table II template point
+with the CEM trainer: seconds of pure rollouts per point, coarse enough
+for a process pool to pay off.  :func:`parallel_map` fans such items
+out over a fresh ``ProcessPoolExecutor`` per call, with deterministic
+result ordering, and survives worker failures without degrading the
+whole batch:
 
 * Work is split into indexed chunks.  A chunk whose worker dies
   (``BrokenProcessPool``) or raises is **re-queued with bounded
@@ -31,15 +30,10 @@ Deterministic fault injection for all of these paths lives in
 sites and ships it to workers inside the chunk payload, so behaviour
 does not depend on the multiprocessing start method.
 
-Workers keep their own warm simulator cache for the lifetime of the
-pool; the parent merges every returned report into the process-wide
-shared cache, so parallel and serial runs leave the cache in the same
-state and produce bit-identical results in the same order.
-
-Parallelism is off by default (``workers=1``): the analytical simulator
-is fast enough that fork/pickle overhead only pays off for large
-batches or expensive backends.  Opt in per call site or via the
-``REPRO_WORKERS`` environment variable.
+Parallelism is off by default (``workers=1``).  Opt in per call site or
+via the ``REPRO_WORKERS`` environment variable.  ``concurrent.futures``
+is imported only when a call actually spawns a pool, so a serial run
+never loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -48,18 +42,10 @@ import logging
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.core.evalcache import design_key, shared_report_cache
-from repro.core.workers import (ShmView, attach_view, publish_array,
-                                resolve_pool_mode, unpublish, warm_pool)
 from repro.errors import ConfigError
-from repro.nn.workload import lower_network
-from repro.soc.dssoc import DssocDesign, DssocEvaluation, DssocEvaluator
 from repro.testing import faults
 
 T = TypeVar("T")
@@ -70,7 +56,7 @@ logger = logging.getLogger("repro.core.parallel")
 #: Items per pickled work unit sent to a pool worker.
 DEFAULT_CHUNKSIZE = 8
 
-#: Environment variable enabling parallel evaluation process-wide.
+#: Environment variable enabling parallel Phase 1 training process-wide.
 WORKERS_ENV = "REPRO_WORKERS"
 
 
@@ -141,12 +127,6 @@ class PoolStats:
     poisoned_chunks: int = 0     # chunks that exhausted the retry budget
     serial_fallback_chunks: int = 0  # chunks executed serially in the parent
     unpicklable_chunks: int = 0  # chunks whose payload could not be pickled
-    cold_dispatches: int = 0     # chunks submitted to per-call (cold) pools
-    warm_dispatches: int = 0     # chunks submitted to the persistent pool
-    warm_pool_spawns: int = 0    # warm-pool executor (re)spawns
-    warm_pool_reuses: int = 0    # warm parallel_map calls served by reuse
-    shm_batches: int = 0         # batches shipped via shared memory
-    shm_bytes: int = 0           # payload bytes moved through shared memory
 
     @property
     def total_faults(self) -> int:
@@ -245,28 +225,24 @@ def _payload_pickles(fn: Callable, chunk: _Chunk) -> bool:
 def parallel_map(fn: Callable[[T], R], items: Sequence[T],
                  workers: int = 1,
                  chunksize: int = DEFAULT_CHUNKSIZE,
-                 retry: RetryPolicy = DEFAULT_RETRY,
-                 pool: str = "cold") -> List[R]:
+                 retry: RetryPolicy = DEFAULT_RETRY) -> List[R]:
     """Map ``fn`` over ``items`` with deterministic (input) ordering.
 
     Runs serially when ``workers <= 1`` or the batch is trivially
-    small.  Otherwise the items are fanned out over a process pool in
-    indexed chunks; a chunk whose worker dies or raises is retried with
-    bounded exponential backoff on a re-spawned pool, and only chunks
-    that exhaust the retry budget -- or whose payload cannot be pickled
-    at all -- fall back to serial execution in the parent.  The result
-    list is always ordered like ``items``; a persistent application
-    error is re-raised from the serial fallback.
-
-    ``pool`` selects the executor: ``"cold"`` (the oracle) spawns a
-    fresh process pool for this call; ``"warm"`` borrows the shared
-    persistent executor from :mod:`repro.core.workers`, amortising the
-    spawn cost across calls.  Results are bit-identical either way --
-    the retry/poison/serial machinery is shared.
+    small.  Otherwise the items are fanned out over a fresh process pool
+    in indexed chunks; a chunk whose worker dies or raises is retried
+    with bounded exponential backoff on a re-spawned pool, and only
+    chunks that exhaust the retry budget -- or whose payload cannot be
+    pickled at all -- fall back to serial execution in the parent.  The
+    result list is always ordered like ``items``; a persistent
+    application error is re-raised from the serial fallback.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     chunksize = max(1, chunksize)
     indexed = list(enumerate(items))
@@ -277,20 +253,10 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     for chunk in chunks:
         chunk.injector = injector
 
-    warm = resolve_pool_mode(pool) == "warm"
     results: List[Optional[List[R]]] = [None] * len(chunks)
     pending: List[_Chunk] = list(chunks)
     serial: List[_Chunk] = []
-    if warm:
-        lease = warm_pool().acquire(workers)
-        executor, generation = lease.executor, lease.generation
-        if lease.spawned:
-            _pool_stats.warm_pool_spawns += 1
-        else:
-            _pool_stats.warm_pool_reuses += 1
-    else:
-        generation = 0
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
+    executor = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
     try:
         while pending:
             round_chunks, pending = pending, []
@@ -300,10 +266,6 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
                 try:
                     futures.append((executor.submit(_run_chunk, fn, chunk),
                                     chunk))
-                    if warm:
-                        _pool_stats.warm_dispatches += 1
-                    else:
-                        _pool_stats.cold_dispatches += 1
                 except BrokenProcessPool:
                     pool_broken = True
                     _chunk_failed(chunk, retry, pending, serial)
@@ -344,23 +306,16 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
             if pool_broken:
                 _pool_stats.pool_respawns += 1
                 logger.warning("re-spawning the process pool")
-                if warm:
-                    lease = warm_pool().refresh(generation)
-                    executor, generation = lease.executor, lease.generation
-                    if lease.spawned:
-                        _pool_stats.warm_pool_spawns += 1
-                else:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = ProcessPoolExecutor(
-                        max_workers=min(workers, len(chunks)))
+                executor.shutdown(wait=False, cancel_futures=True)
+                executor = ProcessPoolExecutor(
+                    max_workers=min(workers, len(chunks)))
             if pending:
                 delay = max(retry.delay_s(chunk.attempt)
                             for chunk in pending)
                 if delay > 0:
                     time.sleep(delay)
     finally:
-        if not warm:
-            executor.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
 
     for chunk in serial:
         # The serial fallback runs in the parent without fault
@@ -386,156 +341,3 @@ def _chunk_failed(chunk: _Chunk, retry: RetryPolicy,
     else:
         _pool_stats.chunk_retries += 1
         pending.append(chunk)
-
-
-def _simulate_design(design: DssocDesign
-                     ) -> Tuple[Tuple[object, ...], object]:
-    """Pool worker: simulate one design, return its cache key + report."""
-    from repro.nn.template import build_policy_network
-    from repro.scalesim.simulator import SystolicArraySimulator
-
-    workload = lower_network(build_policy_network(design.policy))
-    key = design_key(workload, design.accelerator)
-    report = SystolicArraySimulator(design.accelerator).run(workload)
-    return key, report
-
-
-#: Per-process cache of lowered workloads keyed by policy hyperparams.
-#: Long-lived warm workers re-lower each template policy once instead of
-#: once per design; lowering is deterministic, so the cached workload is
-#: identical to a fresh one and results stay bit-identical to
-#: :func:`_simulate_design`.  The template space is tiny (tens of
-#: points), so the cache is unbounded.
-_workload_by_policy: dict = {}
-
-
-def _simulate_shm_row(view: ShmView, row_index: int
-                      ) -> Tuple[Tuple[object, ...], object]:
-    """Pool worker: simulate one packed design-matrix row.
-
-    The batch payload arrives through the shared-memory segment named
-    by ``view`` (attached once per worker per batch); only ``row_index``
-    travelled through the pickle channel.  Produces exactly the
-    ``(key, report)`` pair :func:`_simulate_design` would for the same
-    design.
-    """
-    from repro.nn.template import build_policy_network
-    from repro.scalesim.simulator import SystolicArraySimulator
-    from repro.soc.batch import design_from_row
-
-    design = design_from_row(attach_view(view)[row_index])
-    workload = _workload_by_policy.get(design.policy)
-    if workload is None:
-        workload = lower_network(build_policy_network(design.policy))
-        _workload_by_policy[design.policy] = workload
-    key = design_key(workload, design.accelerator)
-    report = SystolicArraySimulator(design.accelerator).run(workload)
-    return key, report
-
-
-class BatchDssocEvaluator:
-    """Cache-aware, optionally process-parallel DSSoC batch evaluator.
-
-    Args:
-        workers: Process count; ``None`` consults ``REPRO_WORKERS`` and
-            defaults to 1 (serial).
-        chunksize: Designs per pickled work unit.
-        operating_fps: Forwarded to :class:`DssocEvaluator`.
-        retry: Retry schedule for failed pool chunks.
-        pool: Executor mode; ``None`` consults ``REPRO_POOL`` and
-            defaults to ``"cold"`` (fresh pool per batch, the oracle).
-            ``"warm"`` reuses the persistent executor and ships the
-            batch payload through shared memory -- bit-identical, just
-            cheaper to dispatch.
-    """
-
-    def __init__(self, workers: Optional[int] = None,
-                 chunksize: int = DEFAULT_CHUNKSIZE,
-                 operating_fps: Optional[float] = None,
-                 retry: RetryPolicy = DEFAULT_RETRY,
-                 pool: Optional[str] = None):
-        self.workers = resolve_workers(workers)
-        self.chunksize = chunksize
-        self.retry = retry
-        self.pool = resolve_pool_mode(pool)
-        self._evaluator = DssocEvaluator(operating_fps=operating_fps)
-
-    @property
-    def evaluator(self) -> DssocEvaluator:
-        """The underlying (serial) design evaluator."""
-        return self._evaluator
-
-    def evaluate(self, design: DssocDesign) -> DssocEvaluation:
-        """Evaluate one design (through the shared cache)."""
-        return self._evaluator.evaluate(design)
-
-    def evaluate_batch(self, designs: Sequence[DssocDesign]
-                       ) -> List[DssocEvaluation]:
-        """Evaluate a batch, simulating uncached designs in parallel.
-
-        Results are ordered like ``designs``.  With ``workers > 1``
-        only the simulation (the expensive, pure part) runs in the
-        pool; power/weight assembly -- and, serially, the simulation of
-        cache misses through the SoA batch kernel -- happens in-process
-        via :meth:`DssocEvaluator.evaluate_batch`, so every returned
-        evaluation is built against the parent's shared cache and is
-        bit-identical to a scalar :meth:`evaluate` loop.
-        """
-        designs = list(designs)
-        if self.workers > 1:
-            missing = self._uncached_unique(designs)
-            if len(missing) > 1:
-                cache = shared_report_cache()
-                for key, report in self._simulate_missing(missing):
-                    cache.put(key, report)
-        if len(designs) <= 1:
-            return [self._evaluator.evaluate(design) for design in designs]
-        return self._evaluator.evaluate_batch(designs)
-
-    def _simulate_missing(self, missing: List[DssocDesign]
-                          ) -> List[Tuple[Tuple[object, ...], object]]:
-        """Fan the uncached designs out over the configured pool.
-
-        Cold mode pickles the design objects per chunk (the oracle
-        path).  Warm mode packs the batch into one design matrix,
-        publishes it through shared memory and dispatches bare row
-        indices to the persistent executor; the simulation performed
-        per design is identical, so the returned ``(key, report)``
-        pairs are bit-identical to the cold path.
-        """
-        if self.pool != "warm":
-            return parallel_map(_simulate_design, missing,
-                                workers=self.workers,
-                                chunksize=self.chunksize, retry=self.retry)
-        from functools import partial
-
-        from repro.soc.batch import pack_design_matrix
-
-        matrix = pack_design_matrix(missing)
-        view, segment = publish_array(matrix)
-        _pool_stats.shm_batches += 1
-        _pool_stats.shm_bytes += matrix.nbytes
-        try:
-            return parallel_map(partial(_simulate_shm_row, view),
-                                list(range(len(missing))),
-                                workers=self.workers,
-                                chunksize=self.chunksize, retry=self.retry,
-                                pool="warm")
-        finally:
-            unpublish(segment)
-
-    def _uncached_unique(self, designs: Iterable[DssocDesign]
-                         ) -> List[DssocDesign]:
-        """Deduplicated designs whose reports are not cached yet."""
-        cache = shared_report_cache()
-        seen = set()
-        missing: List[DssocDesign] = []
-        for design in designs:
-            workload = lower_network(
-                self._evaluator.network_for(design.policy))
-            key = design_key(workload, design.accelerator)
-            if key in seen or key in cache:
-                continue
-            seen.add(key)
-            missing.append(design)
-        return missing

@@ -16,7 +16,8 @@ Two backends are available:
   uncached template points out over a process pool (``workers``), and
   serves repeated (hyperparams, scenario, trainer-config) runs from the
   shared content-addressed cache -- so full sweeps are viable, not just
-  tiny hyper-parameter subsets.
+  tiny hyper-parameter subsets.  This is the only process pool in a
+  run: Phase 2 evaluates in-process.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.airlearning.scenarios import Scenario
 from repro.core.checkpoint import RunCheckpoint
 from repro.core.evalcache import shared_report_cache, training_key
 from repro.core.parallel import parallel_map, resolve_workers
-from repro.core.workers import resolve_pool_mode
 from repro.core.spec import TaskSpec
 from repro.errors import ConfigError
 from repro.nn.template import PolicyHyperparams, enumerate_template_space
@@ -76,8 +76,7 @@ class FrontEnd:
     def __init__(self, backend: str = "surrogate", seed: int = 0,
                  trainer: Optional[CemTrainer] = None,
                  validation_episodes: int = 20,
-                 workers: Optional[int] = None,
-                 pool: Optional[str] = None):
+                 workers: Optional[int] = None):
         if backend not in ("surrogate", "trainer"):
             raise ConfigError("backend must be 'surrogate' or 'trainer'")
         self.backend = backend
@@ -85,7 +84,6 @@ class FrontEnd:
         self.trainer = trainer or CemTrainer(seed=seed, cache=True)
         self.validation_episodes = validation_episodes
         self.workers = resolve_workers(workers)
-        self.pool = resolve_pool_mode(pool)
         # One surrogate for the whole front end: constructing it per
         # template point re-derived the calibration tables 27 times.
         self._surrogate = SuccessRateSurrogate(seed=seed)
@@ -177,8 +175,7 @@ class FrontEnd:
         items = [(self.trainer, point, scenario) for point in missing]
         steps = 0
         for key, training in parallel_map(_train_point, items,
-                                          workers=self.workers, chunksize=1,
-                                          pool=self.pool):
+                                          workers=self.workers, chunksize=1):
             cache.put(key, training)
             steps += training.env_steps
         return steps

@@ -20,8 +20,6 @@ import numpy as np
 
 from repro.airlearning.database import AirLearningDatabase
 from repro.core.checkpoint import EvaluationJournal, JournalReplayer
-from repro.core.parallel import BatchDssocEvaluator
-from repro.core.workers import resolve_pool_mode
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import CheckpointError, ConfigError
 from repro.optim.base import Optimizer, OptimizationResult
@@ -90,10 +88,12 @@ class Phase2Result:
 class MultiObjectiveDse:
     """Phase 2 driver: wires the evaluation engine into an optimiser.
 
-    Evaluations flow through the content-addressed shared report cache
-    (identical designs are simulated once per process) and, for the
-    batch-friendly optimisers, through the process-parallel
-    :class:`~repro.core.parallel.BatchDssocEvaluator`.
+    Evaluations run in-process through :class:`DssocEvaluator` and the
+    content-addressed shared report cache (identical designs are
+    simulated once per process).  A batch of two or more designs goes
+    through the batched kernels of
+    :meth:`DssocEvaluator.evaluate_batch`; a single design through
+    :meth:`DssocEvaluator.evaluate`.
 
     Args:
         database: Validated Phase 1 success rates.
@@ -103,8 +103,6 @@ class MultiObjectiveDse:
         optimizer_kwargs: Extra optimiser constructor arguments, e.g.
             ``proposal_batch=q`` to make SMS-EGO propose q candidates
             per GP fit and submit them as one evaluation batch.
-        workers: Process count for batched evaluation fan-out; ``None``
-            consults ``REPRO_WORKERS`` and defaults to serial.
         fidelity: ``"on"`` screens every proposal group through the
             tier-0 closed-form bound estimator and promotes only the
             top ``promotion_eta`` fraction (plus safety-rail survivors)
@@ -113,20 +111,14 @@ class MultiObjectiveDse:
             revisions.
         promotion_eta: Successive-halving promotion fraction in
             ``(0, 1]``; only meaningful with ``fidelity="on"``.
-        pool: Worker-pool mode (explicit > ``REPRO_POOL`` > ``"cold"``).
-            ``"warm"`` reuses the process-wide executor and ships
-            design batches through shared memory; results are
-            bit-identical to cold.
     """
 
     def __init__(self, database: AirLearningDatabase,
                  optimizer_cls: Type[Optimizer] = SmsEgoBayesOpt,
                  space: Optional[DesignSpace] = None, seed: int = 0,
                  optimizer_kwargs: Optional[dict] = None,
-                 workers: Optional[int] = None,
                  fidelity: str = "off",
-                 promotion_eta: float = 0.5,
-                 pool: Optional[str] = None):
+                 promotion_eta: float = 0.5):
         if fidelity not in ("off", "on"):
             raise ConfigError(
                 f"fidelity must be 'off' or 'on', got {fidelity!r}")
@@ -137,10 +129,8 @@ class MultiObjectiveDse:
         self.space = space or build_design_space()
         self.seed = seed
         self.optimizer_kwargs = dict(optimizer_kwargs or {})
-        self.workers = workers
         self.fidelity = fidelity
         self.promotion_eta = promotion_eta
-        self.pool = resolve_pool_mode(pool)
 
     def derive_reference(self, evaluator: Optional[DssocEvaluator] = None
                          ) -> List[float]:
@@ -218,9 +208,7 @@ class MultiObjectiveDse:
         """
         if budget <= 0:
             raise ConfigError("budget must be positive")
-        batch_evaluator = BatchDssocEvaluator(workers=self.workers,
-                                              pool=self.pool)
-        evaluator = batch_evaluator.evaluator
+        evaluator = DssocEvaluator()
         candidates: List[CandidateDesign] = []
 
         replayer = JournalReplayer([])
@@ -279,7 +267,10 @@ class MultiObjectiveDse:
             live = list(assignments[position:])
             if live:
                 designs = [assignment_to_design(a) for a in live]
-                evaluations = batch_evaluator.evaluate_batch(designs)
+                if len(designs) == 1:
+                    evaluations = [evaluator.evaluate(designs[0])]
+                else:
+                    evaluations = evaluator.evaluate_batch(designs)
                 out.extend(
                     to_candidate(assignment, design, evaluation).objectives
                     for assignment, design, evaluation

@@ -23,7 +23,6 @@ from repro.airlearning.database import AirLearningDatabase
 from repro.airlearning.scenarios import Scenario
 from repro.airlearning.trainer import CemTrainer
 from repro.core.checkpoint import RunCheckpoint, RunManifest
-from repro.core.workers import resolve_pool_mode
 from repro.core.phase1 import FrontEnd, Phase1Result
 from repro.core.phase2 import MultiObjectiveDse, Phase2Result
 from repro.core.phase3 import BackEnd, Phase3Result, RankedDesign
@@ -57,7 +56,12 @@ class AutoPilotResult:
 
 
 class AutoPilot:
-    """End-to-end AutoPilot methodology driver."""
+    """End-to-end AutoPilot methodology driver.
+
+    ``workers`` sets the number of Phase 1 training processes (trainer
+    backend only; ``None`` consults ``REPRO_WORKERS``).  Phases 2 and 3
+    always run in-process.
+    """
 
     def __init__(self, seed: int = 0, frontend_backend: str = "surrogate",
                  optimizer_cls: Type[Optimizer] = SmsEgoBayesOpt,
@@ -67,23 +71,16 @@ class AutoPilot:
                  workers: Optional[int] = None,
                  trainer: Optional[CemTrainer] = None,
                  fidelity: str = "off",
-                 promotion_eta: float = 0.5,
-                 pool: Optional[str] = None):
+                 promotion_eta: float = 0.5):
         self.seed = seed
         self.fidelity = fidelity
         self.promotion_eta = promotion_eta
-        # Resolve now (explicit > REPRO_POOL > cold); warm runs reuse
-        # one process-wide executor and ship design batches through
-        # shared memory.
-        self.pool = resolve_pool_mode(pool)
         self.frontend = FrontEnd(backend=frontend_backend, seed=seed,
-                                 trainer=trainer, workers=workers,
-                                 pool=self.pool)
+                                 trainer=trainer, workers=workers)
         self.optimizer_cls = optimizer_cls
         self.optimizer_kwargs = optimizer_kwargs
         self.backend = BackEnd(enable_finetuning=enable_finetuning,
                                weight_feedback=weight_feedback)
-        self.workers = workers
         # Phase 1 results are reused across runs (keyed by scenario via
         # the shared database); Phase 2 results by scenario as well,
         # since only Phase 3 depends on the UAV.
@@ -143,10 +140,8 @@ class AutoPilot:
                 optimizer_cls=self.optimizer_cls,
                 seed=self.seed,
                 optimizer_kwargs=self.optimizer_kwargs,
-                workers=self.workers,
                 fidelity=self.fidelity,
-                promotion_eta=self.promotion_eta,
-                pool=self.pool)
+                promotion_eta=self.promotion_eta)
             journal = (checkpoint.phase2_journal()
                        if checkpoint is not None else None)
             promotion_journal = (checkpoint.phase2_promotions_journal()
@@ -202,8 +197,7 @@ class AutoPilot:
                            gp_refit_every=optimizer_kwargs.get(
                                "gp_refit_every", 1),
                            fidelity=self.fidelity,
-                           promotion_eta=self.promotion_eta,
-                           pool=self.pool)
+                           promotion_eta=self.promotion_eta)
 
     @staticmethod
     def _verify_manifest(previous: RunManifest, current: RunManifest,
@@ -213,7 +207,7 @@ class AutoPilot:
             name for name in ("uav", "scenario", "seed", "budget",
                               "sensor_fps", "frontend_backend", "trainer",
                               "proposal_batch", "gp_refit_every",
-                              "fidelity", "promotion_eta", "pool")
+                              "fidelity", "promotion_eta")
             if getattr(previous, name) != getattr(current, name)]
         if mismatched:
             details = ", ".join(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.evalcache import shared_report_cache
 from repro.core.pipeline import AutoPilotResult
 from repro.perf import render_profile
 from repro.soc.components import fixed_components
@@ -97,21 +96,6 @@ def render_report(result: AutoPilotResult) -> str:
                  f"{task.platform.mission_distance_m:.0f} m")
     lines.append(f"- Mission energy: {mission.mission_energy_j:.1f} J")
     lines.append(f"- **Missions per charge: {mission.num_missions:.1f}**")
-
-    # Only runs with a cross-run persistent store get this section, so
-    # default (memory-only) reports are byte-identical to before.
-    cache = shared_report_cache()
-    if cache.persist_dir is not None:
-        occupancy = cache.disk_occupancy()
-        stats = cache.stats
-        lines.append("")
-        lines.append("## Evaluation cache (persistent)")
-        lines.append(f"- Store: {cache.persist_dir}")
-        lines.append(f"- Occupancy: {occupancy.describe()}")
-        lines.append(f"- This process: {stats.disk_hits} disk hits, "
-                     f"{stats.disk_writes} writes, "
-                     f"{stats.disk_evictions} evictions, "
-                     f"{stats.migrated} migrated")
 
     if result.profile is not None:
         lines.append("")

@@ -23,8 +23,8 @@ from repro.optim.space import Assignment, DesignSpace
 ObjectiveFn = Callable[[Assignment], Sequence[float]]
 
 #: Batched evaluation: list of assignments -> list of objective vectors,
-#: in the same order.  Lets the evaluation fan out (process pool) while
-#: optimisers stay oblivious.
+#: in the same order.  Lets the evaluation run as one batched kernel pass
+#: while optimisers stay oblivious.
 BatchObjectiveFn = Callable[[List[Assignment]], Sequence[Sequence[float]]]
 
 #: Called once per *fresh* evaluation, in history order, with the
@@ -144,8 +144,8 @@ class CachingEvaluator:
         every point that is cached or fits in the remaining budget, and
         ``None`` for points skipped because the budget ran out.  Unseen
         points are deduplicated within the batch and evaluated through
-        ``batch_objective_fn`` when one is configured (e.g. a process
-        pool), falling back to per-point ``objective_fn`` calls.  The
+        ``batch_objective_fn`` when one is configured (e.g. the batched
+        SoC kernels), falling back to per-point ``objective_fn`` calls.  The
         history and hypervolume trace record points in input order, so a
         batched run is indistinguishable from a serial one.
         """

@@ -14,8 +14,8 @@ proposes q candidates instead of one, selected greedily with a
 kriging-believer-style inner loop -- after each pick, the winner's LCB
 is folded into a *virtual front* so the next pick is penalised for
 overlapping hypervolume -- and the whole group is submitted through
-``CachingEvaluator.evaluate_batch`` so the process pool and the SoA
-batch kernel see full batches mid-run, not just during warm-up.  q = 1
+``CachingEvaluator.evaluate_batch`` so the SoA batch kernel sees full
+batches mid-run, not just during warm-up.  q = 1
 reduces exactly to the serial one-point-per-fit behaviour (same pool
 draws, same single argmax, same ``evaluate`` call path).
 
@@ -147,7 +147,7 @@ class SmsEgoBayesOpt(Optimizer):
     def _initial_sampling(self, evaluator: CachingEvaluator,
                           rng: np.random.Generator) -> None:
         """Queue the random warm-up points, then evaluate them as one
-        batch so the fan-out can run in parallel.
+        batch through the batched kernels.
 
         Points are drawn in vectorised blocks sized to the still-needed
         count (capped at the remaining consecutive-miss budget, so even

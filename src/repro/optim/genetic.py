@@ -42,7 +42,7 @@ class NsgaII(Optimizer):
             rng: np.random.Generator) -> None:
         # Offspring creation depends only on the parents and the RNG,
         # never on the children's objectives, so whole generations are
-        # evaluated as one batch (parallelisable fan-out).
+        # evaluated as one batch.
         initial = evaluator.space.sample(rng, self.population_size)
         population: List[Tuple[Assignment, np.ndarray]] = [
             (point, objectives)

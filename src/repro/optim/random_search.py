@@ -9,7 +9,7 @@ import numpy as np
 from repro.optim.base import CachingEvaluator, Optimizer
 from repro.optim.space import Assignment
 
-#: Unseen points accumulated before one (possibly parallel) batch fan-out.
+#: Unseen points accumulated before one batched evaluation.
 CHUNK_SIZE = 16
 
 

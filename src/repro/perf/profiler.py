@@ -258,22 +258,6 @@ def render_profile(report: ProfileReport) -> str:
             f"{pool.poisoned_chunks} poisoned, "
             f"{pool.unpicklable_chunks} unpicklable, "
             f"{pool.serial_fallback_chunks} serial-fallback chunks")
-    if pool.warm_dispatches or pool.shm_batches:
-        lines.append(
-            f"warm runtime: {pool.warm_dispatches} warm dispatches "
-            f"({pool.cold_dispatches} cold), "
-            f"{pool.warm_pool_spawns} pool spawns, "
-            f"{pool.warm_pool_reuses} reuses, "
-            f"{pool.shm_batches} shm batches "
-            f"({pool.shm_bytes / 1e6:.2f} MB zero-copy)")
-    if overall.disk_writes or overall.disk_evictions or overall.migrated:
-        lines.append(
-            f"disk cache: {overall.disk_hits} hits, "
-            f"{overall.disk_writes} writes, "
-            f"{overall.disk_evictions} evictions, "
-            f"{overall.migrated} migrated from legacy layout")
-    if overall.corrupt:
-        lines.append(f"cache entries quarantined: {overall.corrupt}")
     for name in sorted(report.counters):
         lines.append(f"{name}: {report.counters[name]}")
     return "\n".join(lines)

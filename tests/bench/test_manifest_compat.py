@@ -5,8 +5,8 @@ old checkpoint directory written before that must keep loading, and its
 ``scenario`` field must resolve to the same enum handle (hence the same
 cache keys and journals) it was written with.  New registry ids must
 round-trip through the same manifest machinery.  Manifests that carry
-fields of removed features (the array backend, concurrent bench cells)
-must load and resume as if the fields were absent.
+fields of removed features (the array backend, concurrent bench cells,
+the pool mode) must load and resume as if the fields were absent.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ def test_checkpointed_run_with_registry_scenario_resumes(tmp_path):
 
 
 #: Fields that earlier versions wrote and this one no longer has.
-_REMOVED_FIELDS = {"array_backend": "threaded", "bench_parallel": 2}
+_REMOVED_FIELDS = {"array_backend": "threaded", "bench_parallel": 2,
+                   "pool": "warm"}
 
 
 @pytest.mark.parametrize("command, kill_at, manifest_cls, patterns", [

@@ -18,7 +18,6 @@ from repro.bench import (
 )
 from repro.cli import main
 from repro.core.pipeline import AutoPilot
-from repro.core.workers import shutdown_warm_pool
 from repro.errors import CheckpointError, ConfigError
 from repro.testing import faults
 
@@ -118,36 +117,6 @@ class TestRunner:
         with pytest.raises(CheckpointError, match="budget"):
             BenchRunner(AutoPilot(seed=3), budget=7,
                         checkpoint_dir=bench_dir, resume=True).run(suite)
-
-    def test_manifest_records_pool(self, tmp_path):
-        suite = build_suite(ids=["dense"], platforms=["nano"])
-        bench_dir = tmp_path / "bench"
-        try:
-            BenchRunner(AutoPilot(seed=3, pool="warm"), budget=6,
-                        checkpoint_dir=bench_dir).run(suite)
-        finally:
-            shutdown_warm_pool()
-        assert BenchManifest.load(bench_dir).pool == "warm"
-
-    def test_resume_under_different_pool_refused(self, tmp_path):
-        suite = build_suite(ids=["dense"], platforms=["nano"])
-        bench_dir = tmp_path / "bench"
-        BenchRunner(AutoPilot(seed=3, pool="cold"), budget=6,
-                    checkpoint_dir=bench_dir).run(suite)
-        with pytest.raises(CheckpointError, match="pool"):
-            BenchRunner(AutoPilot(seed=3, pool="warm"), budget=6,
-                        checkpoint_dir=bench_dir, resume=True).run(suite)
-
-    def test_warm_pool_sweep_matches_oracle(self):
-        suite = build_suite(ids=["dense", "low"], platforms=["nano"])
-        oracle = BenchRunner(AutoPilot(seed=3), budget=6).run(suite)
-        try:
-            warm = BenchRunner(AutoPilot(seed=3, workers=2, pool="warm"),
-                               budget=6).run(suite)
-        finally:
-            shutdown_warm_pool()
-        assert (render_bench_report(warm.metrics)
-                == render_bench_report(oracle.metrics))
 
     def test_resume_without_manifest_refused(self, tmp_path):
         suite = build_suite(ids=["dense"], platforms=["nano"])

@@ -1,8 +1,6 @@
 """Unit tests for the content-addressed evaluation cache."""
 
-import pickle
 import threading
-import time
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.core.evalcache import (
     EvalCache,
     configure_shared_cache,
     design_key,
-    key_digest,
     reset_shared_cache,
     shared_report_cache,
     workload_fingerprint,
@@ -65,10 +62,9 @@ class TestDesignKey:
         deep = workload_fingerprint(make_workload(10, 32))
         assert len(deep) > len(shallow)
 
-    def test_key_is_hashable_and_digestible(self):
+    def test_key_is_hashable(self):
         key = design_key(make_workload(), make_config())
         assert hash(key) == hash(key)
-        assert len(key_digest(key)) == 64
 
 
 class TestEvalCache:
@@ -103,14 +99,6 @@ class TestEvalCache:
         assert ("b",) not in cache
         assert cache.stats.evictions == 1
 
-    def test_get_or_compute_computes_once(self):
-        cache = EvalCache(capacity=4)
-        calls = []
-        for _ in range(3):
-            value = cache.get_or_compute(("k",), lambda: calls.append(1) or 42)
-        assert value == 42
-        assert len(calls) == 1
-
     def test_clear_resets_entries_and_stats(self):
         cache = EvalCache(capacity=4)
         cache.put(("a",), 1)
@@ -122,142 +110,6 @@ class TestEvalCache:
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ConfigError):
             EvalCache(capacity=0)
-
-    def test_disk_persistence_survives_new_instance(self, tmp_path):
-        first = EvalCache(capacity=4, persist_dir=tmp_path)
-        first.put(("k",), {"cycles": 123})
-        second = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert second.get(("k",)) == {"cycles": 123}
-        assert second.stats.disk_hits == 1
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), "good")
-        path = cache._disk_path(("k",))
-        path.write_bytes(b"not a pickle")
-        fresh = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert fresh.get(("k",)) is None
-
-    def test_corrupt_disk_entry_is_quarantined_and_counted(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), "good")
-        path = cache._disk_path(("k",))
-        path.write_bytes(b"not a pickle")
-        fresh = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert fresh.get(("k",)) is None
-        # The garbage file is renamed aside, not deleted and not left
-        # to be re-parsed on every load.
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert fresh.stats.corrupt == 1
-        # A re-put stores a clean entry alongside the quarantined one.
-        fresh.put(("k",), "fresh")
-        reread = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert reread.get(("k",)) == "fresh"
-        assert reread.stats.corrupt == 0
-
-    def test_truncated_disk_entry_is_quarantined(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), {"cycles": 123})
-        path = cache._disk_path(("k",))
-        path.write_bytes(path.read_bytes()[:-3])
-        fresh = EvalCache(capacity=4, persist_dir=tmp_path)
-        assert fresh.get(("k",)) is None
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert fresh.stats.corrupt == 1
-
-    def test_saves_are_atomic_no_temp_files_left(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), "value")
-        leftovers = [p for p in tmp_path.iterdir()
-                     if p.name.endswith(".tmp")]
-        assert leftovers == []
-
-    def test_disk_entries_survive_clear(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), "value")
-        cache.clear()
-        assert cache.get(("k",)) == "value"
-        assert cache.stats.disk_hits == 1
-
-    def test_disk_file_is_a_plain_pickle(self, tmp_path):
-        cache = EvalCache(capacity=4, persist_dir=tmp_path)
-        cache.put(("k",), [1, 2, 3])
-        path = cache._disk_path(("k",))
-        with path.open("rb") as handle:
-            assert pickle.load(handle) == [1, 2, 3]
-
-
-class TestGetOrComputeConcurrency:
-    """Thundering-herd regression: one compute per key, ever."""
-
-    def test_concurrent_misses_compute_once(self):
-        cache = EvalCache(capacity=8)
-        calls = []
-        gate = threading.Event()
-        results = []
-
-        def compute():
-            calls.append(1)
-            time.sleep(0.05)  # widen the window the race needs
-            return 42
-
-        def worker():
-            gate.wait()
-            results.append(cache.get_or_compute(("k",), compute))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        gate.set()
-        for thread in threads:
-            thread.join()
-        assert len(calls) == 1
-        assert results == [42] * 8
-
-    def test_distinct_keys_each_computed_once(self):
-        cache = EvalCache(capacity=32)
-        counts = {key: 0 for key in range(4)}
-        gate = threading.Event()
-
-        def worker(key):
-            def compute():
-                counts[key] += 1
-                time.sleep(0.02)
-                return key * 10
-            gate.wait()
-            assert cache.get_or_compute((key,), compute) == key * 10
-
-        threads = [threading.Thread(target=worker, args=(key,))
-                   for key in range(4) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        gate.set()
-        for thread in threads:
-            thread.join()
-        assert counts == {0: 1, 1: 1, 2: 1, 3: 1}
-
-    def test_inflight_table_drains(self):
-        cache = EvalCache(capacity=8)
-        threads = [threading.Thread(
-            target=lambda k=key: cache.get_or_compute((k,), lambda: k))
-            for key in range(6) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert cache._inflight == {}
-
-    def test_exception_in_compute_releases_the_key(self):
-        cache = EvalCache(capacity=8)
-
-        def boom():
-            raise RuntimeError("simulated failure")
-
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute(("k",), boom)
-        assert cache._inflight == {}
-        assert cache.get_or_compute(("k",), lambda: 7) == 7
 
 
 class TestCacheStats:
@@ -281,15 +133,29 @@ class TestCacheStats:
         assert CacheStats().hit_rate == 0.0
 
 
+class TestCacheStatsGenerics:
+    def test_snapshot_since_merge_cover_all_fields(self):
+        stats = CacheStats(hits=2, misses=1, evictions=3)
+        snap = stats.snapshot()
+        assert vars(snap) == vars(stats)
+        stats.evictions += 4
+        delta = stats.since(snap)
+        assert delta.evictions == 4
+        assert delta.hits == 0
+        total = CacheStats()
+        total.merge(snap)
+        total.merge(delta)
+        assert vars(total) == vars(stats)
+
+
 class TestSharedCache:
     def test_shared_cache_is_process_wide(self):
         assert shared_report_cache() is shared_report_cache()
 
-    def test_configure_replaces_shared_cache(self, tmp_path):
+    def test_configure_replaces_shared_cache(self):
         original = shared_report_cache()
         try:
-            replaced = configure_shared_cache(capacity=8,
-                                              persist_dir=tmp_path)
+            replaced = configure_shared_cache(capacity=8)
             assert shared_report_cache() is replaced
             assert replaced.capacity == 8
         finally:
@@ -322,20 +188,9 @@ class TestSharedCache:
 class TestNoneValues:
     """A stored ``None`` is a value, not a miss (regression).
 
-    ``get_or_compute`` used to re-run the compute function on every
-    call when the computed value was ``None``, because the hit test was
-    ``get(key) is not None``.  Entries are now looked up through a
-    sentinel, so ``None`` round-trips like any other value.
+    Entries are looked up through a sentinel, so ``None`` round-trips
+    like any other value.
     """
-
-    def test_get_or_compute_computes_none_once(self):
-        cache = EvalCache(capacity=4)
-        calls = []
-        for _ in range(3):
-            value = cache.get_or_compute(
-                ("k",), lambda: calls.append(1) and None)
-        assert value is None
-        assert len(calls) == 1
 
     def test_stored_none_is_a_hit(self):
         cache = EvalCache(capacity=4)
@@ -351,16 +206,6 @@ class TestNoneValues:
         assert cache.lookup(("stored",)) is None
         assert cache.lookup(("missing",)) is _MISS
         assert cache.get(("missing",)) is None
-
-    def test_none_round_trips_through_disk(self, tmp_path):
-        first = EvalCache(capacity=4, persist_dir=tmp_path)
-        first.put(("k",), None)
-        second = EvalCache(capacity=4, persist_dir=tmp_path)
-        calls = []
-        value = second.get_or_compute(
-            ("k",), lambda: calls.append(1) and "recomputed")
-        assert value is None
-        assert calls == []
 
 
 class TestTrainingKey:

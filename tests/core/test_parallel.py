@@ -1,21 +1,9 @@
-"""Tests for the process-parallel batch evaluation engine."""
+"""Tests for the process-parallel map behind Phase 1 training."""
 
-import numpy as np
 import pytest
 
-from repro.airlearning.scenarios import Scenario
-from repro.core.evalcache import design_key, shared_report_cache
-from repro.core.parallel import (
-    BatchDssocEvaluator,
-    parallel_map,
-    resolve_workers,
-)
-from repro.core.phase1 import FrontEnd
-from repro.core.phase2 import MultiObjectiveDse
-from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
+from repro.core.parallel import parallel_map, resolve_workers
 from repro.errors import ConfigError
-from repro.nn.workload import lower_network
-from repro.uav.platforms import NANO_ZHANG
 
 
 def _square(x):
@@ -66,99 +54,3 @@ class TestParallelMap:
         offset = 10
         result = parallel_map(lambda x: x + offset, [1, 2, 3], workers=2)
         assert result == [11, 12, 13]
-
-
-@pytest.fixture(scope="module")
-def task():
-    return TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
-
-
-@pytest.fixture(scope="module")
-def database(task):
-    return FrontEnd(backend="surrogate", seed=0).run(task).database
-
-
-@pytest.fixture(scope="module")
-def small_space():
-    return build_design_space(layer_choices=(4, 7), filter_choices=(32, 48),
-                              pe_choices=(16, 32), sram_choices=(64, 128))
-
-
-def sample_designs(space, n, seed=0):
-    rng = np.random.default_rng(seed)
-    return [assignment_to_design(a) for a in space.sample(rng, n)]
-
-
-class TestBatchDssocEvaluator:
-    def test_batch_matches_serial_order_and_values(self, small_space):
-        designs = sample_designs(small_space, 12)
-        batch = BatchDssocEvaluator(workers=1)
-        expected = [batch.evaluator.evaluate(d) for d in designs]
-        got = batch.evaluate_batch(designs)
-        assert len(got) == len(designs)
-        for a, b in zip(got, expected):
-            assert a.latency_seconds == b.latency_seconds
-            assert a.soc_power_w == b.soc_power_w
-
-    def test_parallel_batch_matches_serial(self, small_space):
-        designs = sample_designs(small_space, 10, seed=1)
-        serial = BatchDssocEvaluator(workers=1).evaluate_batch(designs)
-        parallel = BatchDssocEvaluator(workers=2).evaluate_batch(designs)
-        for a, b in zip(parallel, serial):
-            assert a.latency_seconds == b.latency_seconds
-            assert a.soc_power_w == b.soc_power_w
-            assert a.compute_weight_g == b.compute_weight_g
-
-    def test_parallel_batch_fills_shared_cache(self, small_space):
-        designs = sample_designs(small_space, 8, seed=2)
-        batch = BatchDssocEvaluator(workers=2)
-        batch.evaluate_batch(designs)
-        cache = shared_report_cache()
-        for design in designs:
-            workload = lower_network(
-                batch.evaluator.network_for(design.policy))
-            assert design_key(workload, design.accelerator) in cache
-
-    def test_duplicate_designs_in_one_batch(self, small_space):
-        designs = sample_designs(small_space, 4, seed=3)
-        doubled = designs + designs
-        results = BatchDssocEvaluator(workers=2).evaluate_batch(doubled)
-        for first, second in zip(results[:4], results[4:]):
-            assert first.latency_seconds == second.latency_seconds
-
-
-class TestParallelPhase2Equivalence:
-    """Property: a parallel Phase 2 run is bit-identical to a serial one."""
-
-    @pytest.fixture(scope="class")
-    def results(self, database, task, small_space):
-        def run(workers):
-            dse = MultiObjectiveDse(database=database, space=small_space,
-                                    seed=5, workers=workers)
-            return dse.run(task, budget=16)
-        return run(1), run(2)
-
-    def test_same_candidate_count(self, results):
-        serial, parallel = results
-        assert len(serial.candidates) == len(parallel.candidates)
-
-    def test_identical_objectives_in_order(self, results):
-        serial, parallel = results
-        for a, b in zip(serial.candidates, parallel.candidates):
-            np.testing.assert_array_equal(a.objectives, b.objectives)
-
-    def test_identical_designs_in_order(self, results):
-        serial, parallel = results
-        for a, b in zip(serial.candidates, parallel.candidates):
-            assert a.design.policy == b.design.policy
-            assert a.design.accelerator == b.design.accelerator
-
-    def test_identical_hypervolume_trace(self, results):
-        serial, parallel = results
-        np.testing.assert_array_equal(
-            np.asarray(serial.optimization.hypervolume_trace),
-            np.asarray(parallel.optimization.hypervolume_trace))
-
-    def test_identical_reference(self, results):
-        serial, parallel = results
-        np.testing.assert_array_equal(serial.reference, parallel.reference)

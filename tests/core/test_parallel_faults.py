@@ -35,6 +35,14 @@ def _boom(x):
     raise ValueError(f"application error on {x}")
 
 
+def _type_boom(x):
+    raise TypeError(f"worker-raised TypeError on {x}")
+
+
+def _attr_boom(x):
+    raise AttributeError(f"worker-raised AttributeError on {x}")
+
+
 @pytest.fixture(autouse=True)
 def _clean_injector():
     faults.uninstall_injector()
@@ -134,6 +142,32 @@ class TestUnpicklablePayloads:
         delta = stats_delta(before)
         assert delta.unpicklable_chunks == 1
         assert delta.serial_fallback_chunks == 1
+
+
+class TestUnpicklableNarrowing:
+    """A worker-raised TypeError/AttributeError must surface as itself.
+
+    Before the probe-pickle narrowing, any TypeError escaping a chunk
+    was misclassified as an unpicklable payload and silently rerouted
+    to the serial fallback -- which then raised the error without the
+    retry machinery ever seeing it, and miscounted the failure mode.
+    """
+
+    @pytest.mark.parametrize("fn,exc", [(_type_boom, TypeError),
+                                        (_attr_boom, AttributeError)],
+                             ids=["TypeError", "AttributeError"])
+    def test_task_error_is_retried(self, fn, exc):
+        before = pool_stats().snapshot()
+        with pytest.raises(exc, match="worker-raised"):
+            parallel_map(fn, ITEMS, workers=2, chunksize=4,
+                         retry=FAST_RETRY)
+        delta = stats_delta(before)
+        # Classified as an application error: retried then poisoned,
+        # never counted against the unpicklable path.
+        assert delta.unpicklable_chunks == 0
+        assert delta.chunk_failures >= 1
+        assert delta.chunk_retries >= 1
+        assert delta.poisoned_chunks >= 1
 
 
 class TestEnvHook:

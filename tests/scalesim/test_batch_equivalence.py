@@ -13,7 +13,11 @@ equivalence.
 import numpy as np
 import pytest
 
-from repro.core.evalcache import reset_shared_cache
+from repro.core.evalcache import (
+    design_key,
+    reset_shared_cache,
+    shared_report_cache,
+)
 from repro.nn.template import PolicyHyperparams, build_policy_network
 from repro.nn.workload import lower_network
 from repro.optim.gp import GaussianProcess, MultiObjectiveGP, gp_stats
@@ -179,6 +183,15 @@ class TestEvaluateBatchEquivalence:
         batch = evaluator.evaluate_batch(designs)
         for s, b in zip(scalar, batch):
             assert s == b
+
+    def test_batch_fills_shared_cache(self):
+        designs = self._designs(np.random.default_rng(11), 8)
+        evaluator = DssocEvaluator()
+        evaluator.evaluate_batch(designs)
+        cache = shared_report_cache()
+        for design in designs:
+            workload = lower_network(evaluator.network_for(design.policy))
+            assert design_key(workload, design.accelerator) in cache
 
     def test_duplicate_designs_share_one_simulation(self):
         rng = np.random.default_rng(13)

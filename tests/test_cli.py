@@ -48,7 +48,9 @@ class TestParser:
 
     def test_removed_flags_are_rejected(self):
         for argv in (["design", "--backend", "numpy"],
-                     ["bench", "--bench-parallel", "2"]):
+                     ["bench", "--bench-parallel", "2"],
+                     ["design", "--pool", "warm"],
+                     ["sweep", "--pool", "cold"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -97,8 +99,10 @@ class TestCommands:
                 "NumPy oracle)]") in lines
 
 
-#: Runs ``design`` in a fresh interpreter and prints the top-level
-#: packages it loaded that the design path has no use for.
+#: Runs ``design`` in a fresh interpreter and prints the modules it
+#: loaded that the design path has no use for: SciPy, the bench and
+#: experiment drivers, and ``multiprocessing``/``concurrent.futures``,
+#: which only Phase 1's training pool imports, on first use.
 STARTUP_PROBE = """
 import sys
 import repro.cli
@@ -108,7 +112,8 @@ status = repro.cli.main(["design", "--uav", "nano", "--scenario", "low",
                          "--output", sys.argv[1]])
 print(sorted(name for name in sys.modules if name == "scipy"
              or name.startswith(("scipy.", "repro.bench",
-                                 "repro.experiments"))))
+                                 "repro.experiments", "multiprocessing",
+                                 "concurrent"))))
 sys.exit(status)
 """
 
