@@ -21,6 +21,7 @@ import time
 from _results import PHASE1_RESULTS, merge_results
 from repro.bench import BenchRunner, build_suite, render_bench_report
 from repro.core.pipeline import AutoPilot
+from repro.core.spec import RunConfig
 
 BUDGET = 12
 SEED = 3
@@ -29,9 +30,9 @@ PLATFORMS = ("nano",)
 
 def run() -> int:
     suite = build_suite(tags=["smoke"], platforms=list(PLATFORMS))
-    pilot = AutoPilot(seed=SEED)
+    pilot = AutoPilot(RunConfig(seed=SEED, budget=BUDGET))
     started = time.perf_counter()
-    result = BenchRunner(pilot, budget=BUDGET).run(suite)
+    result = BenchRunner(pilot).run(suite)
     elapsed = time.perf_counter() - started
     print(render_bench_report(
         result.metrics, title=f"bench smoke suite (budget {BUDGET}, "

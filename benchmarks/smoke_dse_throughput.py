@@ -19,7 +19,7 @@ from _results import PHASE2_RESULTS, merge_results
 from repro.airlearning.scenarios import Scenario
 from repro.core.evalcache import reset_shared_cache, shared_report_cache
 from repro.core.pipeline import AutoPilot
-from repro.core.spec import TaskSpec
+from repro.core.spec import RunConfig, TaskSpec
 from repro.uav.platforms import NANO_ZHANG
 
 SMOKE_BUDGET = 30
@@ -32,14 +32,13 @@ def run_smoke() -> dict:
     task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
 
     start = time.perf_counter()
-    first = AutoPilot(seed=SMOKE_SEED).run(task, budget=SMOKE_BUDGET,
-                                           profile=True)
+    config = RunConfig(seed=SMOKE_SEED, budget=SMOKE_BUDGET)
+    first = AutoPilot(config).run(task, profile=True)
     first_s = time.perf_counter() - start
 
     before = shared_report_cache().stats.snapshot()
     start = time.perf_counter()
-    second = AutoPilot(seed=SMOKE_SEED).run(task, budget=SMOKE_BUDGET,
-                                            profile=True)
+    second = AutoPilot(config).run(task, profile=True)
     second_s = time.perf_counter() - start
     delta = shared_report_cache().stats.since(before)
 

@@ -25,12 +25,11 @@ from _results import PHASE2_RESULTS, merge_results
 from repro.airlearning.scenarios import Scenario
 from repro.core.evalcache import reset_shared_cache
 from repro.core.pipeline import AutoPilot
-from repro.core.spec import TaskSpec
+from repro.core.spec import RunConfig, TaskSpec
 from repro.testing import faults
 from repro.uav.platforms import NANO_ZHANG
 
-SMOKE_BUDGET = 30
-SMOKE_SEED = 7
+CONFIG = RunConfig(seed=7, budget=30)
 TIMING_REPEATS = 3
 #: Relative overhead budget for checkpointing.
 MAX_OVERHEAD = 0.05
@@ -46,8 +45,7 @@ def _timed_run(checkpoint_dir=None):
     """One cold-cache pipeline run; returns (seconds, result)."""
     reset_shared_cache()
     start = time.perf_counter()
-    result = AutoPilot(seed=SMOKE_SEED).run(_task(), budget=SMOKE_BUDGET,
-                                            checkpoint_dir=checkpoint_dir)
+    result = AutoPilot(CONFIG).run(_task(), checkpoint_dir=checkpoint_dir)
     return time.perf_counter() - start, result
 
 
@@ -71,15 +69,12 @@ def run_smoke() -> dict:
         reset_shared_cache()
         try:
             with faults.active_faults("kill@checkpoint-write:35"):
-                AutoPilot(seed=SMOKE_SEED).run(_task(), budget=SMOKE_BUDGET,
-                                               checkpoint_dir=resume_dir)
+                AutoPilot(CONFIG).run(_task(), checkpoint_dir=resume_dir)
         except faults.SimulatedKill:
             pass
         reset_shared_cache()
-        resumed = AutoPilot(seed=SMOKE_SEED).run(_task(),
-                                                 budget=SMOKE_BUDGET,
-                                                 checkpoint_dir=resume_dir,
-                                                 resume=True)
+        resumed = AutoPilot(CONFIG).run(_task(), checkpoint_dir=resume_dir,
+                                        resume=True)
 
     overhead_s = checkpoint_s - plain_s
     return {

@@ -6,14 +6,13 @@ E2E policy + accelerator, its compute metrics, and the mission-level
 outcome on the target UAV.
 """
 
-from repro import AutoPilot, NANO_ZHANG, Scenario, TaskSpec
+from repro import AutoPilot, NANO_ZHANG, RunConfig, Scenario, TaskSpec
 
 
 def main() -> None:
     task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE,
                     sensor_fps=60.0)
-    autopilot = AutoPilot(seed=7)
-    result = autopilot.run(task, budget=100)
+    result = AutoPilot(RunConfig(seed=7, budget=100)).run(task)
 
     selected = result.selected
     candidate = selected.candidate

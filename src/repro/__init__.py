@@ -12,10 +12,10 @@ onboard computers.
 
 Quickstart::
 
-    from repro import AutoPilot, TaskSpec, Scenario, NANO_ZHANG
+    from repro import AutoPilot, RunConfig, TaskSpec, Scenario, NANO_ZHANG
 
     task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
-    result = AutoPilot(seed=7).run(task, budget=80)
+    result = AutoPilot(RunConfig(seed=7, budget=80)).run(task)
     print(result.selected.candidate.design.describe())
     print(result.selected.mission.num_missions)
 """
@@ -39,6 +39,7 @@ from repro.core import (
     Phase2Result,
     Phase3Result,
     RankedDesign,
+    RunConfig,
     TaskSpec,
     build_design_space,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "__version__",
     "AutoPilot",
     "AutoPilotResult",
+    "RunConfig",
     "TaskSpec",
     "Scenario",
     "ScenarioSpec",

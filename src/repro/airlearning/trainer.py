@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -90,6 +90,35 @@ class CemTrainer:
         self.seed = seed
         self.engine = engine
         self.cache = cache
+
+    @classmethod
+    def from_settings(cls, settings: Mapping[str, Any], seed: int = 0,
+                      cache: bool = False) -> "CemTrainer":
+        """Inverse of :meth:`settings`; keys left out take the defaults.
+
+        Raises:
+            ConfigError: on an invalid setting.
+            TypeError: on an unknown setting.
+        """
+        kwargs = dict(settings)
+        elite_count = kwargs.pop("elite_count", None)
+        trainer = cls(seed=seed, cache=cache, **kwargs)
+        if elite_count is not None:
+            if not 2 <= elite_count <= trainer.population_size:
+                raise ConfigError(
+                    "elite_count must be in [2, population_size], got "
+                    f"{elite_count!r}")
+            trainer.elite_count = elite_count
+        return trainer
+
+    def settings(self) -> Dict[str, Any]:
+        """Everything that shapes a training run bar the run's seed."""
+        return {"population_size": self.population_size,
+                "elite_count": self.elite_count,
+                "episodes_per_candidate": self.episodes_per_candidate,
+                "iterations": self.iterations,
+                "initial_std": self.initial_std,
+                "engine": self.engine}
 
     def train(self, hyperparams: PolicyHyperparams,
               scenario: Scenario,

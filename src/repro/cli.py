@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,12 +29,12 @@ from repro.airlearning.scenarios import (
     resolve_scenario,
     scenario_ids,
 )
-from repro.airlearning.trainer import CemTrainer, ROLLOUT_ENGINES
+from repro.airlearning.trainer import ROLLOUT_ENGINES
 from repro.baselines.computers import FIG5_BASELINES
 from repro.core.checkpoint import RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.report import render_report
-from repro.core.spec import TaskSpec
+from repro.core.spec import RunConfig, TaskSpec
 from repro.errors import CheckpointError, ConfigError
 from repro.nn.template import (
     FILTER_CHOICES,
@@ -45,12 +45,10 @@ from repro.nn.template import (
 from repro.perf import Profiler, render_profile
 from repro.uav.f1_model import F1Model
 from repro.uav.mission import evaluate_mission
-from repro.uav.platforms import UavClass, platform_by_class, platform_by_name
+from repro.uav.platforms import UavClass, platform_by_class
 
 # The bench harness and the experiment drivers are imported inside the
 # subcommands that use them, so ``design`` loads neither.
-if TYPE_CHECKING:
-    from repro.bench import BenchManifest
 
 _CLASS_BY_NAME = {c.value: c for c in UavClass}
 
@@ -128,67 +126,43 @@ def _add_phase2(parser: argparse.ArgumentParser) -> None:
                              "the current front are always promoted")
 
 
-def _autopilot(args: argparse.Namespace) -> AutoPilot:
+def _config(args: argparse.Namespace) -> RunConfig:
     trainer = None
     if args.phase1_backend == "trainer":
-        trainer = CemTrainer(population_size=args.cem_population,
-                             iterations=args.cem_iterations,
-                             episodes_per_candidate=args.cem_episodes,
-                             seed=args.seed, engine=args.rollout_engine,
-                             cache=True)
-    optimizer_kwargs = {}
-    if getattr(args, "gp_refit_every", 1) != 1:
-        optimizer_kwargs["gp_refit_every"] = args.gp_refit_every
-    if getattr(args, "proposal_batch", 1) != 1:
-        optimizer_kwargs["proposal_batch"] = args.proposal_batch
-    return AutoPilot(seed=args.seed, workers=args.workers,
+        trainer = {"population_size": args.cem_population,
+                   "iterations": args.cem_iterations,
+                   "episodes_per_candidate": args.cem_episodes,
+                   "engine": args.rollout_engine}
+    return RunConfig(seed=args.seed, budget=args.budget,
                      frontend_backend=args.phase1_backend, trainer=trainer,
-                     optimizer_kwargs=optimizer_kwargs or None,
-                     fidelity=getattr(args, "fidelity", "off"),
-                     promotion_eta=getattr(args, "promotion_eta", 0.5))
+                     proposal_batch=args.proposal_batch,
+                     gp_refit_every=args.gp_refit_every,
+                     fidelity=args.fidelity, promotion_eta=args.promotion_eta)
 
 
-def _restore_from_manifest(args: argparse.Namespace,
-                           manifest: RunManifest) -> TaskSpec:
-    """Rebuild the task and pipeline knobs a checkpointed run recorded."""
-    args.seed = manifest.seed
-    args.budget = manifest.budget
-    args.phase1_backend = manifest.frontend_backend
-    args.proposal_batch = manifest.proposal_batch
-    args.gp_refit_every = manifest.gp_refit_every
-    args.fidelity = manifest.fidelity
-    args.promotion_eta = manifest.promotion_eta
-    if manifest.trainer:
-        args.cem_population = manifest.trainer["population_size"]
-        args.cem_iterations = manifest.trainer["iterations"]
-        args.cem_episodes = manifest.trainer["episodes_per_candidate"]
-        args.rollout_engine = manifest.trainer["engine"]
-    return TaskSpec(platform=platform_by_name(manifest.uav),
-                    scenario=resolve_scenario(manifest.scenario),
-                    sensor_fps=manifest.sensor_fps)
+def _error(exc: Exception) -> int:
+    """Report a configuration or checkpoint error; the exit status."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    checkpoint_dir = args.checkpoint_dir
     resume = args.resume is not None
-    if resume:
-        checkpoint_dir = args.resume
-        try:
-            manifest = RunManifest.load(checkpoint_dir)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        task = _restore_from_manifest(args, manifest)
-    else:
-        task = _task(args)
-    autopilot = _autopilot(args)
+    checkpoint_dir = args.resume if resume else args.checkpoint_dir
     try:
-        result = autopilot.run(task, budget=args.budget,
-                               profile=args.profile,
+        if resume:
+            manifest = RunManifest.load(checkpoint_dir)
+            task, config = manifest.task(), manifest.config
+        else:
+            task, config = _task(args), _config(args)
+        autopilot = AutoPilot(config, workers=args.workers)
+    except (CheckpointError, ConfigError) as exc:
+        return _error(exc)
+    try:
+        result = autopilot.run(task, profile=args.profile,
                                checkpoint_dir=checkpoint_dir, resume=resume)
     except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     report = render_report(result)
     if args.output:
         with open(args.output, "w") as handle:
@@ -207,27 +181,6 @@ def _csv(value: Optional[str]) -> Optional[List[str]]:
     return items or None
 
 
-def _restore_bench_args(args: argparse.Namespace,
-                        manifest: BenchManifest) -> None:
-    """Rebuild the sweep and pipeline knobs a bench checkpoint recorded."""
-    args.tags = None
-    args.scenarios = ",".join(manifest.scenarios)
-    args.platforms = ",".join(manifest.platforms)
-    args.budget = manifest.budget
-    args.seed = manifest.seed
-    args.sensor_fps = manifest.sensor_fps
-    args.phase1_backend = manifest.frontend_backend
-    args.proposal_batch = manifest.proposal_batch
-    args.gp_refit_every = manifest.gp_refit_every
-    args.fidelity = manifest.fidelity
-    args.promotion_eta = manifest.promotion_eta
-    if manifest.trainer:
-        args.cem_population = manifest.trainer["population_size"]
-        args.cem_iterations = manifest.trainer["iterations"]
-        args.cem_episodes = manifest.trainer["episodes_per_candidate"]
-        args.rollout_engine = manifest.trainer["engine"]
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
         BenchManifest,
@@ -236,37 +189,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
         render_bench_report,
     )
 
-    checkpoint_dir = args.checkpoint_dir
     resume = args.resume is not None
-    if resume:
-        checkpoint_dir = args.resume
-        try:
-            manifest = BenchManifest.load(checkpoint_dir)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _restore_bench_args(args, manifest)
+    checkpoint_dir = args.resume if resume else args.checkpoint_dir
     try:
-        suite = build_suite(tags=_csv(args.tags),
-                            ids=_csv(args.scenarios),
-                            platforms=_csv(args.platforms))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    autopilot = _autopilot(args)
-    runner = BenchRunner(autopilot, budget=args.budget,
-                         sensor_fps=args.sensor_fps,
-                         checkpoint_dir=checkpoint_dir, resume=resume,
-                         profile=args.profile)
+        if resume:
+            manifest = BenchManifest.load(checkpoint_dir)
+            suite, config = manifest.suite(), manifest.config
+            sensor_fps = manifest.sensor_fps
+        else:
+            suite = build_suite(tags=_csv(args.tags),
+                                ids=_csv(args.scenarios),
+                                platforms=_csv(args.platforms))
+            config, sensor_fps = _config(args), args.sensor_fps
+        runner = BenchRunner(AutoPilot(config, workers=args.workers),
+                             sensor_fps=sensor_fps,
+                             checkpoint_dir=checkpoint_dir, resume=resume,
+                             profile=args.profile)
+    except (CheckpointError, ConfigError) as exc:
+        return _error(exc)
     try:
         result = runner.run(suite)
     except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     title = (f"Bench sweep: {len(result.metrics)} cells "
              f"({len(suite.scenarios)} scenarios x "
-             f"{len(suite.platforms)} classes), budget {args.budget}, "
-             f"seed {args.seed}")
+             f"{len(suite.platforms)} classes), budget {config.budget}, "
+             f"seed {config.seed}")
     report = render_bench_report(result.metrics, title=title)
     if args.profile:
         profiles = [f"--- {cell_id} ---\n"
@@ -287,9 +235,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.runner import format_table
 
-    task = _task(args)
-    autopilot = _autopilot(args)
-    result = autopilot.run(task, budget=args.budget)
+    try:
+        task = _task(args)
+        autopilot = AutoPilot(_config(args), workers=args.workers)
+    except ConfigError as exc:
+        return _error(exc)
+    result = autopilot.run(task)
 
     best = autopilot.database.best(task.scenario)
     network = build_policy_network(best.hyperparams)

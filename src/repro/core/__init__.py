@@ -12,6 +12,7 @@ from repro.core.pipeline import AutoPilot, AutoPilotResult
 from repro.core.prior_work import TABLE_I, PriorWorkRow, render_table_i
 from repro.core.report import render_report
 from repro.core.spec import (
+    RunConfig,
     TaskSpec,
     assignment_to_design,
     build_design_space,
@@ -28,6 +29,7 @@ from repro.core.taxonomy import TABLE_VI, TaxonomyRow, render_table_vi
 
 __all__ = [
     "TaskSpec",
+    "RunConfig",
     "build_design_space",
     "assignment_to_design",
     "design_to_assignment",

@@ -6,10 +6,10 @@ whole run.  This module provides the three durable artefacts the
 resumable runtime is built on:
 
 * :class:`RunManifest` -- one small, atomically replaced JSON document
-  per run directory recording *what* the run is (task, seed, budget,
-  front-end configuration) and *where* it is (per-phase status,
-  completed Phase 2 evaluations).  ``autopilot design --resume`` reads
-  it back to reconstruct the exact run.
+  per run directory recording *what* the run is (its task and
+  :class:`~repro.core.spec.RunConfig`) and *where* it is (per-phase
+  status, completed Phase 2 evaluations).  ``autopilot design --resume``
+  reads it back to reconstruct the exact run.
 * :class:`EvaluationJournal` -- an append-only, pickle-framed log of
   completed work items (one record per Phase 2 evaluation / Phase 1
   template point).  Appends are flushed per record; a crash mid-write
@@ -42,10 +42,13 @@ import os
 import pickle
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, ClassVar, Dict, List, Optional, Union
 
-from repro.errors import CheckpointError
+from repro.airlearning.scenarios import resolve_scenario
+from repro.core.spec import RunConfig, TaskSpec
+from repro.errors import CheckpointError, ConfigError
 from repro.testing import faults
+from repro.uav.platforms import platform_by_name
 
 logger = logging.getLogger("repro.core.checkpoint")
 
@@ -117,8 +120,110 @@ def load_pickle(path: Union[str, os.PathLike],
         return None
 
 
+def progress_field(**kwargs: Any) -> Any:
+    """A manifest field recording progress, which resume does not verify."""
+    return field(metadata={"progress": True}, **kwargs)
+
+
 @dataclass
-class RunManifest:
+class Manifest:
+    """The shared JSON layout, loading and resume check of a manifest.
+
+    A manifest is what a run or sweep is (its own identity fields plus
+    one :class:`~repro.core.spec.RunConfig`) and how far it got (its
+    :func:`progress_field` fields).  On disk the config's fields sit flat
+    beside the others, so the JSON keys stay those of checkpoints that
+    earlier versions wrote, and those checkpoints still resume.
+    Resuming refuses any difference in a field that is not progress.
+    """
+
+    #: File name inside the checkpoint directory.
+    FILE_NAME: ClassVar[str]
+    #: What the manifest describes, as error messages name it.
+    NOUN: ClassVar[str]
+    #: Start of the resume refusal; formatted with ``directory``/``path``.
+    MISMATCH: ClassVar[str]
+
+    def to_json(self) -> Dict[str, Any]:
+        """The flat JSON object this manifest is saved as."""
+        payload = asdict(self)
+        payload.update(payload.pop("config"))
+        return payload
+
+    def save(self, directory: Union[str, os.PathLike]) -> None:
+        """Atomically (re)write the manifest into ``directory``."""
+        atomic_write_json(Path(directory) / self.FILE_NAME, self.to_json())
+
+    @classmethod
+    def load(cls, directory: Union[str, os.PathLike]) -> "Manifest":
+        """Load the manifest of ``directory``.
+
+        Keys this version does not know (fields of removed features) are
+        ignored; config fields an older manifest lacks take their
+        defaults.
+
+        Raises:
+            CheckpointError: when the manifest is missing, unreadable,
+                structurally corrupt, invalid or from an incompatible
+                schema.
+        """
+        path = Path(directory) / cls.FILE_NAME
+        if not path.exists():
+            raise CheckpointError(
+                f"no {cls.NOUN} manifest found at {path}: nothing to resume "
+                f"(was the {cls.NOUN} started with --checkpoint-dir?)")
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(
+                f"corrupt {cls.NOUN} manifest at {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CheckpointError(f"corrupt {cls.NOUN} manifest at {path}: "
+                                  "expected a JSON object")
+        # The class attribute of a dataclass field is its default: the
+        # schema this version writes.
+        if payload.get("schema") != cls.schema:
+            raise CheckpointError(
+                f"{cls.NOUN} manifest at {path} has schema "
+                f"{payload.get('schema')!r}; this version reads schema "
+                f"{cls.schema}")
+
+        def known(owner) -> Dict[str, Any]:
+            names = {f.name for f in fields(owner)}
+            return {k: v for k, v in payload.items() if k in names}
+
+        try:
+            return cls(config=RunConfig(**known(RunConfig)), **known(cls))
+        except (TypeError, ConfigError) as exc:
+            raise CheckpointError(
+                f"corrupt {cls.NOUN} manifest at {path}: {exc}") from exc
+
+    def check_resume(self, directory: Union[str, os.PathLike]) -> "Manifest":
+        """Load the manifest recorded in ``directory`` for a resume.
+
+        Raises:
+            CheckpointError: when it cannot be loaded, or when the
+                recorded run differs from this one in any field that is
+                not progress.
+        """
+        recorded = self.load(directory)
+        requested, previous = self.to_json(), recorded.to_json()
+        progress = {f.name for f in fields(self) if f.metadata.get("progress")}
+        mismatched = [name for name in requested if name not in progress
+                      and requested[name] != previous[name]]
+        if mismatched:
+            details = ", ".join(
+                f"{name}: recorded {previous[name]!r}, "
+                f"requested {requested[name]!r}" for name in mismatched)
+            message = self.MISMATCH.format(
+                directory=Path(directory),
+                path=Path(directory) / self.FILE_NAME)
+            raise CheckpointError(f"{message} ({details})")
+        return recorded
+
+
+@dataclass
+class RunManifest(Manifest):
     """Durable identity and progress record of one checkpointed run.
 
     The manifest is rewritten atomically at phase boundaries; the
@@ -127,75 +232,37 @@ class RunManifest:
     ``pending`` / ``running`` / ``complete``.
     """
 
+    FILE_NAME: ClassVar[str] = MANIFEST_NAME
+    NOUN: ClassVar[str] = "run"
+    MISMATCH: ClassVar[str] = ("cannot resume {path}: the recorded run "
+                               "differs from the requested one")
+
+    #: Platform name and scenario id of the task.
     uav: str
     scenario: str
-    seed: int
-    budget: int
-    sensor_fps: float = 60.0
-    frontend_backend: str = "surrogate"
-    #: CemTrainer constructor arguments for the trainer backend, or None.
-    trainer: Optional[Dict[str, Any]] = None
-    #: SMS-EGO candidates proposed per GP fit (q).  Part of the run
-    #: identity: the proposal sequence depends on it, so resuming with a
-    #: different value would diverge from the journal.  Defaults to 1 so
-    #: manifests written before this field existed load unchanged.
-    proposal_batch: int = 1
-    #: Full GP refit cadence in observations.  Part of the run identity
-    #: for the same reason as ``proposal_batch``: between refits the GP
-    #: extends cached factors, so the proposal sequence depends on it.
-    #: Defaults to 1 so older manifests load unchanged.
-    gp_refit_every: int = 1
-    #: Multi-fidelity mode (``"off"``/``"on"``) and successive-halving
-    #: promotion fraction.  Part of the run identity for the same reason
-    #: as ``proposal_batch``: with fidelity on, which proposals consume
-    #: budget depends on the promotion decisions, so resuming with a
-    #: different mode or eta would diverge from the journals.  Defaults
-    #: keep manifests written before these fields existed loading
-    #: unchanged (and bit-identical single-fidelity behaviour).
-    fidelity: str = "off"
-    promotion_eta: float = 0.5
-    status: Dict[str, str] = field(default_factory=lambda: {
+    sensor_fps: float
+    config: RunConfig
+    status: Dict[str, str] = progress_field(default_factory=lambda: {
         "phase1": "pending", "phase2": "pending", "phase3": "pending"})
     #: Completed Phase 2 evaluations at the last manifest write.
-    phase2_evaluations: int = 0
+    phase2_evaluations: int = progress_field(default=0)
     schema: int = CHECKPOINT_SCHEMA_VERSION
 
-    def save(self, run_dir: Union[str, os.PathLike]) -> None:
-        """Atomically (re)write the manifest into ``run_dir``."""
-        atomic_write_json(Path(run_dir) / MANIFEST_NAME, asdict(self))
-
     @classmethod
-    def load(cls, run_dir: Union[str, os.PathLike]) -> "RunManifest":
-        """Load the manifest of ``run_dir``.
+    def for_task(cls, task: TaskSpec, config: RunConfig) -> "RunManifest":
+        """A fresh manifest for running ``task`` under ``config``."""
+        return cls(uav=task.platform.name, scenario=task.scenario.value,
+                   sensor_fps=task.sensor_fps, config=config)
+
+    def task(self) -> TaskSpec:
+        """The task this run was recorded for.
 
         Raises:
-            CheckpointError: when the manifest is missing, unreadable,
-                structurally corrupt or from an incompatible schema.
+            ConfigError: when the platform or scenario is unknown.
         """
-        path = Path(run_dir) / MANIFEST_NAME
-        if not path.exists():
-            raise CheckpointError(
-                f"no run manifest found at {path}: nothing to resume "
-                "(was the run started with --checkpoint-dir?)")
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"corrupt run manifest at {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CheckpointError(
-                f"corrupt run manifest at {path}: expected a JSON object")
-        if payload.get("schema") != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(
-                f"run manifest at {path} has schema "
-                f"{payload.get('schema')!r}; this version reads schema "
-                f"{CHECKPOINT_SCHEMA_VERSION}")
-        known = {f.name for f in fields(cls)}
-        try:
-            return cls(**{k: v for k, v in payload.items() if k in known})
-        except TypeError as exc:
-            raise CheckpointError(
-                f"corrupt run manifest at {path}: {exc}") from exc
+        return TaskSpec(platform=platform_by_name(self.uav),
+                        scenario=resolve_scenario(self.scenario),
+                        sensor_fps=self.sensor_fps)
 
 
 class EvaluationJournal:

@@ -23,7 +23,7 @@ Two backends are available:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.airlearning.database import AirLearningDatabase
 from repro.airlearning.dynamics import NUM_ACTIONS
@@ -133,13 +133,15 @@ class FrontEnd:
 
         todo = [p for p in points
                 if db.get(p, task.scenario) is None]  # reuse prior runs
-        if self.backend == "trainer":
-            result.env_steps += self._warm_training_cache(todo,
-                                                          task.scenario)
+        pool_steps = (self._warm_training_cache(todo, task.scenario)
+                      if self.backend == "trainer" else {})
         try:
             for point in todo:
                 success, steps = self._train_and_validate(point, task,
                                                           checkpoint)
+                # Journal a point's pool-run training with it, so a
+                # resume replays the same step count.
+                steps += pool_steps.get(point, 0)
                 result.env_steps += steps
                 db.add(point, task.scenario, success)
                 result.trained.append(point)
@@ -156,28 +158,29 @@ class FrontEnd:
         return result
 
     def _warm_training_cache(self, points: Sequence[PolicyHyperparams],
-                             scenario: Scenario) -> int:
+                             scenario: Scenario
+                             ) -> Dict[PolicyHyperparams, int]:
         """Train uncached template points in parallel into the cache.
 
         Only the training rollouts (the pure, expensive part) run in the
         pool; validation and database assembly stay in-process.  With
         one worker, an uncacheable trainer or a single point this is a
         no-op and the serial loop below does all the work.  Returns the
-        rollout steps the pool executed.
+        rollout steps the pool executed, per point.
         """
         if self.workers <= 1 or not self.trainer.cache:
-            return 0
+            return {}
         cache = shared_report_cache()
         missing = [p for p in points
                    if training_key(self.trainer, p, scenario) not in cache]
         if len(missing) <= 1:
-            return 0
+            return {}
         items = [(self.trainer, point, scenario) for point in missing]
-        steps = 0
-        for key, training in parallel_map(_train_point, items,
-                                          workers=self.workers, chunksize=1):
+        steps = {}
+        for point, (key, training) in zip(missing, parallel_map(
+                _train_point, items, workers=self.workers, chunksize=1)):
             cache.put(key, training)
-            steps += training.env_steps
+            steps[point] = training.env_steps
         return steps
 
     def _train_and_validate(self, point: PolicyHyperparams,
@@ -190,8 +193,8 @@ class FrontEnd:
         if checkpoint is not None:
             cem_path = checkpoint.cem_checkpoint_path(point, task.scenario)
         # A cached training run executes no rollouts; only count steps
-        # that actually ran in this process (pool-warmed runs are
-        # credited by _warm_training_cache).
+        # that actually ran in this process (run() adds the steps of
+        # pool-warmed runs).
         was_cached = (self.trainer.cache and
                       training_key(self.trainer, point, task.scenario)
                       in shared_report_cache())

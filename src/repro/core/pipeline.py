@@ -2,9 +2,9 @@
 
 Usage:
 
-    >>> from repro import AutoPilot, TaskSpec, Scenario, NANO_ZHANG
+    >>> from repro import AutoPilot, RunConfig, TaskSpec, Scenario, NANO_ZHANG
     >>> task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
-    >>> result = AutoPilot(seed=7).run(task, budget=80)
+    >>> result = AutoPilot(RunConfig(seed=7, budget=80)).run(task)
     >>> result.selected.mission.num_missions  # doctest: +SKIP
 
 The pipeline reuses the Phase 1 database and Phase 2 candidate pool
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Dict, Optional, Union
 
 from repro.airlearning.database import AirLearningDatabase
 from repro.airlearning.scenarios import Scenario
@@ -26,10 +26,8 @@ from repro.core.checkpoint import RunCheckpoint, RunManifest
 from repro.core.phase1 import FrontEnd, Phase1Result
 from repro.core.phase2 import MultiObjectiveDse, Phase2Result
 from repro.core.phase3 import BackEnd, Phase3Result, RankedDesign
-from repro.core.spec import TaskSpec
-from repro.errors import CheckpointError, ConfigError
-from repro.optim.base import Optimizer
-from repro.optim.bayesopt import SmsEgoBayesOpt
+from repro.core.spec import RunConfig, TaskSpec
+from repro.errors import ConfigError
 from repro.perf import ProfileReport, Profiler
 
 
@@ -58,37 +56,28 @@ class AutoPilotResult:
 class AutoPilot:
     """End-to-end AutoPilot methodology driver.
 
+    ``config`` is everything that shapes the output besides the task.
     ``workers`` sets the number of Phase 1 training processes (trainer
     backend only; ``None`` consults ``REPRO_WORKERS``).  Phases 2 and 3
     always run in-process.
     """
 
-    def __init__(self, seed: int = 0, frontend_backend: str = "surrogate",
-                 optimizer_cls: Type[Optimizer] = SmsEgoBayesOpt,
-                 optimizer_kwargs: Optional[dict] = None,
-                 enable_finetuning: bool = True,
-                 weight_feedback: bool = True,
-                 workers: Optional[int] = None,
-                 trainer: Optional[CemTrainer] = None,
-                 fidelity: str = "off",
-                 promotion_eta: float = 0.5):
-        self.seed = seed
-        self.fidelity = fidelity
-        self.promotion_eta = promotion_eta
-        self.frontend = FrontEnd(backend=frontend_backend, seed=seed,
-                                 trainer=trainer, workers=workers)
-        self.optimizer_cls = optimizer_cls
-        self.optimizer_kwargs = optimizer_kwargs
-        self.backend = BackEnd(enable_finetuning=enable_finetuning,
-                               weight_feedback=weight_feedback)
+    def __init__(self, config: RunConfig, *, workers: Optional[int] = None):
+        self.config = config
+        trainer = (CemTrainer.from_settings(config.trainer, seed=config.seed,
+                                            cache=True)
+                   if config.trainer is not None else None)
+        self.frontend = FrontEnd(backend=config.frontend_backend,
+                                 seed=config.seed, trainer=trainer,
+                                 workers=workers)
+        self.backend = BackEnd()
         # Phase 1 results are reused across runs (keyed by scenario via
         # the shared database); Phase 2 results by scenario as well,
         # since only Phase 3 depends on the UAV.
         self.database = AirLearningDatabase()
-        self._phase2_cache: Dict[Tuple[Scenario, int], Phase2Result] = {}
+        self._phase2_cache: Dict[Scenario, Phase2Result] = {}
 
-    def run(self, task: TaskSpec, budget: int = 120,
-            reuse_phase2: bool = True,
+    def run(self, task: TaskSpec, reuse_phase2: bool = True,
             profile: bool = False,
             checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
             resume: bool = False) -> AutoPilotResult:
@@ -102,20 +91,20 @@ class AutoPilot:
         plus per-phase progress journals into the directory; a later
         call with ``resume=True`` fast-forwards through the completed
         work and produces a result bit-identical to an uninterrupted
-        run.  Resuming verifies the manifest against this pipeline's
-        configuration and raises
-        :class:`~repro.errors.CheckpointError` on any mismatch.
+        run.  Resuming verifies the manifest against this task and
+        config and raises :class:`~repro.errors.CheckpointError` on any
+        mismatch.
         """
         if resume and checkpoint_dir is None:
             raise ConfigError("resume requires a checkpoint directory")
+        config = self.config
         checkpoint: Optional[RunCheckpoint] = None
         manifest: Optional[RunManifest] = None
         if checkpoint_dir is not None:
             checkpoint = RunCheckpoint(checkpoint_dir)
-            manifest = self._manifest_for(task, budget)
+            manifest = RunManifest.for_task(task, config)
             if resume:
-                previous = RunManifest.load(checkpoint.run_dir)
-                self._verify_manifest(previous, manifest, checkpoint)
+                manifest.check_resume(checkpoint.run_dir)
             manifest.save(checkpoint.run_dir)
 
         profiler = Profiler()
@@ -131,17 +120,16 @@ class AutoPilot:
             manifest.status["phase1"] = "complete"
             manifest.save(checkpoint.run_dir)
 
-        cache_key = (task.scenario, budget)
-        phase2 = (self._phase2_cache.get(cache_key)
+        phase2 = (self._phase2_cache.get(task.scenario)
                   if reuse_phase2 else None)
         if phase2 is None:
             dse = MultiObjectiveDse(
-                database=self.database,
-                optimizer_cls=self.optimizer_cls,
-                seed=self.seed,
-                optimizer_kwargs=self.optimizer_kwargs,
-                fidelity=self.fidelity,
-                promotion_eta=self.promotion_eta)
+                database=self.database, seed=config.seed,
+                optimizer_kwargs={
+                    "proposal_batch": config.proposal_batch,
+                    "gp_refit_every": config.gp_refit_every},
+                fidelity=config.fidelity,
+                promotion_eta=config.promotion_eta)
             journal = (checkpoint.phase2_journal()
                        if checkpoint is not None else None)
             promotion_journal = (checkpoint.phase2_promotions_journal()
@@ -150,11 +138,11 @@ class AutoPilot:
                 manifest.status["phase2"] = "running"
                 manifest.save(checkpoint.run_dir)
             with profiler.phase("phase2"):
-                phase2 = dse.run(task, budget=budget, profiler=profiler,
-                                 journal=journal,
+                phase2 = dse.run(task, budget=config.budget,
+                                 profiler=profiler, journal=journal,
                                  promotion_journal=promotion_journal,
                                  resume=resume)
-            self._phase2_cache[cache_key] = phase2
+            self._phase2_cache[task.scenario] = phase2
         if manifest is not None:
             manifest.status["phase2"] = "complete"
             manifest.phase2_evaluations = len(
@@ -170,50 +158,3 @@ class AutoPilot:
         return AutoPilotResult(
             task=task, phase1=phase1, phase2=phase2, phase3=phase3,
             profile=profiler.report() if profile else None)
-
-    # ------------------------------------------------------------------
-    def _manifest_for(self, task: TaskSpec, budget: int) -> RunManifest:
-        """The manifest describing this pipeline configuration."""
-        trainer_cfg = None
-        if self.frontend.backend == "trainer":
-            trainer = self.frontend.trainer
-            trainer_cfg = {
-                "population_size": trainer.population_size,
-                "elite_count": trainer.elite_count,
-                "episodes_per_candidate": trainer.episodes_per_candidate,
-                "iterations": trainer.iterations,
-                "initial_std": trainer.initial_std,
-                "engine": trainer.engine,
-            }
-        optimizer_kwargs = self.optimizer_kwargs or {}
-        return RunManifest(uav=task.platform.name,
-                           scenario=task.scenario.value,
-                           seed=self.seed, budget=budget,
-                           sensor_fps=task.sensor_fps,
-                           frontend_backend=self.frontend.backend,
-                           trainer=trainer_cfg,
-                           proposal_batch=optimizer_kwargs.get(
-                               "proposal_batch", 1),
-                           gp_refit_every=optimizer_kwargs.get(
-                               "gp_refit_every", 1),
-                           fidelity=self.fidelity,
-                           promotion_eta=self.promotion_eta)
-
-    @staticmethod
-    def _verify_manifest(previous: RunManifest, current: RunManifest,
-                         checkpoint: RunCheckpoint) -> None:
-        """Refuse to resume a run under a different configuration."""
-        mismatched = [
-            name for name in ("uav", "scenario", "seed", "budget",
-                              "sensor_fps", "frontend_backend", "trainer",
-                              "proposal_batch", "gp_refit_every",
-                              "fidelity", "promotion_eta")
-            if getattr(previous, name) != getattr(current, name)]
-        if mismatched:
-            details = ", ".join(
-                f"{name}: recorded {getattr(previous, name)!r}, "
-                f"requested {getattr(current, name)!r}"
-                for name in mismatched)
-            raise CheckpointError(
-                f"cannot resume {checkpoint.manifest_path}: the recorded "
-                f"run differs from the requested one ({details})")

@@ -1,18 +1,21 @@
-"""Task specification and the joint design space (Table II).
+"""Task specification, run configuration and the joint design space.
 
 The user-facing entry point of AutoPilot is a high-level task
 specification: the autonomy task (deployment scenario), the target UAV,
-the sensor rate, and quality/budget knobs.  Phase 2 searches the joint
-NN x hardware space declared here.
+the sensor rate, and quality knobs.  A :class:`RunConfig` holds the
+rest of a run's identity (seed, budget, Phase 1 and Phase 2 options).
+Phase 2 searches the joint NN x hardware space (Table II) declared here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigError
 from repro.nn.template import FILTER_CHOICES, LAYER_CHOICES, PolicyHyperparams
 from repro.airlearning.scenarios import Scenario
+from repro.airlearning.trainer import CemTrainer
 from repro.optim.space import Assignment, DesignSpace, Dimension
 from repro.scalesim.config import (
     PE_DIM_CHOICES,
@@ -57,6 +60,64 @@ class TaskSpec:
             raise ConfigError("success_tolerance must be non-negative")
         if self.max_latency_s is not None and self.max_latency_s <= 0:
             raise ConfigError("max_latency_s must be positive when set")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every input that shapes a pipeline's output apart from the task.
+
+    One run has exactly one config: the CLI builds it, :class:`AutoPilot`
+    takes it, and both checkpoint manifests record its fields, so a
+    resume under any different value is refused.  The worker count is
+    not part of it because it never changes the output.
+
+    Attributes:
+        seed: Seeds Phase 1 (surrogate or trainer) and the optimiser.
+        budget: Phase 2 evaluation budget.
+        frontend_backend: Phase 1 backend, ``"surrogate"`` or
+            ``"trainer"`` (the CEM trainer on the simulator).
+        trainer: The CEM trainer's :meth:`~CemTrainer.settings` for the
+            trainer backend, with settings left out filled in from
+            :class:`CemTrainer`'s defaults; ``None`` for the surrogate.
+        proposal_batch: SMS-EGO candidates proposed per GP fit (q).
+        gp_refit_every: Full GP lengthscale-grid refit cadence.
+        fidelity: Multi-fidelity Phase 2 screening, ``"off"``/``"on"``.
+        promotion_eta: Fraction of a screened group promoted to the
+            exact simulator, in ``(0, 1]``; checked with fidelity off
+            too.
+    """
+
+    seed: int
+    budget: int
+    frontend_backend: str = "surrogate"
+    trainer: Optional[Dict[str, Any]] = None
+    proposal_batch: int = 1
+    gp_refit_every: int = 1
+    fidelity: str = "off"
+    promotion_eta: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.budget <= 0:
+            raise ConfigError(f"budget must be positive, got {self.budget!r}")
+        for name in ("proposal_batch", "gp_refit_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got "
+                                  f"{getattr(self, name)!r}")
+        if not 0.0 < self.promotion_eta <= 1.0:
+            raise ConfigError("promotion_eta must be in (0, 1], got "
+                              f"{self.promotion_eta!r}")
+        if self.fidelity not in ("off", "on"):
+            raise ConfigError(
+                f"fidelity must be 'off' or 'on', got {self.fidelity!r}")
+        if self.frontend_backend == "trainer":
+            trainer = CemTrainer.from_settings(self.trainer or {})
+            object.__setattr__(self, "trainer", trainer.settings())
+        elif self.frontend_backend != "surrogate":
+            raise ConfigError("frontend_backend must be 'surrogate' or "
+                              f"'trainer', got {self.frontend_backend!r}")
+        elif self.trainer is not None:
+            raise ConfigError("trainer settings need "
+                              "frontend_backend='trainer'")
 
 
 def build_design_space(layer_choices=LAYER_CHOICES,

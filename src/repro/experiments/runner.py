@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.airlearning.scenarios import Scenario
 from repro.baselines.computers import BaselineComputer
 from repro.core.pipeline import AutoPilot, AutoPilotResult
-from repro.core.spec import TaskSpec
+from repro.core.spec import RunConfig, TaskSpec
 from repro.nn.template import build_policy_network
 from repro.uav.mission import MissionReport, evaluate_mission
 from repro.uav.platforms import UavPlatform
@@ -35,7 +35,8 @@ class ExperimentContext:
     sensor_fps: float = DEFAULT_SENSOR_FPS
 
     def __post_init__(self) -> None:
-        self._autopilot = AutoPilot(seed=self.seed)
+        self._autopilot = AutoPilot(RunConfig(seed=self.seed,
+                                              budget=self.budget))
         self._runs: Dict[Tuple[str, Scenario], AutoPilotResult] = {}
 
     @property
@@ -54,7 +55,7 @@ class ExperimentContext:
         key = (platform.name, scenario)
         if key not in self._runs:
             task = self.task(platform, scenario)
-            self._runs[key] = self._autopilot.run(task, budget=self.budget)
+            self._runs[key] = self._autopilot.run(task)
         return self._runs[key]
 
     def baseline_mission(self, baseline: BaselineComputer,

@@ -11,18 +11,17 @@ the pool mode) must load and resume as if the fields were absent.
 
 from __future__ import annotations
 
-import argparse
 import json
 
 import pytest
 
 from repro.airlearning.scenarios import Scenario, ScenarioSpec, scenario_ids
 from repro.bench.runner import BENCH_MANIFEST_NAME, BenchManifest
-from repro.cli import _restore_from_manifest, build_parser, main
+from repro.cli import build_parser, main
 from repro.core.checkpoint import MANIFEST_NAME, RunManifest
 from repro.core.pipeline import AutoPilot
-from repro.core.spec import TaskSpec
-from repro.errors import CheckpointError
+from repro.core.spec import RunConfig, TaskSpec
+from repro.errors import CheckpointError, ConfigError
 from repro.testing import faults
 from repro.uav.platforms import NANO_ZHANG
 
@@ -48,53 +47,41 @@ _OLD_HEAD_MANIFEST = {
 }
 
 
-def _design_args(**overrides):
-    args = argparse.Namespace(
-        uav="nano", scenario="dense", sensor_fps=60.0, seed=0, budget=1,
-        phase1_backend="surrogate", proposal_batch=1, fidelity="off",
-        promotion_eta=0.5, workers=None)
-    for key, value in overrides.items():
-        setattr(args, key, value)
-    return args
-
-
 def test_old_head_manifest_loads_and_restores_enum_handle(tmp_path):
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(_OLD_HEAD_MANIFEST))
     manifest = RunManifest.load(tmp_path)
     assert manifest.scenario == "dense"
 
-    args = _design_args()
-    task = _restore_from_manifest(args, manifest)
+    task = manifest.task()
     assert task.scenario is Scenario.DENSE
     assert task.platform.name == "Zhang et al. nano-UAV"
-    assert args.seed == 7 and args.budget == 40
+    assert manifest.config == RunConfig(seed=7, budget=40)
 
 
 def test_registry_id_manifest_round_trips(tmp_path):
     from repro.airlearning.scenarios import resolve_scenario
 
-    pilot = AutoPilot(seed=3)
     task = TaskSpec(platform=NANO_ZHANG,
                     scenario=resolve_scenario("urban-canyon"))
-    manifest = pilot._manifest_for(task, budget=9)
+    manifest = RunManifest.for_task(task, RunConfig(seed=3, budget=9))
     assert manifest.scenario == "urban-canyon"
     manifest.save(tmp_path)
     loaded = RunManifest.load(tmp_path)
     assert loaded == manifest
 
-    args = _design_args()
-    restored = _restore_from_manifest(args, loaded)
+    restored = loaded.task()
     assert isinstance(restored.scenario, ScenarioSpec)
     assert restored.scenario.value == "urban-canyon"
 
 
-def test_manifest_with_unknown_scenario_id_fails_loudly(tmp_path):
+def test_manifest_with_unknown_scenario_id_fails_loudly(tmp_path, capsys):
     payload = dict(_OLD_HEAD_MANIFEST, scenario="no-such-place")
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload))
     manifest = RunManifest.load(tmp_path)
-    from repro.errors import ConfigError
     with pytest.raises(ConfigError, match="unknown scenario"):
-        _restore_from_manifest(_design_args(), manifest)
+        manifest.task()
+    assert main(["design", "--resume", str(tmp_path)]) == 2
+    assert "unknown scenario" in capsys.readouterr().err
 
 
 def test_checkpointed_run_with_registry_scenario_resumes(tmp_path):
@@ -105,8 +92,9 @@ def test_checkpointed_run_with_registry_scenario_resumes(tmp_path):
     task = TaskSpec(platform=NANO_ZHANG,
                     scenario=resolve_scenario("corridor-narrow"))
     run_dir = tmp_path / "run"
-    first = AutoPilot(seed=5).run(task, budget=6, checkpoint_dir=run_dir)
-    resumed = AutoPilot(seed=5).run(task, budget=6, checkpoint_dir=run_dir,
+    config = RunConfig(seed=5, budget=6)
+    first = AutoPilot(config).run(task, checkpoint_dir=run_dir)
+    resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
                                     resume=True)
     assert (first.selected.candidate.design
             == resumed.selected.candidate.design)
@@ -116,8 +104,7 @@ def test_checkpointed_run_with_registry_scenario_resumes(tmp_path):
     other = TaskSpec(platform=NANO_ZHANG,
                      scenario=resolve_scenario("corridor-wide"))
     with pytest.raises(CheckpointError, match="scenario"):
-        AutoPilot(seed=5).run(other, budget=6, checkpoint_dir=run_dir,
-                              resume=True)
+        AutoPilot(config).run(other, checkpoint_dir=run_dir, resume=True)
 
 
 #: Fields that earlier versions wrote and this one no longer has.

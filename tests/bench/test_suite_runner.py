@@ -8,6 +8,8 @@ through the PR-4 checkpoint machinery under one shared pipeline.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import (
@@ -18,11 +20,13 @@ from repro.bench import (
 )
 from repro.cli import main
 from repro.core.pipeline import AutoPilot
+from repro.core.spec import RunConfig
 from repro.errors import CheckpointError, ConfigError
 from repro.testing import faults
 
 BENCH_ARGS = ["bench", "--tags", "smoke", "--platforms", "nano",
               "--budget", "6", "--seed", "3"]
+CONFIG = RunConfig(seed=3, budget=6)
 
 
 @pytest.fixture(autouse=True)
@@ -80,15 +84,15 @@ class TestRunner:
     def test_sweep_is_deterministic_across_pipelines(self):
         suite = build_suite(ids=["dense", "corridor-narrow"],
                             platforms=["nano"])
-        first = BenchRunner(AutoPilot(seed=3), budget=6).run(suite)
-        second = BenchRunner(AutoPilot(seed=3), budget=6).run(suite)
+        first = BenchRunner(AutoPilot(CONFIG)).run(suite)
+        second = BenchRunner(AutoPilot(CONFIG)).run(suite)
         assert (render_bench_report(first.metrics)
                 == render_bench_report(second.metrics))
 
     def test_shared_pipeline_reuses_phase2_across_platforms(self):
         suite = build_suite(ids=["dense"], platforms=["mini", "nano"])
-        pilot = AutoPilot(seed=3)
-        result = BenchRunner(pilot, budget=6).run(suite)
+        pilot = AutoPilot(CONFIG)
+        result = BenchRunner(pilot).run(suite)
         assert len(result.metrics) == 2
         # One shared DSE run serves both platform classes of a scenario.
         assert len(pilot._phase2_cache) == 1
@@ -96,12 +100,12 @@ class TestRunner:
     def test_checkpoint_then_resume_is_identical(self, tmp_path):
         suite = build_suite(ids=["dense", "open-field"],
                             platforms=["nano"])
-        fresh = BenchRunner(AutoPilot(seed=3), budget=6).run(suite)
+        fresh = BenchRunner(AutoPilot(CONFIG)).run(suite)
 
         bench_dir = tmp_path / "bench"
-        BenchRunner(AutoPilot(seed=3), budget=6,
+        BenchRunner(AutoPilot(CONFIG),
                     checkpoint_dir=bench_dir).run(suite)
-        resumed = BenchRunner(AutoPilot(seed=3), budget=6,
+        resumed = BenchRunner(AutoPilot(CONFIG),
                               checkpoint_dir=bench_dir,
                               resume=True).run(suite)
         assert (render_bench_report(resumed.metrics)
@@ -112,16 +116,16 @@ class TestRunner:
     def test_resume_with_different_config_refused(self, tmp_path):
         suite = build_suite(ids=["dense"], platforms=["nano"])
         bench_dir = tmp_path / "bench"
-        BenchRunner(AutoPilot(seed=3), budget=6,
+        BenchRunner(AutoPilot(CONFIG),
                     checkpoint_dir=bench_dir).run(suite)
         with pytest.raises(CheckpointError, match="budget"):
-            BenchRunner(AutoPilot(seed=3), budget=7,
+            BenchRunner(AutoPilot(replace(CONFIG, budget=7)),
                         checkpoint_dir=bench_dir, resume=True).run(suite)
 
     def test_resume_without_manifest_refused(self, tmp_path):
         suite = build_suite(ids=["dense"], platforms=["nano"])
         with pytest.raises(CheckpointError, match="no bench manifest"):
-            BenchRunner(AutoPilot(seed=3), budget=6,
+            BenchRunner(AutoPilot(CONFIG),
                         checkpoint_dir=tmp_path / "nowhere",
                         resume=True).run(suite)
 
@@ -175,7 +179,7 @@ class TestBenchCli:
         capsys.readouterr()
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == baseline
-        assert BenchManifest.load(bench_dir).gp_refit_every == 8
+        assert BenchManifest.load(bench_dir).config.gp_refit_every == 8
 
     def test_resume_missing_manifest_is_a_clean_error(self, tmp_path,
                                                       capsys):

@@ -8,12 +8,14 @@ three-phase pipeline.
 
 import json
 import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.airlearning.scenarios import Scenario
 from repro.airlearning.trainer import CemTrainer
+from repro.bench import BenchManifest, BenchRunner, build_suite
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     EvaluationJournal,
@@ -28,7 +30,7 @@ from repro.core.evalcache import reset_shared_cache
 from repro.core.phase1 import FrontEnd
 from repro.core.phase2 import MultiObjectiveDse
 from repro.core.pipeline import AutoPilot
-from repro.core.spec import TaskSpec, build_design_space
+from repro.core.spec import RunConfig, TaskSpec, build_design_space
 from repro.errors import CheckpointError, ConfigError
 from repro.nn.template import PolicyHyperparams
 from repro.testing import faults
@@ -80,7 +82,8 @@ class TestAtomicWrites:
 class TestRunManifest:
     def manifest(self):
         return RunManifest(uav="Zhang et al. nano-UAV", scenario="dense",
-                           seed=7, budget=40)
+                           sensor_fps=60.0,
+                           config=RunConfig(seed=7, budget=40))
 
     def test_save_load_round_trip(self, tmp_path):
         manifest = self.manifest()
@@ -111,12 +114,6 @@ class TestRunManifest:
         with pytest.raises(CheckpointError, match="corrupt run manifest"):
             RunManifest.load(tmp_path)
 
-    def test_proposal_batch_round_trips(self, tmp_path):
-        manifest = self.manifest()
-        manifest.proposal_batch = 8
-        manifest.save(tmp_path)
-        assert RunManifest.load(tmp_path).proposal_batch == 8
-
     def test_manifest_without_proposal_batch_defaults_to_serial(
             self, tmp_path):
         """Manifests written before the field existed still load."""
@@ -125,16 +122,7 @@ class TestRunManifest:
         payload = json.loads((tmp_path / "manifest.json").read_text())
         del payload["proposal_batch"]
         (tmp_path / "manifest.json").write_text(json.dumps(payload))
-        assert RunManifest.load(tmp_path).proposal_batch == 1
-
-    def test_fidelity_round_trips(self, tmp_path):
-        manifest = self.manifest()
-        manifest.fidelity = "on"
-        manifest.promotion_eta = 0.25
-        manifest.save(tmp_path)
-        loaded = RunManifest.load(tmp_path)
-        assert loaded.fidelity == "on"
-        assert loaded.promotion_eta == 0.25
+        assert RunManifest.load(tmp_path).config.proposal_batch == 1
 
     def test_manifest_without_fidelity_defaults_to_off(self, tmp_path):
         """Manifests written before the fields existed still load."""
@@ -144,9 +132,28 @@ class TestRunManifest:
         del payload["fidelity"]
         del payload["promotion_eta"]
         (tmp_path / "manifest.json").write_text(json.dumps(payload))
-        loaded = RunManifest.load(tmp_path)
+        loaded = RunManifest.load(tmp_path).config
         assert loaded.fidelity == "off"
         assert loaded.promotion_eta == 0.5
+
+    def test_invalid_recorded_value_rejected(self, tmp_path):
+        self.manifest().save(tmp_path)
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        payload["budget"] = 0
+        (tmp_path / "manifest.json").write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError,
+                           match="corrupt run manifest.*budget must be"):
+            RunManifest.load(tmp_path)
+
+    def test_config_fields_sit_flat_on_disk(self, tmp_path):
+        """Loading and re-saving a manifest leaves its bytes unchanged."""
+        self.manifest().save(tmp_path)
+        path = tmp_path / "manifest.json"
+        written = path.read_text()
+        assert "config" not in json.loads(written)
+        assert json.loads(written)["seed"] == 7
+        RunManifest.load(tmp_path).save(tmp_path)
+        assert path.read_text() == written
 
 
 class TestEvaluationJournal:
@@ -500,8 +507,7 @@ class TestMultiFidelityResume:
 # ----------------------------------------------------------------------
 # Full pipeline resume
 # ----------------------------------------------------------------------
-PIPE_KWARGS = dict(seed=9, optimizer_kwargs={"num_initial": 4,
-                                             "pool_size": 16})
+PIPE_CONFIG = RunConfig(seed=9, budget=20)
 
 
 def assert_pipeline_equal(a, b):
@@ -516,87 +522,132 @@ def assert_pipeline_equal(a, b):
 
 class TestPipelineResume:
     def test_killed_pipeline_resumes_bit_identically(self, tmp_path, task):
-        baseline = AutoPilot(**PIPE_KWARGS).run(task, budget=10)
+        baseline = AutoPilot(PIPE_CONFIG).run(task)
         run_dir = tmp_path / "run"
-        # Counter 35 lands inside Phase 2: 2 manifest writes + 27
-        # Phase 1 journal appends + 1 manifest write + 1 manifest write
-        # = 31 writes before the Phase 2 journal starts.
-        with faults.active_faults("kill@checkpoint-write:35"):
+        # 2 manifest writes + 27 Phase 1 journal appends + 2 manifest
+        # writes = 31 writes precede the Phase 2 journal, whose first 12
+        # appends (31-42) are SMS-EGO's random warm-up.  Counter 45
+        # lands inside the model-based proposals, two of them journalled.
+        with faults.active_faults("kill@checkpoint-write:45"):
             with pytest.raises(faults.SimulatedKill):
-                AutoPilot(**PIPE_KWARGS).run(task, budget=10,
-                                             checkpoint_dir=run_dir)
+                AutoPilot(PIPE_CONFIG).run(task, checkpoint_dir=run_dir)
         manifest = RunManifest.load(run_dir)
         assert manifest.status["phase1"] == "complete"
-        resumed = AutoPilot(**PIPE_KWARGS).run(task, budget=10,
-                                               checkpoint_dir=run_dir,
-                                               resume=True)
+        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 14
+        resumed = AutoPilot(PIPE_CONFIG).run(task, checkpoint_dir=run_dir,
+                                             resume=True)
         assert_pipeline_equal(resumed, baseline)
         manifest = RunManifest.load(run_dir)
         assert manifest.status == {"phase1": "complete",
                                    "phase2": "complete",
                                    "phase3": "complete"}
-        assert manifest.phase2_evaluations == 10
+        assert manifest.phase2_evaluations == 20
 
     def test_killed_multifidelity_pipeline_resumes_bit_identically(
             self, tmp_path, task):
         """The pipeline wires both Phase 2 journals (evaluations and
         promotions) out of the run directory; a kill landing inside a
         screened proposal group must resume bit-identically."""
-        kwargs = dict(seed=9,
-                      optimizer_kwargs={"num_initial": 4, "pool_size": 16,
-                                        "proposal_batch": 4},
-                      fidelity="on", promotion_eta=0.5)
-        baseline = AutoPilot(**kwargs).run(task, budget=10)
+        config = replace(PIPE_CONFIG, proposal_batch=4, fidelity="on")
+        baseline = AutoPilot(config).run(task)
         run_dir = tmp_path / "run"
         # 31 writes precede the Phase 2 journals (see above); counter
-        # 37 lands past the warm-up batch (31-34) and the first
-        # promotion record (35), inside the first group's evaluations.
-        with faults.active_faults("kill@checkpoint-write:37"):
+        # 45 lands past the warm-up batch (31-42) and the first
+        # promotion record (43), inside the first group's evaluations.
+        with faults.active_faults("kill@checkpoint-write:45"):
             with pytest.raises(faults.SimulatedKill):
-                AutoPilot(**kwargs).run(task, budget=10,
-                                        checkpoint_dir=run_dir)
-        assert (run_dir / "phase2" / "promotions.jnl").exists()
-        resumed = AutoPilot(**kwargs).run(task, budget=10,
-                                          checkpoint_dir=run_dir,
-                                          resume=True)
+                AutoPilot(config).run(task, checkpoint_dir=run_dir)
+        checkpoint = RunCheckpoint(run_dir)
+        assert len(checkpoint.phase2_promotions_journal().load()) == 1
+        assert len(checkpoint.phase2_journal().load()) == 13
+        resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
+                                        resume=True)
         assert_pipeline_equal(resumed, baseline)
         manifest = RunManifest.load(run_dir)
-        assert manifest.fidelity == "on"
+        assert manifest.config.fidelity == "on"
         assert manifest.status["phase2"] == "complete"
 
     def test_resume_requires_checkpoint_dir(self, task):
         with pytest.raises(ConfigError, match="resume requires"):
-            AutoPilot(**PIPE_KWARGS).run(task, budget=4, resume=True)
+            AutoPilot(PIPE_CONFIG).run(task, resume=True)
 
     def test_resume_with_missing_manifest_raises(self, tmp_path, task):
         with pytest.raises(CheckpointError, match="no run manifest found"):
-            AutoPilot(**PIPE_KWARGS).run(task, budget=4,
-                                         checkpoint_dir=tmp_path / "none",
-                                         resume=True)
+            AutoPilot(PIPE_CONFIG).run(task,
+                                       checkpoint_dir=tmp_path / "none",
+                                       resume=True)
 
-    def test_resume_under_different_config_rejected(self, tmp_path, task):
+
+# ----------------------------------------------------------------------
+# Run identity: every RunConfig field is recorded and verified
+# ----------------------------------------------------------------------
+#: A non-default value of every ``RunConfig`` field, as constructor
+#: overrides.  The trainer settings also need the trainer backend.
+NON_DEFAULT = {
+    "seed": {"seed": 10},
+    "budget": {"budget": 7},
+    "frontend_backend": {"frontend_backend": "trainer"},
+    "trainer": {"frontend_backend": "trainer",
+                "trainer": {"population_size": 4, "iterations": 1,
+                            "episodes_per_candidate": 1}},
+    "proposal_batch": {"proposal_batch": 4},
+    "gp_refit_every": {"gp_refit_every": 8},
+    "fidelity": {"fidelity": "on"},
+    "promotion_eta": {"promotion_eta": 0.25},
+}
+
+
+def _recorded_then_killed(start) -> None:
+    """Run ``start`` until its second checkpoint write: the manifest is
+    on disk, no work has been done."""
+    with faults.active_faults("kill@checkpoint-write:1"):
+        with pytest.raises(faults.SimulatedKill):
+            start()
+
+
+class TestRunIdentity:
+    def test_every_field_has_a_non_default_value(self):
+        assert set(NON_DEFAULT) == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_field_is_recorded_and_verified(self, tmp_path, task, name):
+        overrides = NON_DEFAULT[name]
+        base = {"seed": 9, "budget": 6}
+        requested = RunConfig(**{**base, **overrides})
+        recorded = RunConfig(**{**base, **{
+            key: value for key, value in overrides.items() if key != name}})
+        assert getattr(requested, name) != getattr(recorded, name)
+
+        # The non-default value round-trips through both manifests, flat.
+        suite = build_suite(ids=["dense"], platforms=["nano"])
+        for manifest in (RunManifest.for_task(task, requested),
+                         BenchManifest(scenarios=["dense"],
+                                       platforms=["nano"], sensor_fps=60.0,
+                                       config=requested)):
+            directory = tmp_path / manifest.NOUN
+            manifest.save(directory)
+            assert type(manifest).load(directory) == manifest
+            payload = json.loads((directory / manifest.FILE_NAME).read_text())
+            assert payload[name] == getattr(requested, name)
+
+        # Resuming a recorded run under a config differing in this field
+        # is refused by name.
         run_dir = tmp_path / "run"
-        AutoPilot(**PIPE_KWARGS).run(task, budget=6,
-                                     checkpoint_dir=run_dir)
-        with pytest.raises(CheckpointError, match="budget"):
-            AutoPilot(**PIPE_KWARGS).run(task, budget=7,
-                                         checkpoint_dir=run_dir,
-                                         resume=True)
-        with pytest.raises(CheckpointError, match="seed"):
-            AutoPilot(seed=10,
-                      optimizer_kwargs=PIPE_KWARGS["optimizer_kwargs"]).run(
-                task, budget=6, checkpoint_dir=run_dir, resume=True)
-        with pytest.raises(CheckpointError, match="proposal_batch"):
-            AutoPilot(seed=9,
-                      optimizer_kwargs={**PIPE_KWARGS["optimizer_kwargs"],
-                                        "proposal_batch": 2}).run(
-                task, budget=6, checkpoint_dir=run_dir, resume=True)
-        with pytest.raises(CheckpointError, match="fidelity"):
-            AutoPilot(fidelity="on", **PIPE_KWARGS).run(
-                task, budget=6, checkpoint_dir=run_dir, resume=True)
-        with pytest.raises(CheckpointError, match="promotion_eta"):
-            AutoPilot(promotion_eta=0.25, **PIPE_KWARGS).run(
-                task, budget=6, checkpoint_dir=run_dir, resume=True)
+        _recorded_then_killed(lambda: AutoPilot(recorded).run(
+            task, checkpoint_dir=run_dir))
+        with pytest.raises(CheckpointError,
+                           match=rf"the recorded run differs from the "
+                                 rf"requested one \(.*\b{name}: recorded"):
+            AutoPilot(requested).run(task, checkpoint_dir=run_dir,
+                                     resume=True)
+        bench_dir = tmp_path / "sweep"
+        _recorded_then_killed(lambda: BenchRunner(
+            AutoPilot(recorded), checkpoint_dir=bench_dir).run(suite))
+        with pytest.raises(CheckpointError,
+                           match=rf"the recorded sweep differs from the "
+                                 rf"requested one \(.*\b{name}: recorded"):
+            BenchRunner(AutoPilot(requested), checkpoint_dir=bench_dir,
+                        resume=True).run(suite)
 
 
 # ----------------------------------------------------------------------

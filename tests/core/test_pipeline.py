@@ -4,20 +4,19 @@ import pytest
 
 from repro.airlearning.scenarios import Scenario
 from repro.core.pipeline import AutoPilot
-from repro.core.spec import TaskSpec
-from repro.optim.random_search import RandomSearch
+from repro.core.spec import RunConfig, TaskSpec
 from repro.uav.platforms import DJI_SPARK, NANO_ZHANG
 
 
 @pytest.fixture(scope="module")
 def autopilot():
-    return AutoPilot(seed=11)
+    return AutoPilot(RunConfig(seed=11, budget=40))
 
 
 @pytest.fixture(scope="module")
 def result(autopilot):
     task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
-    return autopilot.run(task, budget=40)
+    return autopilot.run(task)
 
 
 class TestPipeline:
@@ -36,10 +35,10 @@ class TestPipeline:
         assert result.selected.candidate.success_rate >= best - 0.021
 
     def test_phase2_cache_reused_across_platforms(self, autopilot, result):
-        # Same scenario + budget on a different UAV: Phase 2 is shared,
-        # only Phase 3 re-runs.
+        # Same scenario on a different UAV: Phase 2 is shared, only
+        # Phase 3 re-runs.
         task = TaskSpec(platform=DJI_SPARK, scenario=Scenario.DENSE)
-        other = autopilot.run(task, budget=40)
+        other = autopilot.run(task)
         assert other.phase2 is result.phase2
 
     def test_phase1_database_shared(self, autopilot, result):
@@ -47,19 +46,14 @@ class TestPipeline:
 
     def test_fresh_phase2_when_reuse_disabled(self, autopilot, result):
         task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
-        fresh = autopilot.run(task, budget=40, reuse_phase2=False)
+        fresh = autopilot.run(task, reuse_phase2=False)
         assert fresh.phase2 is not result.phase2
-
-    def test_pluggable_optimizer(self):
-        autopilot = AutoPilot(seed=2, optimizer_cls=RandomSearch)
-        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
-        result = autopilot.run(task, budget=15)
-        assert len(result.phase2.candidates) == 15
 
     def test_determinism_across_instances(self):
         task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
-        a = AutoPilot(seed=5).run(task, budget=20)
-        b = AutoPilot(seed=5).run(task, budget=20)
+        config = RunConfig(seed=5, budget=20)
+        a = AutoPilot(config).run(task)
+        b = AutoPilot(config).run(task)
         assert a.selected.candidate.design.describe() == \
             b.selected.candidate.design.describe()
         assert a.num_missions == pytest.approx(b.num_missions)

@@ -5,14 +5,14 @@ import pytest
 from repro.airlearning.scenarios import Scenario
 from repro.core.pipeline import AutoPilot
 from repro.core.report import render_report
-from repro.core.spec import TaskSpec
+from repro.core.spec import RunConfig, TaskSpec
 from repro.uav.platforms import NANO_ZHANG
 
 
 @pytest.fixture(scope="module")
 def result():
     task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
-    return AutoPilot(seed=13).run(task, budget=25)
+    return AutoPilot(RunConfig(seed=13, budget=25)).run(task)
 
 
 class TestRenderReport:

@@ -1,9 +1,11 @@
-"""Unit tests for the task spec and joint design space."""
+"""Unit tests for the task spec, run config and joint design space."""
 
 import pytest
 
 from repro.airlearning.scenarios import Scenario
+from repro.airlearning.trainer import CemTrainer
 from repro.core.spec import (
+    RunConfig,
     TaskSpec,
     assignment_to_design,
     build_design_space,
@@ -33,6 +35,28 @@ class TestTaskSpec:
         with pytest.raises(ConfigError):
             TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW,
                      success_tolerance=-0.1)
+
+
+class TestRunConfig:
+    def test_trainer_backend_fills_in_the_default_trainer(self):
+        config = RunConfig(seed=0, budget=1, frontend_backend="trainer")
+        assert config.trainer == CemTrainer().settings()
+        partial = RunConfig(seed=0, budget=1, frontend_backend="trainer",
+                            trainer={"population_size": 8})
+        assert partial.trainer == CemTrainer(population_size=8).settings()
+        assert RunConfig(seed=0, budget=1).trainer is None
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"fidelity": "maybe"}, "fidelity must be"),
+        ({"frontend_backend": "oracle"}, "frontend_backend must be"),
+        ({"trainer": {"population_size": 8}}, "need frontend_backend"),
+        ({"frontend_backend": "trainer", "trainer": {"elite_count": 30}},
+         "elite_count must be"),
+        ({"promotion_eta": 1.5}, "promotion_eta must be"),
+    ])
+    def test_rejects_invalid_values(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(seed=0, budget=1, **overrides)
 
 
 class TestDesignSpace:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.checkpoint import RunManifest
+from repro.core.evalcache import reset_shared_cache
 from repro.testing import faults
 
 
@@ -137,6 +138,15 @@ class TestStartup:
 DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
                "--budget", "15", "--seed", "3"]
 
+#: One non-default value of every option a checkpoint records.
+NON_DEFAULT_OPTIONS = [
+    ["--seed", "3"],
+    ["--sensor-fps", "30"],
+    ["--proposal-batch", "4"],
+    ["--gp-refit-every", "8"],
+    ["--fidelity", "on", "--promotion-eta", "0.25"],
+]
+
 
 class TestCheckpointCli:
     def test_checkpoint_dir_then_resume_round_trip(self, tmp_path, capsys):
@@ -213,4 +223,85 @@ class TestCheckpointCli:
         # manifest restores the refit cadence.
         assert main(["design", "--resume", str(run_dir)]) == 0
         assert capsys.readouterr().out == baseline
-        assert RunManifest.load(run_dir).gp_refit_every == 8
+        assert RunManifest.load(run_dir).config.gp_refit_every == 8
+
+    @pytest.mark.parametrize("command, kill_at", [
+        # 12 SMS-EGO warm-up evaluations follow the run's first 31
+        # (bench: 33) checkpoint writes, so each kill lands two journal
+        # writes into the model-based proposals.
+        (["design", "--uav", "nano", "--scenario", "low",
+          "--budget", "20"], 45),
+        (["bench", "--scenarios", "dense", "--platforms", "nano",
+          "--budget", "20"], 47),
+    ], ids=["design", "bench"])
+    @pytest.mark.parametrize("option", NON_DEFAULT_OPTIONS,
+                             ids=lambda option: option[0].lstrip("-"))
+    def test_option_survives_kill_and_resume(self, tmp_path, capsys,
+                                             command, kill_at, option):
+        args = command + option
+        assert main(args) == 0
+        baseline = capsys.readouterr().out
+        run_dir = tmp_path / "run"
+        with pytest.raises(faults.SimulatedKill):
+            with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
+                main(args + ["--checkpoint-dir", str(run_dir)])
+        capsys.readouterr()
+        # The resume command line names no option: the manifest
+        # restores every one of them.
+        assert main([command[0], "--resume", str(run_dir)]) == 0
+        assert capsys.readouterr().out == baseline
+        name = "manifest.json" if command[0] == "design" else "bench.json"
+        recorded = json.loads((run_dir / name).read_text())
+        for flag, value in zip(option[::2], option[1::2]):
+            key = flag.lstrip("-").replace("-", "_")
+            assert recorded[key] == type(recorded[key])(value)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_trainer_backend_resumes_to_identical_report(self, tmp_path,
+                                                         capsys, workers):
+        args = ["design", "--uav", "nano", "--scenario", "dense",
+                "--seed", "3", "--budget", "8", "--workers", workers,
+                "--phase1-backend", "trainer", "--cem-population", "4",
+                "--cem-iterations", "1", "--cem-episodes", "1"]
+        run_dir = tmp_path / "run"
+        # Each run starts from an empty shared training cache, as a
+        # separate process would.
+        reset_shared_cache()
+        assert main(args + ["--checkpoint-dir", str(run_dir)]) == 0
+        first = capsys.readouterr().out
+        reset_shared_cache()
+        assert main(["design", "--resume", str(run_dir)]) == 0
+        assert capsys.readouterr().out == first
+        assert RunManifest.load(run_dir).config.trainer == {
+            "population_size": 4, "elite_count": 2,
+            "episodes_per_candidate": 1, "iterations": 1,
+            "initial_std": 0.5, "engine": "vec"}
+
+
+#: Options that ``RunConfig`` rejects, and the error each prints.
+INVALID_OPTIONS = [
+    (["--budget", "0"], "budget must be positive, got 0"),
+    (["--budget", "-3"], "budget must be positive, got -3"),
+    (["--proposal-batch", "0"], "proposal_batch must be at least 1, got 0"),
+    (["--gp-refit-every", "0"], "gp_refit_every must be at least 1, got 0"),
+    (["--promotion-eta", "0"], "promotion_eta must be in (0, 1], got 0.0"),
+]
+
+
+class TestInvalidConfig:
+    @pytest.mark.parametrize("command", [
+        ["design", "--uav", "nano", "--scenario", "low"],
+        ["bench", "--scenarios", "dense", "--platforms", "nano"],
+    ], ids=["design", "bench"])
+    @pytest.mark.parametrize("option, message", INVALID_OPTIONS,
+                             ids=[f"{o[0].lstrip('-')}={o[1]}"
+                                  for o, _ in INVALID_OPTIONS])
+    def test_rejected_before_any_work(self, tmp_path, capsys, command,
+                                      option, message):
+        run_dir = tmp_path / "run"
+        assert main(command + option
+                    + ["--checkpoint-dir", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not run_dir.exists()
