@@ -3,12 +3,12 @@
 One :class:`CellMetrics` row summarises the knee-point design AutoPilot
 selected for one (scenario, platform) cell: the quantities the paper's
 Fig. 11/12 comparisons are built on, flattened for the side-by-side
-report and the smoke-benchmark JSON.
+report.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.bench.suite import BenchCell
 from repro.core.pipeline import AutoPilotResult
@@ -35,10 +35,6 @@ class CellMetrics:
     knee_throughput_hz: float
     #: Missions per charge (Eq. 1-4) -- the paper's headline metric.
     num_missions: float
-
-    def as_dict(self) -> dict:
-        """Plain-dict form for JSON result files."""
-        return asdict(self)
 
 
 def metrics_for(cell: BenchCell, result: AutoPilotResult) -> CellMetrics:

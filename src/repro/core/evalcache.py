@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.perf.counters import DeltaCounters
 
 #: Default in-memory capacity of the shared report cache.  The full
 #: Table II space has ~1.8M hardware points but any realistic DSE run
@@ -142,7 +143,7 @@ def training_key(trainer: Any, hyperparams: Any,
 
 
 @dataclass
-class CacheStats:
+class CacheStats(DeltaCounters):
     """Hit/miss counters for one cache (or one observation window)."""
 
     hits: int = 0
@@ -160,20 +161,6 @@ class CacheStats:
         if self.lookups == 0:
             return 0.0
         return self.hits / self.lookups
-
-    def snapshot(self) -> "CacheStats":
-        """A copy, for delta accounting across a profiling window."""
-        return CacheStats(**vars(self))
-
-    def since(self, baseline: "CacheStats") -> "CacheStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return CacheStats(**{name: value - getattr(baseline, name)
-                             for name, value in vars(self).items()})
-
-    def merge(self, delta: "CacheStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
 
 
 class EvalCache:

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ConfigError
+from repro.perf.counters import DeltaCounters
 from repro.testing import faults
 
 T = TypeVar("T")
@@ -114,11 +115,11 @@ DEFAULT_RETRY = RetryPolicy()
 
 
 @dataclass
-class PoolStats:
+class PoolStats(DeltaCounters):
     """Counters for pool failures and recoveries (process-wide).
 
-    Mirrors :class:`repro.core.evalcache.CacheStats`: the profiler
-    snapshots the module-wide instance per phase and reports deltas.
+    The profiler snapshots the module-wide instance per phase and
+    reports deltas (:class:`~repro.perf.counters.DeltaCounters`).
     """
 
     chunk_failures: int = 0      # chunk attempts that failed in a pool
@@ -132,20 +133,6 @@ class PoolStats:
     def total_faults(self) -> int:
         """Failures observed (not the recoveries)."""
         return self.chunk_failures + self.unpicklable_chunks
-
-    def snapshot(self) -> "PoolStats":
-        """A copy, for delta accounting across a profiling window."""
-        return PoolStats(**vars(self))
-
-    def since(self, baseline: "PoolStats") -> "PoolStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return PoolStats(**{name: value - getattr(baseline, name)
-                            for name, value in vars(self).items()})
-
-    def merge(self, delta: "PoolStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
 
 
 _pool_stats = PoolStats()

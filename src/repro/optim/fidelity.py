@@ -43,6 +43,7 @@ from repro.optim.base import (
 from repro.optim.hypervolume import hypervolume_contributions
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
+from repro.perf.counters import DeltaCounters
 
 #: Tier-0 screen: a list of assignments -> an (n, d) matrix of
 #: component-wise *lower bounds* on the objective vectors (minimisation
@@ -57,11 +58,11 @@ PromotionObserverFn = Callable[[List[Assignment], List[bool]], None]
 
 
 @dataclass
-class FidelityStats:
+class FidelityStats(DeltaCounters):
     """Process-wide counters for the multi-fidelity screening path.
 
-    Mirrors :class:`repro.soc.batch.BatchStats`: the profiler snapshots
-    the module-wide instance per phase and reports deltas.
+    The profiler snapshots the module-wide instance per phase and
+    reports deltas (:class:`~repro.perf.counters.DeltaCounters`).
     """
 
     screen_calls: int = 0      # screened proposal groups
@@ -95,20 +96,6 @@ class FidelityStats:
     def est_sim_seconds_saved(self) -> float:
         """Pruned points priced at the measured tier-1 cost."""
         return self.pruned * self.mean_tier1_eval_s
-
-    def snapshot(self) -> "FidelityStats":
-        """A copy, for delta accounting across a profiling window."""
-        return FidelityStats(**vars(self))
-
-    def since(self, baseline: "FidelityStats") -> "FidelityStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return FidelityStats(**{name: value - getattr(baseline, name)
-                                for name, value in vars(self).items()})
-
-    def merge(self, delta: "FidelityStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
 
 
 _fidelity_stats = FidelityStats()

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.perf.counters import DeltaCounters
 
 
 def pairwise_sq(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -117,11 +118,11 @@ def _log_marginal(y_std: np.ndarray, chol: np.ndarray,
 
 
 @dataclass
-class GpStats:
+class GpStats(DeltaCounters):
     """Process-wide GP fitting counters (profiler-snapshot friendly).
 
-    Mirrors :class:`repro.core.evalcache.CacheStats`: the profiler
-    snapshots the module-wide instance per phase and reports deltas.
+    The profiler snapshots the module-wide instance per phase and
+    reports deltas (:class:`~repro.perf.counters.DeltaCounters`).
     """
 
     full_fits: int = 0            # per-objective fits via the grid search
@@ -138,20 +139,6 @@ class GpStats:
         if self.proposal_groups == 0:
             return 0.0
         return self.proposed_points / self.proposal_groups
-
-    def snapshot(self) -> "GpStats":
-        """A copy, for delta accounting across a profiling window."""
-        return GpStats(**vars(self))
-
-    def since(self, baseline: "GpStats") -> "GpStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return GpStats(**{name: value - getattr(baseline, name)
-                          for name, value in vars(self).items()})
-
-    def merge(self, delta: "GpStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
 
 
 _gp_stats = GpStats()

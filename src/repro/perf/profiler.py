@@ -1,10 +1,9 @@
 """Wall-time, throughput and cache-hit-rate profiling primitives.
 
 The profiler is deliberately dependency-free (stdlib only): phases are
-timed with ``time.perf_counter`` context managers, counters accumulate
-named integers (evaluations, simulations), and cache activity is
-measured as a delta of the shared cache's counters across each phase,
-so concurrent users of the cache outside the profiled window do not
+timed with ``time.perf_counter`` context managers, and the process-wide
+cache, pool, GP, batch and fidelity counters are measured as deltas
+across each phase, so activity outside the profiled window does not
 pollute the numbers.
 """
 
@@ -13,13 +12,24 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.core.evalcache import CacheStats, shared_report_cache
 from repro.core.parallel import PoolStats, pool_stats
 from repro.optim.fidelity import FidelityStats, fidelity_stats
 from repro.optim.gp import GpStats, gp_stats
 from repro.soc.batch import BatchStats, batch_stats
+
+#: Every process-wide stat record a phase measures as a delta:
+#: (``PhaseRecord`` field, accessor of the live record).  The report
+#: cache is looked up on each call because it can be replaced.
+_STAT_SOURCES = (
+    ("cache", lambda: shared_report_cache().stats),
+    ("pool", pool_stats),
+    ("gp", gp_stats),
+    ("batch", batch_stats),
+    ("fidelity", fidelity_stats),
+)
 
 
 @dataclass
@@ -67,7 +77,6 @@ class ProfileReport:
 
     phases: List[PhaseRecord]
     total_wall_s: float
-    counters: Dict[str, int]
 
     @property
     def total_evaluations(self) -> int:
@@ -95,71 +104,32 @@ class ProfileReport:
             total.merge(phase.pool)
         return total
 
-    @property
-    def overall_gp(self) -> GpStats:
-        """GP fitting activity summed over all phases."""
-        total = GpStats()
-        for phase in self.phases:
-            total.merge(phase.gp)
-        return total
-
-    @property
-    def overall_batch(self) -> BatchStats:
-        """Batched-evaluation activity summed over all phases."""
-        total = BatchStats()
-        for phase in self.phases:
-            total.merge(phase.batch)
-        return total
-
-    @property
-    def overall_fidelity(self) -> FidelityStats:
-        """Multi-fidelity screening activity summed over all phases."""
-        total = FidelityStats()
-        for phase in self.phases:
-            total.merge(phase.fidelity)
-        return total
-
 
 class Profiler:
-    """Collects phase timings, counters and cache deltas for one run."""
+    """Collects phase timings and stat deltas for one run."""
 
     def __init__(self):
         self._phases: "Dict[str, PhaseRecord]" = {}
         self._order: List[str] = []
-        self._counters: Dict[str, int] = {}
         self._started = time.perf_counter()
 
     @contextmanager
-    def phase(self, name: str,
-              evaluations: Optional[int] = None) -> Iterator[PhaseRecord]:
-        """Time one phase; cache counters are measured as a delta.
+    def phase(self, name: str) -> Iterator[PhaseRecord]:
+        """Time one phase; the stat records are measured as deltas.
 
         The yielded record can be annotated mid-phase (e.g. setting
         ``evaluations`` once the DSE budget is known).
         """
-        record = self._phases.get(name)
-        if record is None:
-            record = PhaseRecord(name=name)
-            self._phases[name] = record
-            self._order.append(name)
-        cache_before = shared_report_cache().stats.snapshot()
-        pool_before = pool_stats().snapshot()
-        gp_before = gp_stats().snapshot()
-        batch_before = batch_stats().snapshot()
-        fidelity_before = fidelity_stats().snapshot()
+        record = self._record(name)
+        before = [live().snapshot() for _, live in _STAT_SOURCES]
         start = time.perf_counter()
         try:
             yield record
         finally:
             record.wall_s += time.perf_counter() - start
             record.calls += 1
-            record.cache.merge(shared_report_cache().stats.since(cache_before))
-            record.pool.merge(pool_stats().since(pool_before))
-            record.gp.merge(gp_stats().since(gp_before))
-            record.batch.merge(batch_stats().since(batch_before))
-            record.fidelity.merge(fidelity_stats().since(fidelity_before))
-            if evaluations is not None:
-                record.evaluations += evaluations
+            for (kind, live), snapshot in zip(_STAT_SOURCES, before):
+                getattr(record, kind).merge(live().since(snapshot))
 
     def add_evaluations(self, phase_name: str, count: int) -> None:
         """Credit ``count`` design evaluations to a phase."""
@@ -177,16 +147,11 @@ class Profiler:
             self._order.append(phase_name)
         return record
 
-    def count(self, name: str, increment: int = 1) -> None:
-        """Bump a named counter."""
-        self._counters[name] = self._counters.get(name, 0) + increment
-
     def report(self) -> ProfileReport:
         """Snapshot the measurements collected so far."""
         return ProfileReport(
             phases=[self._phases[name] for name in self._order],
             total_wall_s=time.perf_counter() - self._started,
-            counters=dict(self._counters),
         )
 
 
@@ -258,6 +223,4 @@ def render_profile(report: ProfileReport) -> str:
             f"{pool.poisoned_chunks} poisoned, "
             f"{pool.unpicklable_chunks} unpicklable, "
             f"{pool.serial_fallback_chunks} serial-fallback chunks")
-    for name in sorted(report.counters):
-        lines.append(f"{name}: {report.counters[name]}")
     return "\n".join(lines)

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro.perf.counters import DeltaCounters
 from repro.power.cacti import sram_model
 from repro.power.dram import (
     BACKGROUND_POWER_W,
@@ -54,11 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 @dataclass
-class BatchStats:
+class BatchStats(DeltaCounters):
     """Process-wide counters for the batched evaluation path.
 
-    Mirrors :class:`repro.core.parallel.PoolStats`: the profiler
-    snapshots the module-wide instance per phase and reports deltas.
+    The profiler snapshots the module-wide instance per phase and
+    reports deltas (:class:`~repro.perf.counters.DeltaCounters`).
     """
 
     batch_calls: int = 0       # evaluate_batch invocations
@@ -81,20 +82,6 @@ class BatchStats:
         if self.proposal_calls == 0:
             return 0.0
         return self.proposal_designs / self.proposal_calls
-
-    def snapshot(self) -> "BatchStats":
-        """A copy, for delta accounting across a profiling window."""
-        return BatchStats(**vars(self))
-
-    def since(self, baseline: "BatchStats") -> "BatchStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return BatchStats(**{name: value - getattr(baseline, name)
-                             for name, value in vars(self).items()})
-
-    def merge(self, delta: "BatchStats") -> None:
-        """Accumulate another stats record into this one."""
-        for name, value in vars(delta).items():
-            setattr(self, name, getattr(self, name) + value)
 
 
 _batch_stats = BatchStats()

@@ -567,6 +567,34 @@ class TestPipelineResume:
         assert manifest.config.fidelity == "on"
         assert manifest.status["phase2"] == "complete"
 
+    def test_checkpointing_leaves_the_design_unchanged(self, tmp_path,
+                                                       task):
+        config = RunConfig(seed=7, budget=30)
+        reset_shared_cache()
+        baseline = AutoPilot(config).run(task)
+        reset_shared_cache()
+        checkpointed = AutoPilot(config).run(task,
+                                             checkpoint_dir=tmp_path / "run")
+        assert checkpointed.num_missions == baseline.num_missions
+
+    def test_kill_mid_phase2_resumes_to_the_same_design(self, tmp_path,
+                                                        task):
+        """The checkpointing runtime gate's workload, killed once the
+        manifest and the Phase 1 journal are durable."""
+        config = RunConfig(seed=7, budget=30)
+        reset_shared_cache()
+        baseline = AutoPilot(config).run(task)
+        run_dir = tmp_path / "run"
+        reset_shared_cache()
+        with faults.active_faults("kill@checkpoint-write:35"):
+            with pytest.raises(faults.SimulatedKill):
+                AutoPilot(config).run(task, checkpoint_dir=run_dir)
+        reset_shared_cache()
+        resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
+                                        resume=True)
+        assert resumed.num_missions == baseline.num_missions
+        assert resumed.selected.candidate == baseline.selected.candidate
+
     def test_resume_requires_checkpoint_dir(self, task):
         with pytest.raises(ConfigError, match="resume requires"):
             AutoPilot(PIPE_CONFIG).run(task, resume=True)

@@ -146,3 +146,26 @@ class TestTrainerBackendScaling:
         assert frontend._surrogate is frontend._surrogate
         result = frontend.run(make_task())
         assert result.env_steps == 0
+
+
+
+class TestTrainingSweep:
+    def test_repeat_passes_are_served_from_the_training_cache(self):
+        """The sweep ``benchmarks/test_runtime_gates.py`` times: two
+        template points trained for one scenario over five passes, each
+        pass populating a fresh database.  Every pass after the first
+        must be served from the training cache."""
+        from repro.core.evalcache import reset_shared_cache, \
+            shared_report_cache
+        points = [PolicyHyperparams(2, 32), PolicyHyperparams(3, 32)]
+        passes = 5
+        trainer = CemTrainer(engine="vec", cache=True, population_size=32,
+                             iterations=2, episodes_per_candidate=3, seed=7)
+        frontend = FrontEnd(backend="trainer", seed=7, trainer=trainer,
+                            validation_episodes=12)
+        reset_shared_cache()
+        for _ in range(passes):
+            frontend.run(make_task(Scenario.DENSE), hyperparams=points)
+        hits = shared_report_cache().stats.hits
+        reset_shared_cache()
+        assert hits >= len(points) * (passes - 1)

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from repro.airlearning.scenarios import Scenario
+from repro.core.evalcache import reset_shared_cache
 from repro.core.phase1 import FrontEnd
 from repro.core.phase2 import MultiObjectiveDse
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import ConfigError
+from repro.optim.bayesopt import SmsEgoBayesOpt
+from repro.optim.fidelity import fidelity_stats
+from repro.optim.gp import MultiObjectiveGP
+from repro.optim.pareto import non_dominated_mask
 from repro.optim.random_search import RandomSearch
+from repro.soc.batch import batch_stats
 from repro.uav.platforms import NANO_ZHANG
 
 
@@ -155,3 +161,127 @@ class TestDerivedReference:
         result = dse.run(task, budget=6, reference=[2.0, 10.0, 500.0])
         np.testing.assert_array_equal(result.reference,
                                       [2.0, 10.0, 500.0])
+
+
+# ----------------------------------------------------------------------
+# The full-space runs that ``benchmarks/test_runtime_gates.py`` times
+# ----------------------------------------------------------------------
+RUN_SEED = 7
+RUN_BUDGET = 64
+#: Tier-1 budget of the multi-fidelity run: the screen reaches the
+#: saturated front on about a third of the simulator spend.
+SCREENED_BUDGET = 24
+
+
+class _LegacySerialSmsEgo(SmsEgoBayesOpt):
+    """The pre-batching proposal loop, frozen as a correctness oracle.
+
+    One candidate per GP fit via the plain SMS-EGO argmax -- exactly
+    the loop the optimiser ran before ``proposal_batch`` existed.  The
+    batched implementation with q=1 must match it bit for bit.
+    """
+
+    def run(self, evaluator, rng):
+        self._gp = None
+        self._initial_sampling(evaluator, rng)
+        while not evaluator.exhausted:
+            pool = self._candidate_pool(evaluator, rng)
+            if not pool:
+                break
+            history = evaluator.result.evaluations
+            x_train = evaluator.space.encode_many(
+                [e.assignment for e in history])
+            objectives = np.vstack([e.objectives for e in history])
+            x_pool = evaluator.space.encode_many(pool)
+            gp = self._gp
+            if gp is None or gp.num_objectives not in (0,
+                                                       objectives.shape[1]):
+                gp = self._gp = MultiObjectiveGP(
+                    refit_every=self.gp_refit_every)
+            gp.fit(x_train, objectives)
+            means, stds = gp.predict(x_pool)
+            lcb = means - self.kappa * stds
+            front = objectives[non_dominated_mask(objectives)]
+            reference = self._reference_point(objectives)
+            scores = self._sms_ego_scores(lcb, front, reference)
+            evaluator.evaluate(pool[int(np.argmax(scores))])
+
+
+@pytest.fixture(scope="module")
+def full_reference(database):
+    reset_shared_cache()
+    return MultiObjectiveDse(database=database,
+                             seed=RUN_SEED).derive_reference()
+
+
+def run_full_space(database, task, reference, *, proposal_batch,
+                   budget=RUN_BUDGET, **dse_kwargs):
+    """One cold-cache Phase 2 run over the full design space."""
+    reset_shared_cache()
+    dse = MultiObjectiveDse(
+        database=database, seed=RUN_SEED,
+        optimizer_kwargs={"num_initial": 12, "pool_size": 128,
+                          "proposal_batch": proposal_batch},
+        **dse_kwargs)
+    return dse.run(task, budget=budget, reference=reference)
+
+
+def assert_histories_identical(a, b):
+    assert [e.assignment for e in a.evaluations] == \
+        [e.assignment for e in b.evaluations]
+    np.testing.assert_array_equal(a.objective_matrix, b.objective_matrix)
+    np.testing.assert_array_equal(np.asarray(a.hypervolume_trace),
+                                  np.asarray(b.hypervolume_trace))
+
+
+@pytest.fixture(scope="module")
+def q8_run(database, task, full_reference):
+    """The q=8 single-fidelity run and its batch-counter delta."""
+    before = batch_stats().snapshot()
+    result = run_full_space(database, task, full_reference,
+                            proposal_batch=8)
+    return result, batch_stats().since(before)
+
+
+class TestProposalBatch:
+    def test_q1_matches_the_legacy_serial_loop(self, database, task,
+                                               full_reference):
+        oracle = run_full_space(database, task, full_reference,
+                                proposal_batch=1,
+                                optimizer_cls=_LegacySerialSmsEgo)
+        q1 = run_full_space(database, task, full_reference,
+                            proposal_batch=1)
+        assert_histories_identical(oracle.optimization, q1.optimization)
+
+    def test_q8_mean_mid_run_batch_at_least_four(self, q8_run):
+        _, batches = q8_run
+        assert batches.mean_proposal_batch >= 4.0
+
+
+class TestMultiFidelityRun:
+    @pytest.fixture(scope="class")
+    def screened(self, database, task, full_reference):
+        """The fidelity-on run and its screening-counter delta."""
+        before = fidelity_stats().snapshot()
+        result = run_full_space(database, task, full_reference,
+                                proposal_batch=8, budget=SCREENED_BUDGET,
+                                fidelity="on", promotion_eta=0.5)
+        return result, fidelity_stats().since(before)
+
+    def test_fidelity_off_matches_the_plain_optimiser(
+            self, database, task, full_reference, q8_run):
+        off = run_full_space(database, task, full_reference,
+                             proposal_batch=8, fidelity="off",
+                             promotion_eta=0.5)
+        assert_histories_identical(q8_run[0].optimization, off.optimization)
+
+    def test_screened_run_keeps_98_percent_of_the_hypervolume(
+            self, full_reference, q8_run, screened):
+        plain = q8_run[0].optimization.final_hypervolume(full_reference)
+        mf = screened[0].optimization.final_hypervolume(full_reference)
+        assert mf / plain >= 0.98
+
+    def test_screen_prunes_points(self, screened):
+        _, counters = screened
+        assert counters.screened > 0
+        assert counters.pruned > 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.airlearning.scenarios import Scenario
+from repro.core.evalcache import reset_shared_cache, shared_report_cache
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig, TaskSpec
 from repro.uav.platforms import DJI_SPARK, NANO_ZHANG
@@ -57,3 +58,39 @@ class TestPipeline:
         assert a.selected.candidate.design.describe() == \
             b.selected.candidate.design.describe()
         assert a.num_missions == pytest.approx(b.num_missions)
+
+
+REPEAT_CONFIG = RunConfig(seed=7, budget=30)
+
+
+@pytest.fixture(scope="class")
+def repeated_runs():
+    """One profiled run on a cold report cache, then the same run again.
+
+    Returns both results and the shared-cache delta of the second run.
+    """
+    task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
+    reset_shared_cache()
+    first = AutoPilot(REPEAT_CONFIG).run(task, profile=True)
+    before = shared_report_cache().stats.snapshot()
+    second = AutoPilot(REPEAT_CONFIG).run(task, profile=True)
+    delta = shared_report_cache().stats.since(before)
+    reset_shared_cache()
+    return first, second, delta
+
+
+class TestRepeatedRun:
+    """A repeated pipeline run is served from the report cache."""
+
+    def test_every_budgeted_evaluation_is_a_candidate(self, repeated_runs):
+        first, _, _ = repeated_runs
+        assert len(first.phase2.candidates) == REPEAT_CONFIG.budget
+
+    def test_repeat_hit_rate_above_half(self, repeated_runs):
+        _, _, delta = repeated_runs
+        assert delta.hit_rate > 0.0
+        assert delta.hit_rate > 0.5
+
+    def test_repeat_selects_the_same_design(self, repeated_runs):
+        first, second, _ = repeated_runs
+        assert first.num_missions == second.num_missions

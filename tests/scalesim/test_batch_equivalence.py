@@ -172,6 +172,17 @@ class TestEvaluateBatchEquivalence:
         for s, b in zip(scalar, batch):
             assert s == b
 
+    def test_largest_policy_cold_pool_bit_identical(self):
+        """The pool ``benchmarks/test_runtime_gates.py`` times: 1024
+        random configs under the largest zoo policy, one kernel group."""
+        designs = [DssocDesign(policy=ZOO[-1], accelerator=config)
+                   for config in random_configs(np.random.default_rng(11),
+                                                1024)]
+        evaluator = DssocEvaluator()
+        scalar = [evaluator.evaluate(d) for d in designs]
+        reset_shared_cache()
+        assert list(evaluator.evaluate_batch(designs)) == scalar
+
     def test_mixed_warm_cold_cache_bit_identical(self):
         designs = self._designs(np.random.default_rng(9), 30)
         evaluator = DssocEvaluator()
