@@ -2,12 +2,11 @@
 
 Every gate times a mechanism against its reference in this process, on
 one fixed workload, and asserts the ratio the mechanism exists for:
-the vectorised Phase 1 engine with its training cache, the batched
-design evaluator, the shared-factor GP, q-point proposals,
-multi-fidelity screening and checkpointing.  Their correctness halves
-(bit-identity, cache reuse, resume equivalence) are tier-1 tests under
-``tests/``; this module only times, so it stays out of tier-1.  It runs
-with the paper-figure drivers::
+the vectorised Phase 1 engine with its training cache, the shared-factor
+GP, q-point proposals, multi-fidelity screening and checkpointing.
+Their correctness halves (bit-identity, cache reuse, resume equivalence)
+are tier-1 tests under ``tests/``; this module only times, so it stays
+out of tier-1.  It runs with the paper-figure drivers::
 
     PYTHONPATH=src python -m pytest -q benchmarks/ --benchmark-disable
 
@@ -32,13 +31,6 @@ from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig, TaskSpec
 from repro.nn.template import PolicyHyperparams
 from repro.optim.gp import GaussianProcess, MultiObjectiveGP
-from repro.scalesim.config import (
-    PE_DIM_CHOICES,
-    SRAM_KB_CHOICES,
-    AcceleratorConfig,
-    Dataflow,
-)
-from repro.soc.dssoc import DssocDesign, DssocEvaluator
 from repro.uav.platforms import NANO_ZHANG
 
 TASK = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
@@ -107,30 +99,8 @@ def test_phase1_backend_speedup_at_least_10x(training_sweeps):
 
 
 # ----------------------------------------------------------------------
-# Phase 2 hot loops: batched evaluation and the shared-factor GP
+# Phase 2 hot loop: the shared-factor GP
 # ----------------------------------------------------------------------
-def test_batch_eval_speedup_at_least_5x():
-    """1024 random configs under the largest zoo policy (one kernel
-    group, the production shape), scalar loop vs ``evaluate_batch``."""
-    policy = PolicyHyperparams(num_layers=10, num_filters=64)
-    rng = np.random.default_rng(11)
-    designs = [
-        DssocDesign(policy=policy, accelerator=AcceleratorConfig(
-            pe_rows=int(rng.choice(PE_DIM_CHOICES)),
-            pe_cols=int(rng.choice(PE_DIM_CHOICES)),
-            ifmap_sram_kb=int(rng.choice(SRAM_KB_CHOICES)),
-            filter_sram_kb=int(rng.choice(SRAM_KB_CHOICES)),
-            ofmap_sram_kb=int(rng.choice(SRAM_KB_CHOICES)),
-            dataflow=list(Dataflow)[int(rng.integers(3))]))
-        for _ in range(1024)
-    ]
-    evaluator = DssocEvaluator()
-    (scalar_s, batch_s), _ = best_walls(
-        5, lambda: [evaluator.evaluate(d) for d in designs],
-        lambda: evaluator.evaluate_batch(designs))
-    assert scalar_s / batch_s >= 5.0
-
-
 def test_gp_proposal_loop_speedup_at_least_3x():
     """41 proposals (100..140 observations, 7 inputs, 3 objectives, a
     256-point pool): three per-objective refits per proposal vs one

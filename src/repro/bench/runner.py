@@ -107,10 +107,9 @@ class BenchRunner:
         """Run (or resume) every cell of the suite.
 
         Cells run through the shared pipeline instance sequentially in
-        suite order; parallelism lives *inside* each cell (Phase 1's
-        training pool and Phase 2's batched kernels), which is what
-        lets consecutive cells share the scenario database and Phase 2
-        cache.
+        suite order; the only parallelism is Phase 1's training pool
+        inside a cell, which is what lets consecutive cells share the
+        scenario database and Phase 2 cache.
         """
         manifest: Optional[BenchManifest] = None
         if self.checkpoint_dir is not None:

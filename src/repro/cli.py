@@ -109,10 +109,9 @@ def _add_phase2(parser: argparse.ArgumentParser) -> None:
                              "incrementally between grid refits)")
     parser.add_argument("--proposal-batch", type=int, default=1,
                         help="SMS-EGO candidates proposed per GP fit (q); "
-                             "each group is submitted as one evaluation "
-                             "batch so the batched SoC kernel stays "
-                             "saturated mid-run (1 = the exact serial "
-                             "reference behaviour)")
+                             "one GP fit is amortised over the q "
+                             "evaluations of each group (1 = the exact "
+                             "serial reference behaviour)")
     parser.add_argument("--fidelity", choices=("off", "on"), default="off",
                         help="multi-fidelity Phase 2: screen each proposal "
                              "group with the closed-form tier-0 bound "

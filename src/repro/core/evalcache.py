@@ -84,17 +84,10 @@ def config_fingerprint(config: Any) -> Tuple[Hashable, ...]:
     )
 
 
-def design_key(workload: Any, config: Any, *,
-               workload_fp: Tuple[Hashable, ...] | None = None
-               ) -> Tuple[Hashable, ...]:
-    """Content-addressed key for one (workload, accelerator) simulation.
-
-    ``workload_fp`` lets batch callers hoist the (per-layer) workload
-    fingerprint out of a loop over many configs of the same workload.
-    """
-    if workload_fp is None:
-        workload_fp = workload_fingerprint(workload)
-    return ("run_report", config_fingerprint(config), workload_fp)
+def design_key(workload: Any, config: Any) -> Tuple[Hashable, ...]:
+    """Content-addressed key for one (workload, accelerator) simulation."""
+    return ("run_report", config_fingerprint(config),
+            workload_fingerprint(workload))
 
 
 def estimate_key(workload: Any, config: Any, *,

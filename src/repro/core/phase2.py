@@ -88,12 +88,9 @@ class Phase2Result:
 class MultiObjectiveDse:
     """Phase 2 driver: wires the evaluation engine into an optimiser.
 
-    Evaluations run in-process through :class:`DssocEvaluator` and the
-    content-addressed shared report cache (identical designs are
-    simulated once per process).  A batch of two or more designs goes
-    through the batched kernels of
-    :meth:`DssocEvaluator.evaluate_batch`; a single design through
-    :meth:`DssocEvaluator.evaluate`.
+    Evaluations run in-process, one design at a time, through
+    :meth:`DssocEvaluator.evaluate` and the content-addressed shared
+    report cache (identical designs are simulated once per process).
 
     Args:
         database: Validated Phase 1 success rates.
@@ -102,7 +99,7 @@ class MultiObjectiveDse:
         seed: Optimiser RNG seed.
         optimizer_kwargs: Extra optimiser constructor arguments, e.g.
             ``proposal_batch=q`` to make SMS-EGO propose q candidates
-            per GP fit and submit them as one evaluation batch.
+            per GP fit and submit them as one evaluation group.
         fidelity: ``"on"`` screens every proposal group through the
             tier-0 closed-form bound estimator and promotes only the
             top ``promotion_eta`` fraction (plus safety-rail survivors)
@@ -244,38 +241,19 @@ class MultiObjectiveDse:
             return candidate
 
         def objectives(assignment: Assignment) -> Sequence[float]:
+            # The optimiser re-issues the same deterministic request
+            # sequence on resume, so journalled records are served in
+            # order until the journal drains; the rest is evaluated
+            # live.  This also covers a q-point proposal group
+            # interrupted mid-group: the journal records per evaluation,
+            # the optimiser reconstructs the identical group from the
+            # replayed history, and only its unjournalled tail is
+            # simulated.
             if replayer.pending:
                 return replay_one(assignment).objectives
             design = assignment_to_design(assignment)
             return to_candidate(assignment, design,
                                 evaluator.evaluate(design)).objectives
-
-        def batch_objectives(assignments: Sequence[Assignment]
-                             ) -> List[Sequence[float]]:
-            # The optimiser re-issues the same deterministic request
-            # sequence on resume, so journalled records line up with the
-            # batch prefix; the remainder is evaluated live.  This also
-            # covers q-point proposal groups interrupted mid-batch: the
-            # journal records per evaluation, the optimiser reconstructs
-            # the identical group from the replayed history, and only
-            # the unjournalled tail of the group is simulated.
-            out: List[Sequence[float]] = []
-            position = 0
-            while position < len(assignments) and replayer.pending:
-                out.append(replay_one(assignments[position]).objectives)
-                position += 1
-            live = list(assignments[position:])
-            if live:
-                designs = [assignment_to_design(a) for a in live]
-                if len(designs) == 1:
-                    evaluations = [evaluator.evaluate(designs[0])]
-                else:
-                    evaluations = evaluator.evaluate_batch(designs)
-                out.extend(
-                    to_candidate(assignment, design, evaluation).objectives
-                    for assignment, design, evaluation
-                    in zip(live, designs, evaluations))
-            return out
 
         optimizer = self.optimizer_cls(self.space, seed=self.seed,
                                        **self.optimizer_kwargs)
@@ -337,7 +315,6 @@ class MultiObjectiveDse:
         try:
             record = optimizer.optimize(objectives, budget=budget,
                                         reference=reference,
-                                        batch_objective_fn=batch_objectives,
                                         **fidelity_kwargs)
         finally:
             if journal is not None:

@@ -5,7 +5,6 @@ from repro.optim.base import (
     CachingEvaluator,
     Evaluation,
     ObjectiveFn,
-    ObserverFn,
     OptimizationResult,
     Optimizer,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "OptimizationResult",
     "Evaluation",
     "ObjectiveFn",
-    "ObserverFn",
     "CachingEvaluator",
     "MultiFidelityEvaluator",
     "FidelityStats",

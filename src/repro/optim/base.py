@@ -22,19 +22,6 @@ from repro.optim.space import Assignment, DesignSpace
 #: Black-box evaluation: assignment -> objective vector (to minimise).
 ObjectiveFn = Callable[[Assignment], Sequence[float]]
 
-#: Batched evaluation: list of assignments -> list of objective vectors,
-#: in the same order.  Lets the evaluation run as one batched kernel pass
-#: while optimisers stay oblivious.
-BatchObjectiveFn = Callable[[List[Assignment]], Sequence[Sequence[float]]]
-
-#: Called once per *fresh* evaluation, in history order, with the
-#: assignment and its objective vector.  Checkpointing hooks journal
-#: observed points through this: because every optimiser is a
-#: deterministic function of its seed and the observed values, replaying
-#: a journal through the objective function reconstructs the optimiser
-#: state exactly.
-ObserverFn = Callable[[Assignment, np.ndarray], None]
-
 
 @dataclass
 class Evaluation:
@@ -83,15 +70,11 @@ class CachingEvaluator:
 
     def __init__(self, space: DesignSpace, objective_fn: ObjectiveFn,
                  budget: int,
-                 reference: Optional[Sequence[float]] = None,
-                 batch_objective_fn: Optional[BatchObjectiveFn] = None,
-                 observer: Optional[ObserverFn] = None):
+                 reference: Optional[Sequence[float]] = None):
         if budget <= 0:
             raise ConfigError("budget must be positive")
         self.space = space
         self.objective_fn = objective_fn
-        self.batch_objective_fn = batch_objective_fn
-        self.observer = observer
         self.budget = budget
         self.reference = None if reference is None else np.asarray(reference,
                                                                    dtype=float)
@@ -138,42 +121,22 @@ class CachingEvaluator:
 
     def evaluate_batch(self, assignments: Sequence[Assignment]
                        ) -> List[Optional[np.ndarray]]:
-        """Evaluate a batch of assignments, one shared fan-out per batch.
+        """Evaluate a group of assignments, in input order.
 
         Returns one entry per input, in order: the objective vector for
         every point that is cached or fits in the remaining budget, and
         ``None`` for points skipped because the budget ran out.  Unseen
-        points are deduplicated within the batch and evaluated through
-        ``batch_objective_fn`` when one is configured (e.g. the batched
-        SoC kernels), falling back to per-point ``objective_fn`` calls.  The
-        history and hypervolume trace record points in input order, so a
-        batched run is indistinguishable from a serial one.
+        points are deduplicated within the group and passed to
+        ``objective_fn`` one at a time.  The history and hypervolume
+        trace record points in input order, so a grouped run is
+        indistinguishable from a serial one.
         """
         keys = [self.space.key(a) for a in assignments]
-        remaining = self.budget - self.evaluations_used
-        to_eval: List[Tuple[int, Tuple[object, ...]]] = []
-        pending = set()
-        for i, key in enumerate(keys):
-            if key in self._cache or key in pending:
-                continue
-            if len(to_eval) >= remaining:
-                continue
-            pending.add(key)
-            to_eval.append((i, key))
-
-        if to_eval:
-            batch = [assignments[i] for i, _ in to_eval]
-            if self.batch_objective_fn is not None:
-                raw = list(self.batch_objective_fn(batch))
-            else:
-                raw = [self.objective_fn(a) for a in batch]
-            if len(raw) != len(batch):
-                raise ConfigError(
-                    "batch objective function returned "
-                    f"{len(raw)} results for {len(batch)} assignments")
-            for (i, key), vector in zip(to_eval, raw):
-                self._record(key, assignments[i],
-                             np.asarray(vector, dtype=float))
+        for assignment, key in zip(assignments, keys):
+            if key not in self._cache and not self.exhausted:
+                objectives = np.asarray(self.objective_fn(assignment),
+                                        dtype=float)
+                self._record(key, assignment, objectives)
         return [self._cache.get(key) for key in keys]
 
     def _record(self, key: Tuple[object, ...], assignment: Assignment,
@@ -196,8 +159,6 @@ class CachingEvaluator:
         if self.reference is not None:
             self._hv = self._updated_hypervolume(objectives)
             self.result.hypervolume_trace.append(self._hv)
-        if self.observer is not None:
-            self.observer(assignment, objectives)
         return objectives
 
     def _updated_hypervolume(self, objectives: np.ndarray) -> float:
@@ -236,17 +197,17 @@ class Optimizer:
 
     def optimize(self, objective_fn: ObjectiveFn, budget: int,
                  reference: Optional[Sequence[float]] = None,
-                 batch_objective_fn: Optional[BatchObjectiveFn] = None,
-                 observer: Optional[ObserverFn] = None,
                  screen_fn: Optional[Callable] = None,
                  promotion_eta: float = 0.5,
                  promotion_observer: Optional[Callable] = None
                  ) -> OptimizationResult:
         """Spend ``budget`` unique evaluations minimising all objectives.
 
-        ``observer`` is invoked once per fresh evaluation in history
-        order; checkpointing uses it to journal observed points so an
-        interrupted run can be replayed bit-identically.
+        ``objective_fn`` is called once per fresh evaluation, in history
+        order.  Every optimiser is a deterministic function of its seed
+        and the observed values, so a checkpointing caller can journal
+        inside ``objective_fn`` and, on resume, serve the journalled
+        values back through it to rebuild the run bit-identically.
 
         ``screen_fn`` switches on two-tier multi-fidelity evaluation:
         the evaluator becomes a
@@ -264,14 +225,10 @@ class Optimizer:
                 screen_fn=screen_fn,
                 promotion_eta=promotion_eta,
                 promotion_observer=promotion_observer,
-                reference=reference,
-                batch_objective_fn=batch_objective_fn,
-                observer=observer)
+                reference=reference)
         else:
             evaluator = CachingEvaluator(self.space, objective_fn, budget,
-                                         reference=reference,
-                                         batch_objective_fn=batch_objective_fn,
-                                         observer=observer)
+                                         reference=reference)
         rng = np.random.default_rng(self.seed)
         self.run(evaluator, rng)
         return evaluator.result

@@ -14,10 +14,9 @@ proposes q candidates instead of one, selected greedily with a
 kriging-believer-style inner loop -- after each pick, the winner's LCB
 is folded into a *virtual front* so the next pick is penalised for
 overlapping hypervolume -- and the whole group is submitted through
-``CachingEvaluator.evaluate_batch`` so the SoA batch kernel sees full
-batches mid-run, not just during warm-up.  q = 1
-reduces exactly to the serial one-point-per-fit behaviour (same pool
-draws, same single argmax, same ``evaluate`` call path).
+``CachingEvaluator.evaluate_batch``, which records it in pick order.
+q = 1 reduces exactly to the serial one-point-per-fit behaviour (same
+pool draws, same single argmax, same recorded history).
 
 Resume semantics: the whole optimiser is a deterministic function of its
 seed and the observed objective values.  Each proposal group reads the
@@ -74,8 +73,8 @@ class SmsEgoBayesOpt(Optimizer):
         proposal_batch: Candidates proposed per GP fit (q).  The default
             1 is the exact serial behaviour; larger values select q
             points greedily with virtual-front penalisation and submit
-            them as one evaluation batch, amortising the GP fit and
-            keeping the parallel evaluator saturated mid-run.
+            them as one evaluation group, amortising the GP fit over q
+            evaluations.
     """
 
     name = "bayesopt"
@@ -126,8 +125,6 @@ class SmsEgoBayesOpt(Optimizer):
                 break
             if screened:
                 used_before = evaluator.evaluations_used
-                if len(batch) > 1:
-                    self._count_proposal_submission(len(batch))
                 evaluator.evaluate_screened(batch)
                 if evaluator.evaluations_used == used_before:
                     barren_rounds += 1
@@ -135,19 +132,15 @@ class SmsEgoBayesOpt(Optimizer):
                         break
                 else:
                     barren_rounds = 0
-            elif len(batch) == 1:
-                # Single proposals keep the exact legacy call path, so a
-                # q=1 run is indistinguishable from the serial optimiser.
-                evaluator.evaluate(batch[0])
             else:
-                self._count_proposal_submission(len(batch))
+                # Every proposal is unseen and within the budget, so a
+                # group of one records exactly what ``evaluate`` would.
                 evaluator.evaluate_batch(batch)
 
     # ------------------------------------------------------------------
     def _initial_sampling(self, evaluator: CachingEvaluator,
                           rng: np.random.Generator) -> None:
-        """Queue the random warm-up points, then evaluate them as one
-        batch through the batched kernels.
+        """Queue the random warm-up points, then evaluate them as one group.
 
         Points are drawn in vectorised blocks sized to the still-needed
         count (capped at the remaining consecutive-miss budget, so even
@@ -255,21 +248,6 @@ class SmsEgoBayesOpt(Optimizer):
         stats.proposal_groups += 1
         stats.proposed_points += len(picks)
         return [pool[i] for i in picks]
-
-    @staticmethod
-    def _count_proposal_submission(size: int) -> None:
-        """Credit one mid-run proposal batch to the SoC batch counters.
-
-        Imported lazily: the optimiser layer works standalone (toy
-        objectives, unit tests) without the SoC evaluation stack.
-        """
-        try:
-            from repro.soc.batch import batch_stats
-        except ImportError:  # pragma: no cover - optim used standalone
-            return
-        stats = batch_stats()
-        stats.proposal_calls += 1
-        stats.proposal_designs += size
 
     def _reference_point(self, objectives: np.ndarray) -> np.ndarray:
         worst = objectives.max(axis=0)

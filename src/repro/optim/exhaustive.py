@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.optim.base import CachingEvaluator, Optimizer
 
-#: Points handed to the (possibly parallel) batch evaluator at a time.
+#: Points handed to :meth:`CachingEvaluator.evaluate_batch` at a time.
 CHUNK_SIZE = 64
 
 

@@ -34,12 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.optim.base import (
-    BatchObjectiveFn,
-    CachingEvaluator,
-    ObjectiveFn,
-    ObserverFn,
-)
+from repro.optim.base import CachingEvaluator, ObjectiveFn
 from repro.optim.hypervolume import hypervolume_contributions
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
@@ -124,18 +119,14 @@ class MultiFidelityEvaluator(CachingEvaluator):
                  screen_fn: ScreenFn,
                  promotion_eta: float = 0.5,
                  promotion_observer: Optional[PromotionObserverFn] = None,
-                 reference: Optional[Sequence[float]] = None,
-                 batch_objective_fn: Optional[BatchObjectiveFn] = None,
-                 observer: Optional[ObserverFn] = None):
+                 reference: Optional[Sequence[float]] = None):
         if reference is None:
             raise ConfigError(
                 "multi-fidelity evaluation needs a reference point: "
                 "promotion scores are hypervolume contributions")
         if not 0.0 < promotion_eta <= 1.0:
             raise ConfigError("promotion_eta must be in (0, 1]")
-        super().__init__(space, objective_fn, budget, reference=reference,
-                         batch_objective_fn=batch_objective_fn,
-                         observer=observer)
+        super().__init__(space, objective_fn, budget, reference=reference)
         self.screen_fn = screen_fn
         self.promotion_eta = promotion_eta
         self.promotion_observer = promotion_observer

@@ -1,12 +1,12 @@
 """Delta arithmetic shared by the process-wide stat records.
 
-``CacheStats``, ``PoolStats``, ``GpStats``, ``BatchStats`` and
-``FidelityStats`` are dataclasses of numeric counters, each with one
-live process-wide instance.  The profiler measures a phase as the
-difference of two snapshots of that instance and sums the deltas per
-phase; :class:`DeltaCounters` gives every record that arithmetic once.
+``CacheStats``, ``PoolStats``, ``GpStats`` and ``FidelityStats`` are
+dataclasses of numeric counters, each with one live process-wide
+instance.  The profiler measures a phase as the difference of two
+snapshots of that instance and sums the deltas per phase;
+:class:`DeltaCounters` gives every record that arithmetic once.
 
-This module imports nothing from ``repro``, so the five owners can use
+This module imports nothing from ``repro``, so the four owners can use
 it without pulling in :mod:`repro.perf.profiler`, which imports them.
 """
 

@@ -2,7 +2,7 @@
 
 The profiler is deliberately dependency-free (stdlib only): phases are
 timed with ``time.perf_counter`` context managers, and the process-wide
-cache, pool, GP, batch and fidelity counters are measured as deltas
+cache, pool, GP and fidelity counters are measured as deltas
 across each phase, so activity outside the profiled window does not
 pollute the numbers.
 """
@@ -18,7 +18,6 @@ from repro.core.evalcache import CacheStats, shared_report_cache
 from repro.core.parallel import PoolStats, pool_stats
 from repro.optim.fidelity import FidelityStats, fidelity_stats
 from repro.optim.gp import GpStats, gp_stats
-from repro.soc.batch import BatchStats, batch_stats
 
 #: Every process-wide stat record a phase measures as a delta:
 #: (``PhaseRecord`` field, accessor of the live record).  The report
@@ -27,7 +26,6 @@ _STAT_SOURCES = (
     ("cache", lambda: shared_report_cache().stats),
     ("pool", pool_stats),
     ("gp", gp_stats),
-    ("batch", batch_stats),
     ("fidelity", fidelity_stats),
 )
 
@@ -49,9 +47,6 @@ class PhaseRecord:
     #: GP surrogate fitting activity (full refits vs incremental
     #: factor updates) within the phase.
     gp: GpStats = field(default_factory=GpStats)
-    #: Batched-evaluation activity (calls, designs, kernel-simulated
-    #: designs) within the phase.
-    batch: BatchStats = field(default_factory=BatchStats)
     #: Multi-fidelity screening activity (tier-0 screens, promotions,
     #: pruned simulator evaluations) within the phase.
     fidelity: FidelityStats = field(default_factory=FidelityStats)
@@ -195,17 +190,6 @@ def render_profile(report: ProfileReport) -> str:
                 f"{phase.name} proposals: {phase.gp.proposal_groups} "
                 f"groups, {phase.gp.proposed_points} points, "
                 f"mean group size {phase.gp.mean_proposal_group:.1f}")
-        if phase.batch.batch_calls:
-            line = (
-                f"{phase.name} batches: {phase.batch.batch_calls} calls, "
-                f"mean batch size {phase.batch.mean_batch_size:.1f}, "
-                f"{phase.batch.kernel_designs} kernel-simulated designs "
-                f"({phase.batch.kernel_wall_s:.3f} s in kernels)")
-            if phase.batch.proposal_calls:
-                line += (
-                    f", {phase.batch.proposal_calls} proposal batches "
-                    f"(mean {phase.batch.mean_proposal_batch:.1f})")
-            lines.append(line)
         if phase.fidelity.screen_calls:
             fid = phase.fidelity
             lines.append(

@@ -1,11 +1,5 @@
 """SCALE-Sim-style systolic-array accelerator simulator."""
 
-from repro.scalesim.batch import (
-    BatchSimulation,
-    analyze_traffic_batch,
-    map_gemm_batch,
-    simulate_batch,
-)
 from repro.scalesim.config import (
     PE_DIM_CHOICES,
     SRAM_KB_CHOICES,
@@ -32,12 +26,8 @@ __all__ = [
     "hardware_space_size",
     "MappingStats",
     "map_gemm",
-    "map_gemm_batch",
     "TrafficStats",
     "analyze_traffic",
-    "analyze_traffic_batch",
-    "BatchSimulation",
-    "simulate_batch",
     "BoundEstimate",
     "WorkloadAggregates",
     "estimate_batch",

@@ -1,6 +1,7 @@
 """Tier-0 roofline estimator: closed-form lower bounds on the simulator.
 
-The exact batch kernel (:mod:`repro.scalesim.batch`) still walks every
+The exact simulator
+(:class:`~repro.scalesim.simulator.SystolicArraySimulator`) walks every
 ``(config, layer)`` pair: fold schedules, operand-fit tests and the
 re-fetch orientation choice are all per-layer work.  For multi-fidelity
 DSE the screening stage does not need any of that -- it needs *cheap,
@@ -14,9 +15,9 @@ whole config batch as ``(B,)`` array expressions -- no fold schedule, no
 per-layer loop, no ``(B, L)`` intermediates.
 
 Every column of :class:`BoundEstimate` is a certified lower bound of the
-corresponding exact :func:`~repro.scalesim.batch.simulate_batch` total
-(the property suite ``tests/scalesim/test_estimate.py`` enforces this
-over random configs x the model zoo):
+corresponding layer-sum of the exact simulator's report (the property
+suite ``tests/scalesim/test_estimate.py`` enforces this over random
+configs x the model zoo):
 
 * **Compute cycles.**  Each dataflow computes ``folds * per_fold`` where
   ``folds = ceil(d1/r) * ceil(d2/c) >= d1*d2 / (r*c)`` and ``per_fold =
@@ -39,7 +40,7 @@ over random configs x the model zoo):
   prologue costs at least one cycle.
 
 Lower bounds here use exact *integer* ceiling division (``-(-a // b)``),
-never the float-division ceil of the exact kernel: the bound argument is
+never the float-division ceil of the exact simulator: the bound argument is
 arithmetic, not bit-equality with the scalar model.
 """
 
@@ -125,8 +126,8 @@ def lower_workload_aggregates(workload: NetworkWorkload
 class BoundEstimate:
     """``(B,)`` certified lower bounds for one workload x config batch.
 
-    Every column bounds the corresponding exact
-    :func:`~repro.scalesim.batch.simulate_batch` layer-sum from below;
+    Every column bounds the corresponding layer-sum of the exact
+    simulator's :class:`~repro.scalesim.report.RunReport` from below;
     ``dram_bytes`` is config-independent and broadcast to the batch.
     """
 
@@ -170,8 +171,7 @@ def estimate_batch(workload: Union[NetworkWorkload, WorkloadAggregates],
     """Evaluate every bound for one workload over a config batch.
 
     Configs are grouped by dataflow (one vectorised expression per
-    distinct dataflow, scattered back into batch order), mirroring
-    :func:`~repro.scalesim.batch.map_gemm_batch`.
+    distinct dataflow, scattered back into batch order).
     """
     if isinstance(workload, WorkloadAggregates):
         agg = workload

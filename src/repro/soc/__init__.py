@@ -10,7 +10,6 @@ from repro.soc.components import (
     fixed_components,
     fixed_components_power_w,
 )
-from repro.soc.batch import BatchStats, batch_stats, evaluate_design_batch
 from repro.soc.estimate import DesignBounds, Tier0Estimator, power_weight_floor
 from repro.soc.dssoc import (
     DssocDesign,
@@ -34,9 +33,6 @@ __all__ = [
     "SENSOR_FRAMERATE_CHOICES",
     "fixed_components",
     "fixed_components_power_w",
-    "BatchStats",
-    "batch_stats",
-    "evaluate_design_batch",
     "DesignBounds",
     "Tier0Estimator",
     "power_weight_floor",

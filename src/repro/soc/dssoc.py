@@ -124,19 +124,6 @@ class DssocEvaluator:
             weight=compute_weight(tdp_w),
         )
 
-    def evaluate_batch(self, designs: "list[DssocDesign]") -> "list[DssocEvaluation]":
-        """Evaluate many design points in one vectorised pass.
-
-        Uncached accelerator configs are simulated through the SoA batch
-        kernel (:mod:`repro.scalesim.batch`, one pass per distinct
-        policy network) and the power/weight models run as array
-        expressions over the whole pool (:mod:`repro.soc.batch`).
-        Bit-identical to calling :meth:`evaluate` per design, and shares
-        the same process-wide report cache.
-        """
-        from repro.soc.batch import evaluate_design_batch
-        return evaluate_design_batch(self, designs)
-
 
 def evaluate_dssoc(design: DssocDesign,
                    operating_fps: Optional[float] = None) -> DssocEvaluation:

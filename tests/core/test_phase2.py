@@ -11,10 +11,9 @@ from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import ConfigError
 from repro.optim.bayesopt import SmsEgoBayesOpt
 from repro.optim.fidelity import fidelity_stats
-from repro.optim.gp import MultiObjectiveGP
+from repro.optim.gp import MultiObjectiveGP, gp_stats
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.random_search import RandomSearch
-from repro.soc.batch import batch_stats
 from repro.uav.platforms import NANO_ZHANG
 
 
@@ -236,11 +235,11 @@ def assert_histories_identical(a, b):
 
 @pytest.fixture(scope="module")
 def q8_run(database, task, full_reference):
-    """The q=8 single-fidelity run and its batch-counter delta."""
-    before = batch_stats().snapshot()
+    """The q=8 single-fidelity run and its GP-counter delta."""
+    before = gp_stats().snapshot()
     result = run_full_space(database, task, full_reference,
                             proposal_batch=8)
-    return result, batch_stats().since(before)
+    return result, gp_stats().since(before)
 
 
 class TestProposalBatch:
@@ -254,8 +253,8 @@ class TestProposalBatch:
         assert_histories_identical(oracle.optimization, q1.optimization)
 
     def test_q8_mean_mid_run_batch_at_least_four(self, q8_run):
-        _, batches = q8_run
-        assert batches.mean_proposal_batch >= 4.0
+        _, gp = q8_run
+        assert gp.mean_proposal_group >= 4.0
 
 
 class TestMultiFidelityRun:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError
 from repro.optim.base import CachingEvaluator
 from repro.optim.hypervolume import hypervolume
 from repro.optim.space import DesignSpace, Dimension
@@ -84,29 +83,6 @@ class TestEvaluateBatch:
         again = evaluator.evaluate_batch(points)
         assert all(vector is not None for vector in again)
 
-    def test_batch_objective_fn_used_once_per_batch(self):
-        space = make_space()
-        points = list(space.all_points())[:8]
-        batches = []
-
-        def batch_fn(assignments):
-            batches.append(len(assignments))
-            return [objective(a) for a in assignments]
-
-        evaluator = CachingEvaluator(space, objective, budget=20,
-                                     batch_objective_fn=batch_fn)
-        evaluator.evaluate_batch(points)
-        assert batches == [8]
-
-    def test_wrong_length_batch_result_rejected(self):
-        space = make_space()
-        points = list(space.all_points())[:4]
-        evaluator = CachingEvaluator(
-            space, objective, budget=10,
-            batch_objective_fn=lambda batch: [objective(batch[0])])
-        with pytest.raises(ConfigError):
-            evaluator.evaluate_batch(points)
-
 
 class TestFrozenObjectiveVectors:
     """Recorded vectors are shared by cache, history and callers --
@@ -160,13 +136,13 @@ class TestBudgetExhaustionMidBatch:
     def test_cached_vectors_skipped_nones_and_observer_order(self):
         space = make_space()
         points = list(space.all_points())[:6]
-        observed = []
+        calls = []
 
-        def observer(assignment, objectives):
-            observed.append(dict(assignment))
+        def counting(assignment):
+            calls.append(dict(assignment))
+            return objective(assignment)
 
-        evaluator = CachingEvaluator(space, objective, budget=4,
-                                     observer=observer)
+        evaluator = CachingEvaluator(space, counting, budget=4)
         evaluator.evaluate(points[0])
         evaluator.evaluate(points[1])
 
@@ -182,22 +158,34 @@ class TestBudgetExhaustionMidBatch:
         assert results[4] is None and results[5] is None
         assert evaluator.exhausted
         assert evaluator.evaluations_used == 4
-        # Observer saw every fresh evaluation in input order: the two
+        # The history holds every fresh evaluation in input order, and
+        # the objective function saw them in that order: the two
         # pre-batch points, then the two in-batch points that fit.
-        assert observed == [points[0], points[1], points[2], points[3]]
+        expected = [points[0], points[1], points[2], points[3]]
+        assert [e.assignment for e in evaluator.result.evaluations] == \
+            expected
+        assert calls == expected
 
     def test_history_matches_observer_after_mid_batch_exhaustion(self):
+        """A journal kept inside the objective function, as Phase 2
+        keeps one, matches the history after the budget runs out."""
         space = make_space()
         points = list(space.all_points())[:5]
-        observed = []
-        evaluator = CachingEvaluator(
-            space, objective, budget=3, reference=[2.0, 2.0, 2.0],
-            observer=lambda a, o: observed.append((dict(a), o.copy())))
+        journal = []
+
+        def journalled(assignment):
+            vector = objective(assignment)
+            journal.append((dict(assignment), vector))
+            return vector
+
+        evaluator = CachingEvaluator(space, journalled, budget=3,
+                                     reference=[2.0, 2.0, 2.0])
         evaluator.evaluate_batch(points)
         assert len(evaluator.result.evaluations) == 3
         assert len(evaluator.result.hypervolume_trace) == 3
+        assert len(journal) == 3
         for (seen_a, seen_o), evaluation in zip(
-                observed, evaluator.result.evaluations):
+                journal, evaluator.result.evaluations):
             assert seen_a == evaluation.assignment
             np.testing.assert_array_equal(seen_o, evaluation.objectives)
 

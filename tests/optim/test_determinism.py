@@ -1,11 +1,11 @@
-"""Seed-determinism and observer-hook tests for every optimiser.
+"""Seed-determinism and journal-replay tests for every optimiser.
 
 Bit-identical resume rests on one property: an optimiser is a pure
 function of its seed and the observed objective values.  These tests
 pin that property for the whole registry -- full histories (assignments
 *and* float objective vectors *and* hypervolume traces) must be
-bit-identical across same-seed runs -- and exercise the ``observer``
-hook the checkpointing layer journals through.
+bit-identical across same-seed runs -- and replay a journal kept inside
+the objective function, the way Phase 2 checkpoints.
 """
 
 import numpy as np
@@ -70,22 +70,8 @@ class TestSeedDeterminism:
 
 
 class TestObserverHook:
-    @pytest.mark.parametrize("optimizer_cls", ALL_OPTIMIZERS)
-    def test_observer_sees_every_fresh_evaluation_in_order(self, toy_space,
-                                                           optimizer_cls):
-        observed = []
-
-        def observer(assignment, objectives):
-            observed.append((dict(assignment), objectives.copy()))
-
-        result = optimizer_cls(toy_space, seed=3).optimize(
-            toy_objectives, budget=20, reference=REFERENCE,
-            observer=observer)
-        assert len(observed) == len(result.evaluations)
-        for (seen_a, seen_o), evaluation in zip(observed,
-                                                result.evaluations):
-            assert seen_a == evaluation.assignment
-            np.testing.assert_array_equal(seen_o, evaluation.objectives)
+    """Journalling through the objective function: every fresh
+    evaluation calls it once, in history order."""
 
     @pytest.mark.parametrize("proposal_batch", [1, 4])
     def test_replaying_observed_values_reproduces_the_run(self, toy_space,
@@ -96,11 +82,16 @@ class TestObserverHook:
         ``proposal_batch > 1`` this also pins that replay reconstructs
         the same q-point groups bit-identically."""
         journal = []
+
+        def journalled(assignment):
+            objectives = toy_objectives(assignment)
+            journal.append((dict(assignment), objectives))
+            return objectives
+
         baseline = SmsEgoBayesOpt(
             toy_space, seed=5, num_initial=4,
             proposal_batch=proposal_batch).optimize(
-            toy_objectives, budget=16, reference=REFERENCE,
-            observer=lambda a, o: journal.append((dict(a), o.copy())))
+            journalled, budget=16, reference=REFERENCE)
 
         cursor = iter(journal)
 
@@ -141,40 +132,28 @@ class TestProposalBatchDeterminism:
         np.testing.assert_array_equal(
             np.asarray(a.hypervolume_trace), np.asarray(b.hypervolume_trace))
 
-    def test_batched_replay_reconstructs_group_boundaries(self, toy_space):
-        """Replaying through a *batch* objective function (the phase 2
-        resume path) re-issues the exact same q-groups: every replayed
-        batch must line up with the recorded group sizes and contents."""
-        recorded_groups = []
-
-        def live_batch(assignments):
-            recorded_groups.append([dict(a) for a in assignments])
-            return [toy_objectives(a) for a in assignments]
-
+    def test_batched_replay_reconstructs_group_boundaries(
+            self, toy_space, evaluated_groups):
+        """Replaying a journal (the phase 2 resume path) re-issues the
+        exact same q-groups: every replayed group must line up with the
+        recorded group sizes and contents."""
         def make():
             return SmsEgoBayesOpt(toy_space, seed=8, num_initial=4,
                                   proposal_batch=4)
 
         baseline = make().optimize(toy_objectives, budget=20,
-                                   reference=REFERENCE,
-                                   batch_objective_fn=live_batch)
+                                   reference=REFERENCE)
+        recorded_groups = list(evaluated_groups)
+        del evaluated_groups[:]
 
-        replayed_groups = []
-        flat = [e for group in recorded_groups for e in group]
-        cursor = iter(flat)
+        cursor = iter([e for group in recorded_groups for e in group])
 
-        def replay_batch(assignments):
-            replayed_groups.append([dict(a) for a in assignments])
-            out = []
-            for assignment in assignments:
-                recorded = next(cursor)
-                assert recorded == dict(assignment)
-                out.append(toy_objectives(assignment))
-            return out
+        def replayed(assignment):
+            recorded = next(cursor)
+            assert recorded == dict(assignment)
+            return toy_objectives(assignment)
 
-        replay = make().optimize(toy_objectives, budget=20,
-                                 reference=REFERENCE,
-                                 batch_objective_fn=replay_batch)
-        assert replayed_groups == recorded_groups
+        replay = make().optimize(replayed, budget=20, reference=REFERENCE)
+        assert evaluated_groups == recorded_groups
         np.testing.assert_array_equal(replay.objective_matrix,
                                       baseline.objective_matrix)

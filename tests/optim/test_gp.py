@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.optim.gp import GaussianProcess, se_kernel
+from repro.optim.gp import (
+    GaussianProcess,
+    MultiObjectiveGP,
+    _median_heuristic,
+    gp_stats,
+    pairwise_sq,
+    se_kernel,
+)
 
 
 class TestSeKernel:
@@ -103,3 +110,109 @@ class TestGaussianProcess:
     def test_nonpositive_noise_rejected(self):
         with pytest.raises(ConfigError):
             GaussianProcess(noise=0.0)
+
+
+class TestMedianHeuristic:
+    """The partition median must give ``np.median``'s bits exactly."""
+
+    @staticmethod
+    def numpy_median(x):
+        sq = pairwise_sq(x, x)
+        upper = np.sqrt(sq[np.triu_indices(len(x), k=1)])
+        positive = upper[upper > 0]
+        return float(np.median(positive)) if positive.size else 1.0
+
+    @pytest.mark.parametrize("points", [
+        [[0.0], [0.3]],
+        [[0.0], [0.3], [1.0]],
+        [[0.0], [0.1], [0.5], [1.0]],
+        [[0.0], [0.5], [1.0], [1.5]],
+        [[0.0], [0.0], [0.4]],
+    ], ids=["one-distance", "odd", "even", "even-tied", "duplicate-points"])
+    def test_matches_numpy_median(self, points):
+        x = np.asarray(points)
+        assert _median_heuristic(x) == self.numpy_median(x)
+
+    def test_matches_numpy_median_on_random_inputs(self):
+        rng = np.random.default_rng(0)
+        for trial in range(400):
+            n = int(rng.integers(2, 40))
+            d = int(rng.integers(1, 8))
+            # Grid inputs tie many distances; uniform ones rarely do.
+            x = (rng.integers(0, 4, size=(n, d)) / 3.0 if trial % 2
+                 else rng.uniform(size=(n, d)))
+            assert _median_heuristic(x) == self.numpy_median(x)
+
+
+class TestGpIncrementalEquivalence:
+    """MultiObjectiveGP vs per-objective GaussianProcess refits."""
+
+    def _data(self, seed, n, d=7, m=3):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 8, size=(n, d)) / 7.0  # grid-like BO inputs
+        y = rng.normal(size=(n, m))
+        xq = rng.integers(0, 8, size=(19, d)) / 7.0
+        return x, y, xq
+
+    def test_shared_factorisation_bit_identical_to_scalar(self):
+        for seed in range(5):
+            x, y, xq = self._data(seed, n=12 + 3 * seed)
+            mo = MultiObjectiveGP().fit(x, y)
+            means, stds = mo.predict(xq)
+            for j in range(y.shape[1]):
+                gp = GaussianProcess().fit(x, y[:, j])
+                mean, std = gp.predict(xq)
+                assert gp.fitted_lengthscale == mo.fitted_lengthscales[j]
+                assert np.array_equal(mean, means[:, j])
+                assert np.array_equal(std, stds[:, j])
+
+    def test_incremental_update_matches_full_refit(self):
+        # At a fixed lengthscale the extended factor must reproduce the
+        # from-scratch factorisation to numerical round-off.
+        x, y, xq = self._data(3, n=26)
+        inc = MultiObjectiveGP(lengthscale=0.8, refit_every=16)
+        ref = MultiObjectiveGP(lengthscale=0.8)
+        inc.fit(x[:18], y[:18])
+        for n in range(19, 27):
+            inc.fit(x[:n], y[:n])
+        ref.fit(x, y)
+        im, isd = inc.predict(xq)
+        rm, rsd = ref.predict(xq)
+        assert np.abs(im - rm).max() < 1e-8
+        assert np.abs(isd - rsd).max() < 1e-8
+
+    def test_refit_cadence_counts_grid_fits(self):
+        x, y, _ = self._data(4, n=20, m=2)
+        gp = MultiObjectiveGP(refit_every=3)
+        before = gp_stats().snapshot()
+        gp.fit(x[:10], y[:10])
+        for n in range(11, 21):
+            gp.fit(x[:n], y[:n])
+        delta = gp_stats().since(before)
+        # Grid refits at n=10 (first) then every 3rd appended point;
+        # the other fits must take the incremental path.
+        assert delta.full_fits == 2 * 4  # 4 grid fits x 2 objectives
+        assert delta.incremental_updates == 2 * 7
+        assert delta.update_wall_s >= 0.0
+
+    def test_changed_prefix_falls_back_to_exact_refit(self):
+        x, y, xq = self._data(6, n=15)
+        gp = MultiObjectiveGP(refit_every=50).fit(x[:10], y[:10])
+        x2 = x.copy()
+        x2[0, 0] += 0.5  # history rewritten: the factor cannot extend
+        gp.fit(x2, y)
+        fresh = MultiObjectiveGP(refit_every=50).fit(x2, y)
+        gm, gs = gp.predict(xq)
+        fm, fs = fresh.predict(xq)
+        assert np.array_equal(gm, fm)
+        assert np.array_equal(gs, fs)
+
+    def test_default_refit_every_is_exact(self):
+        # refit_every=1 never takes the incremental path, keeping the
+        # legacy fit-every-proposal behaviour bit-for-bit.
+        x, y, _ = self._data(7, n=12, m=2)
+        gp = MultiObjectiveGP()
+        before = gp_stats().snapshot()
+        gp.fit(x[:10], y[:10])
+        gp.fit(x, y)
+        assert gp_stats().since(before).incremental_updates == 0

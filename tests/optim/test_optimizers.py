@@ -98,45 +98,19 @@ class TestBayesOpt:
 class TestProposalBatch:
     """q-point batched acquisition (kriging-believer inner loop)."""
 
-    def test_q1_keeps_serial_call_path(self, toy_space):
-        """With q=1 only the warm-up goes through the batch fan-out;
-        every proposal uses the exact legacy evaluate() path."""
-        sizes = []
-
-        def batch_fn(assignments):
-            sizes.append(len(assignments))
-            return [toy_objectives(a) for a in assignments]
-
-        SmsEgoBayesOpt(toy_space, seed=2, num_initial=6).optimize(
-            toy_objectives, budget=16, reference=REFERENCE,
-            batch_objective_fn=batch_fn)
-        assert sizes == [6]
-
-    def test_mid_run_groups_submitted_as_full_batches(self, toy_space):
-        sizes = []
-
-        def batch_fn(assignments):
-            sizes.append(len(assignments))
-            return [toy_objectives(a) for a in assignments]
-
+    def test_mid_run_groups_submitted_as_full_batches(self, toy_space,
+                                                      evaluated_groups):
         SmsEgoBayesOpt(toy_space, seed=2, num_initial=6,
                        proposal_batch=4).optimize(
-            toy_objectives, budget=26, reference=REFERENCE,
-            batch_objective_fn=batch_fn)
-        assert sizes == [6, 4, 4, 4, 4, 4]
+            toy_objectives, budget=26, reference=REFERENCE)
+        assert [len(g) for g in evaluated_groups] == [6, 4, 4, 4, 4, 4]
 
-    def test_last_group_clamped_to_remaining_budget(self, toy_space):
-        sizes = []
-
-        def batch_fn(assignments):
-            sizes.append(len(assignments))
-            return [toy_objectives(a) for a in assignments]
-
+    def test_last_group_clamped_to_remaining_budget(self, toy_space,
+                                                    evaluated_groups):
         result = SmsEgoBayesOpt(toy_space, seed=2, num_initial=6,
                                 proposal_batch=4).optimize(
-            toy_objectives, budget=24, reference=REFERENCE,
-            batch_objective_fn=batch_fn)
-        assert sizes == [6, 4, 4, 4, 4, 2]
+            toy_objectives, budget=24, reference=REFERENCE)
+        assert [len(g) for g in evaluated_groups] == [6, 4, 4, 4, 4, 2]
         assert len(result.evaluations) == 24
 
     def test_group_members_are_distinct_unseen_points(self, toy_space):

@@ -132,3 +132,41 @@ class TestDesignSpace:
         b = space.key({"b": "y", "a": 2})
         assert a == b
         hash(a)
+
+
+class TestSampleBlockStream:
+    """Vectorised sampling must consume the seed's exact RNG stream."""
+
+    def _space(self):
+        return DesignSpace([
+            Dimension("a", tuple(range(4))),
+            Dimension("b", tuple(range(7))),
+            Dimension("c", tuple(range(3))),
+        ])
+
+    def test_block_matches_sequential_draws(self):
+        space = self._space()
+        for seed in range(10):
+            r_seq = np.random.default_rng(seed)
+            r_blk = np.random.default_rng(seed)
+            expected = [
+                {dim.name: dim.values[r_seq.integers(len(dim.values))]
+                 for dim in space.dimensions}
+                for _ in range(9)
+            ]
+            points, keys = space.sample_block(r_blk, 9)
+            assert points == expected
+            assert keys == [space.key(p) for p in points]
+            # Post-draw generator state must match too.
+            assert r_seq.integers(10 ** 6) == r_blk.integers(10 ** 6)
+
+    def test_sample_delegates_to_block(self):
+        space = self._space()
+        a = space.sample(np.random.default_rng(3), 5)
+        b, _ = space.sample_block(np.random.default_rng(3), 5)
+        assert a == b
+
+    def test_empty_block(self):
+        points, keys = self._space().sample_block(
+            np.random.default_rng(0), 0)
+        assert points == [] and keys == []

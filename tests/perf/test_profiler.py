@@ -9,7 +9,6 @@ from repro.core.parallel import PoolStats
 from repro.optim.fidelity import FidelityStats
 from repro.optim.gp import GpStats
 from repro.perf import PhaseRecord, Profiler, ProfileReport, render_profile
-from repro.soc.batch import BatchStats
 
 
 class TestProfiler:
@@ -145,8 +144,6 @@ total                 0.788      25               20059               35.0%
 phase2 gp: 39 full fits (0.016 s), 6 incremental updates (0.002 s), \
 65 factorisations
 phase2 proposals: 4 groups, 13 points, mean group size 3.2
-phase2 batches: 5 calls, mean batch size 7.4, 30 kernel-simulated designs \
-(0.012 s in kernels), 4 proposal batches (mean 3.2)
 phase2 fidelity: 32 screened in 4 groups (0.004 s), 13 promoted \
 (41%, 2 via safety rail), 19 simulator evals avoided (~0.04 s saved)
 pool faults: 2 chunk failures, 2 retries, 1 respawns, 1 poisoned, \
@@ -167,10 +164,6 @@ def _golden_report() -> ProfileReport:
                                factorisations=65, fit_wall_s=0.016,
                                update_wall_s=0.0021, proposal_groups=4,
                                proposed_points=13),
-                    batch=BatchStats(batch_calls=5, batched_designs=37,
-                                     kernel_designs=30, proposal_calls=4,
-                                     proposal_designs=13,
-                                     kernel_wall_s=0.0123),
                     fidelity=FidelityStats(screen_calls=4, screened=32,
                                            promoted=13, rail_promotions=2,
                                            screen_wall_s=0.004,
@@ -187,7 +180,7 @@ class TestRenderGolden:
 
 
 @pytest.mark.parametrize("stats_cls", [CacheStats, PoolStats, GpStats,
-                                       BatchStats, FidelityStats])
+                                       FidelityStats])
 def test_stat_records_share_the_delta_arithmetic(stats_cls):
     live = stats_cls()
     names = list(vars(live))

@@ -1,7 +1,7 @@
 """Tier-0 estimator soundness: certified lower bounds + rank quality.
 
 The multi-fidelity pruning rail (DESIGN.md section 12) is sound only if
-every tier-0 column truly bounds the exact batch kernel from below.
+every tier-0 column truly bounds the exact simulator from below.
 These tests check that invariant over random accelerator configs x the
 model zoo (hypothesis-driven), and pin the screening *signal*: the
 tier-0 total-cycle estimate must rank a random DSE pool close to the
@@ -11,7 +11,6 @@ exact simulator (Kendall tau floor).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.scalesim.batch import simulate_batch
 from repro.scalesim.config import (
     PE_DIM_CHOICES,
     SRAM_KB_CHOICES,
@@ -22,11 +21,8 @@ from repro.scalesim.estimate import (
     estimate_batch,
     lower_workload_aggregates,
 )
-from tests.scalesim.test_batch_equivalence import (
-    ZOO,
-    random_configs,
-    workload_for,
-)
+from repro.scalesim.simulator import SystolicArraySimulator
+from tests.scalesim.zoo import ZOO, random_configs, workload_for
 
 #: Floor on the tier-0 vs tier-1 rank correlation over a random pool.
 #: Measured ~0.8; 0.5 leaves headroom while still catching a broken
@@ -61,23 +57,33 @@ def kendall_tau(a, b) -> float:
     return (concordant - discordant) / denom
 
 
+def exact_reports(workload, configs):
+    """The exact simulator's report per config, bypassing the cache."""
+    return [SystolicArraySimulator(config)._simulate(workload)
+            for config in configs]
+
+
+def layer_sum(report, value):
+    return sum(value(layer) for layer in report.layers)
+
+
 def assert_bounds_hold(workload, configs):
-    """Every tier-0 column must bound the exact kernel from below."""
+    """Every tier-0 column must bound the exact simulator from below."""
     estimate = estimate_batch(workload, configs)
-    sim = simulate_batch(workload, configs)
-    assert np.all(estimate.compute_cycles
-                  <= sim.mapping.compute_cycles.sum(axis=1))
-    assert np.all(estimate.total_cycles <= sim.total_cycles.sum(axis=1))
-    exact_dram = (sim.traffic.dram_ifmap_read_bytes
-                  + sim.traffic.dram_filter_read_bytes
-                  + sim.traffic.dram_ofmap_write_bytes).sum(axis=1)
-    assert np.all(estimate.dram_bytes <= exact_dram)
-    assert np.all(estimate.ifmap_sram_reads
-                  <= sim.mapping.ifmap_sram_reads.sum(axis=1))
-    assert np.all(estimate.filter_sram_reads
-                  <= sim.mapping.filter_sram_reads.sum(axis=1))
-    assert np.all(estimate.ofmap_sram_writes
-                  <= sim.mapping.ofmap_sram_writes.sum(axis=1))
+    for i, report in enumerate(exact_reports(workload, configs)):
+        assert estimate.compute_cycles[i] <= layer_sum(
+            report, lambda l: l.mapping.compute_cycles)
+        assert estimate.total_cycles[i] <= report.total_cycles
+        assert estimate.dram_bytes[i] <= layer_sum(
+            report, lambda l: (l.traffic.dram_ifmap_read_bytes
+                               + l.traffic.dram_filter_read_bytes
+                               + l.traffic.dram_ofmap_write_bytes))
+        assert estimate.ifmap_sram_reads[i] <= layer_sum(
+            report, lambda l: l.mapping.ifmap_sram_reads)
+        assert estimate.filter_sram_reads[i] <= layer_sum(
+            report, lambda l: l.mapping.filter_sram_reads)
+        assert estimate.ofmap_sram_writes[i] <= layer_sum(
+            report, lambda l: l.mapping.ofmap_sram_writes)
 
 
 class TestLowerBounds:
@@ -155,9 +161,9 @@ class TestScreeningSignal:
             workload = workload_for(policy)
             configs = random_configs(rng, 60)
             estimate = estimate_batch(workload, configs)
-            sim = simulate_batch(workload, configs)
-            tau = kendall_tau(estimate.total_cycles,
-                              sim.total_cycles.sum(axis=1))
+            exact = [report.total_cycles
+                     for report in exact_reports(workload, configs)]
+            tau = kendall_tau(estimate.total_cycles, exact)
             assert tau >= MIN_KENDALL_TAU, (
                 f"{policy.identifier}: tier-0/tier-1 Kendall tau "
                 f"{tau:.3f} < {MIN_KENDALL_TAU}")

@@ -17,7 +17,7 @@ from repro.nn.template import PolicyHyperparams
 from repro.nn.workload import lower_network
 from repro.soc.dssoc import DssocDesign, DssocEvaluator
 from repro.soc.estimate import Tier0Estimator, power_weight_floor
-from tests.scalesim.test_batch_equivalence import ZOO, random_configs
+from tests.scalesim.zoo import ZOO, random_configs
 
 
 def random_designs(seed, count):
@@ -34,7 +34,7 @@ class TestFloors:
         designs = random_designs(seed=41, count=48)
         evaluator = DssocEvaluator(operating_fps=operating_fps)
         bounds = Tier0Estimator(evaluator).estimate_designs(designs)
-        exact = evaluator.evaluate_batch(list(designs))
+        exact = [evaluator.evaluate(design) for design in designs]
         for i, evaluation in enumerate(exact):
             assert bounds.latency_s[i] <= evaluation.latency_seconds
             assert bounds.soc_power_w[i] <= evaluation.soc_power_w

@@ -111,8 +111,8 @@ status = repro.cli.main(["design", "--uav", "nano", "--scenario", "low",
                          "--budget", "20", "--seed", "3",
                          "--proposal-batch", "4", "--gp-refit-every", "4",
                          "--output", sys.argv[1]])
-print(sorted(name for name in sys.modules if name == "scipy"
-             or name.startswith(("scipy.", "repro.bench",
+print(sorted(name for name in sys.modules if name in ("scipy", "numpy.ma")
+             or name.startswith(("scipy.", "numpy.ma.", "repro.bench",
                                  "repro.experiments", "multiprocessing",
                                  "concurrent"))))
 sys.exit(status)
