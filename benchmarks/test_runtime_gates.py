@@ -2,11 +2,11 @@
 
 Every gate times a mechanism against its reference in this process, on
 one fixed workload, and asserts the ratio the mechanism exists for:
-the vectorised Phase 1 engine with its training cache, the shared-factor
-GP, q-point proposals, multi-fidelity screening and checkpointing.
-Their correctness halves (bit-identity, cache reuse, resume equivalence)
-are tier-1 tests under ``tests/``; this module only times, so it stays
-out of tier-1.  It runs with the paper-figure drivers::
+the vectorised Phase 1 engine, the shared-factor GP, q-point proposals,
+multi-fidelity screening and checkpointing.  Their correctness halves
+(bit-identity, cache reuse, resume equivalence) are tier-1 tests under
+``tests/``; this module only times, so it stays out of tier-1.  It runs
+with the paper-figure drivers::
 
     PYTHONPATH=src python -m pytest -q benchmarks/ --benchmark-disable
 
@@ -51,23 +51,23 @@ def best_walls(reps, *runs):
 
 
 # ----------------------------------------------------------------------
-# Phase 1: vectorised engine + training cache vs the scalar seed loop
+# Phase 1: vectorised engine vs the scalar seed loop
 # ----------------------------------------------------------------------
 #: Two template points trained for one scenario over five passes, each
-#: pass populating a fresh database, as pipeline runs for several UAV
-#: platforms sharing one scenario's policies do.
+#: pass populating a fresh database.  Pipeline runs for several UAV
+#: platforms share one database and train a scenario's points once; the
+#: passes only repeat the work so that the timing is long enough to read.
 SWEEP_POINTS = (PolicyHyperparams(2, 32), PolicyHyperparams(3, 32))
 SWEEP_PASSES = 5
 
 
 @pytest.fixture(scope="module")
 def training_sweeps():
-    """``{engine: (wall s, env steps, success rates per pass)}``: the
-    scalar engine retrains every pass, the vec engine trains once and
-    serves the repeats from the training cache."""
+    """``{engine: (wall s, env steps, success rates per pass)}``: both
+    engines train and validate every point on every pass."""
     sweeps = {}
-    for engine, cache in (("scalar", False), ("vec", True)):
-        trainer = CemTrainer(engine=engine, cache=cache, population_size=32,
+    for engine in ("scalar", "vec"):
+        trainer = CemTrainer(engine=engine, population_size=32,
                              iterations=2, episodes_per_candidate=3, seed=7)
         frontend = FrontEnd(backend="trainer", seed=7, trainer=trainer,
                             validation_episodes=12)
@@ -92,10 +92,6 @@ def test_phase1_vec_rollout_throughput_beats_scalar(training_sweeps):
     (scalar_s, scalar_steps, _), (vec_s, vec_steps, _) = (
         training_sweeps["scalar"], training_sweeps["vec"])
     assert vec_steps / vec_s > scalar_steps / scalar_s
-
-
-def test_phase1_backend_speedup_at_least_10x(training_sweeps):
-    assert training_sweeps["scalar"][0] / training_sweeps["vec"][0] >= 10.0
 
 
 # ----------------------------------------------------------------------

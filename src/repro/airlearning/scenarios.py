@@ -27,8 +27,8 @@ pipeline:
   ``dense`` -- every cache key, database key and checkpoint manifest
   they produce is byte-identical to the pre-registry code;
 * the :class:`ScenarioSpec` itself for registry scenarios -- it
-  duck-types the enum's ``.value`` attribute, so database keys,
-  training cache keys and manifests work without special cases.
+  duck-types the enum's ``.value`` attribute, so database keys, CEM
+  snapshot fingerprints and manifests work without special cases.
 
 :func:`resolve_scenario` normalises any id string, enum member or spec
 to the canonical handle (enum for the legacy three, spec otherwise).

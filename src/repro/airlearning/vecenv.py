@@ -17,18 +17,16 @@ and termination flags exactly.  The scalar path therefore remains the
 correctness oracle the equivalence test suite checks this engine
 against.
 
-Each lane owns a *schedule* of arenas.  When a lane's episode ends it
-auto-resets into the next arena of its schedule (the returned
-observation for that lane is the new episode's reset observation, as in
-Gym vector environments); a lane with an exhausted schedule goes
-inactive and is masked out of all bookkeeping.
+Each lane runs one episode in its own arena.  When a lane's episode
+ends the lane goes inactive and is masked out of all bookkeeping, so a
+rollout of ``N`` episodes is ``N`` lanes stepped until every one is done.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -152,9 +150,8 @@ def observe_lanes_kernel(sensor: RaycastSensor, size_m: float,
 class VecStepResult:
     """One lockstep transition for every lane.
 
-    ``observations`` rows of lanes that finished an episode this step
-    hold the *next* episode's reset observation (auto-reset); rows of
-    inactive lanes are stale and must be ignored via ``active``.
+    ``observations`` rows of lanes whose episode has ended (this step or
+    earlier) are stale and must be ignored.
     """
 
     observations: np.ndarray  #: (L, obs_dim)
@@ -169,10 +166,9 @@ class VecNavigationEnv:
     """Point-to-goal navigation for a batch of lanes in lockstep.
 
     Args:
-        schedules: Per-lane arena schedules.  Lane ``i`` runs
-            ``len(schedules[i])`` episodes back to back (auto-reset).
-            Generate the arenas in the scalar trainer's consumption
-            order to reproduce its results exactly.
+        arenas: One arena per lane; lane ``i`` runs one episode in
+            ``arenas[i]``.  Generate the arenas in the scalar rollout's
+            consumption order to reproduce its results exactly.
         sensor: Shared raycast sensor (defaults to the scalar default).
         max_steps: Per-episode step limit.
         dynamics: Point-mass dynamics supplying ``dt``/``speed_tau``.
@@ -184,18 +180,18 @@ class VecNavigationEnv:
             every lane; zero skips the perturbation.
     """
 
-    def __init__(self, schedules: Sequence[Sequence[Arena]],
+    def __init__(self, arenas: Sequence[Arena],
                  sensor: Optional[RaycastSensor] = None,
                  max_steps: int = MAX_EPISODE_STEPS,
                  dynamics: Optional[PointMassDynamics] = None,
                  wind: Sequence[float] = (0.0, 0.0),
                  sensor_noise: float = 0.0):
-        if not schedules or any(len(s) == 0 for s in schedules):
-            raise ConfigError("every lane needs at least one arena")
-        self._schedules: List[List[Arena]] = [list(s) for s in schedules]
-        sizes = {a.size_m for s in self._schedules for a in s}
+        if not arenas:
+            raise ConfigError("need at least one arena")
+        self._arenas = list(arenas)
+        sizes = {a.size_m for a in self._arenas}
         if len(sizes) != 1:
-            raise ConfigError("all scheduled arenas must share one size")
+            raise ConfigError("all arenas must share one size")
         self.size_m = sizes.pop()
         self.sensor = sensor or RaycastSensor()
         self.dynamics = dynamics or PointMassDynamics()
@@ -207,9 +203,8 @@ class VecNavigationEnv:
         self._wind_x, self._wind_y = (float(wind[0]), float(wind[1]))
         self._sensor_noise = float(sensor_noise)
 
-        self.num_lanes = len(self._schedules)
-        self._max_obstacles = max(
-            len(a.obstacles) for s in self._schedules for a in s)
+        self.num_lanes = len(self._arenas)
+        self._max_obstacles = max(len(a.obstacles) for a in self._arenas)
         self._was_reset = False
 
         shape = (self.num_lanes,)
@@ -221,7 +216,6 @@ class VecNavigationEnv:
         self._prev_goal = np.zeros(shape)
         self._goal_x = np.zeros(shape)
         self._goal_y = np.zeros(shape)
-        self._episode = np.zeros(shape, dtype=np.int64)
         self._active = np.zeros(shape, dtype=bool)
 
         pad = (self.num_lanes, self._max_obstacles)
@@ -232,10 +226,9 @@ class VecNavigationEnv:
         self._observations = np.zeros((self.num_lanes,
                                        self.observation_dim))
 
-        #: Per-lane tallies across the whole schedule.
-        self.lane_successes = np.zeros(shape, dtype=np.int64)
-        self.lane_collisions = np.zeros(shape, dtype=np.int64)
-        self.lane_episodes_completed = np.zeros(shape, dtype=np.int64)
+        #: Whether each lane's episode ended in success / collision.
+        self.lane_successes = np.zeros(shape, dtype=bool)
+        self.lane_collisions = np.zeros(shape, dtype=bool)
         #: Total (lane, step) transitions executed so far.
         self.total_env_steps = 0
 
@@ -257,19 +250,17 @@ class VecNavigationEnv:
 
     @property
     def all_done(self) -> bool:
-        """Whether every lane has exhausted its arena schedule."""
+        """Whether every lane's episode has ended."""
         return not self._active.any()
 
     # ------------------------------------------------------------------
     def reset(self) -> np.ndarray:
-        """Load every lane's first arena; returns observations (L, D)."""
-        for lane in range(self.num_lanes):
-            self._episode[lane] = 0
-            self._load_lane(lane, self._schedules[lane][0])
+        """Load every lane's arena; returns observations (L, D)."""
+        for lane, arena in enumerate(self._arenas):
+            self._load_lane(lane, arena)
         self._active[:] = True
-        self.lane_successes[:] = 0
-        self.lane_collisions[:] = 0
-        self.lane_episodes_completed[:] = 0
+        self.lane_successes[:] = False
+        self.lane_collisions[:] = False
         self._was_reset = True
         return self._observe_all()
 
@@ -285,7 +276,7 @@ class VecNavigationEnv:
         if not self._was_reset:
             raise SimulationError("step() called before reset()")
         if self.all_done:
-            raise SimulationError("step() called with every lane exhausted")
+            raise SimulationError("step() called with every episode ended")
         actions = np.asarray(actions)
         if actions.shape != (self.num_lanes,):
             raise ConfigError(
@@ -328,18 +319,11 @@ class VecNavigationEnv:
         full_collided = np.zeros(shape, dtype=bool)
         full_collided[lanes] = collided
 
-        # Episode-end bookkeeping: tally, then auto-reset or retire.
-        for lane in np.flatnonzero(full_done):
-            self.lane_episodes_completed[lane] += 1
-            self.lane_successes[lane] += int(full_success[lane])
-            self.lane_collisions[lane] += int(full_collided[lane])
-            next_episode = int(self._episode[lane]) + 1
-            if next_episode < len(self._schedules[lane]):
-                self._episode[lane] = next_episode
-                self._load_lane(lane,
-                                self._schedules[lane][next_episode])
-            else:
-                self._active[lane] = False
+        # Episode-end bookkeeping: record the outcome, retire the lane.
+        finished = lanes[done]
+        self.lane_successes[finished] = success[done]
+        self.lane_collisions[finished] = collided[done]
+        self._active[finished] = False
 
         return VecStepResult(
             observations=self._observe_all(np.flatnonzero(self._active)),
@@ -352,7 +336,7 @@ class VecNavigationEnv:
 
     # ------------------------------------------------------------------
     def _load_lane(self, lane: int, arena: Arena) -> None:
-        """Reset one lane into a fresh arena (NavigationEnv.reset)."""
+        """Reset one lane into its arena (NavigationEnv.reset)."""
         start_x, start_y = arena.start
         self._x[lane] = start_x
         self._y[lane] = start_y

@@ -29,7 +29,6 @@ from repro.airlearning.scenarios import (
     resolve_scenario,
     scenario_ids,
 )
-from repro.airlearning.trainer import ROLLOUT_ENGINES
 from repro.baselines.computers import FIG5_BASELINES
 from repro.core.checkpoint import RunManifest
 from repro.core.pipeline import AutoPilot
@@ -88,10 +87,6 @@ def _add_phase1(parser: argparse.ArgumentParser) -> None:
                         default="surrogate",
                         help="Phase 1 backend: calibrated surrogate or "
                              "the real CEM trainer on the simulator")
-    parser.add_argument("--rollout-engine", choices=ROLLOUT_ENGINES,
-                        default="vec",
-                        help="trainer rollout engine: vectorised batch "
-                             "engine or the scalar reference")
     parser.add_argument("--cem-population", type=int, default=24,
                         help="CEM population size per iteration")
     parser.add_argument("--cem-iterations", type=int, default=15,
@@ -130,8 +125,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
     if args.phase1_backend == "trainer":
         trainer = {"population_size": args.cem_population,
                    "iterations": args.cem_iterations,
-                   "episodes_per_candidate": args.cem_episodes,
-                   "engine": args.rollout_engine}
+                   "episodes_per_candidate": args.cem_episodes}
     return RunConfig(seed=args.seed, budget=args.budget,
                      frontend_backend=args.phase1_backend, trainer=trainer,
                      proposal_batch=args.proposal_batch,

@@ -18,6 +18,10 @@ simulated exactly once per process no matter how many simulators, DSE
 runs or pipeline sweeps touch them.  Entries never outlive the process
 that computed them.
 
+Phase 1 training results are not cached here: the Air Learning database
+already trains each (template point, scenario) once per pipeline, so a
+training cache on top of it would never hit.
+
 The module is dependency-light on purpose: it only imports the standard
 library and :mod:`repro.errors`, so the leaf modules of the package
 (``scalesim``, ``soc``) can use it without import cycles.
@@ -103,36 +107,6 @@ def estimate_key(workload: Any, config: Any, *,
     if workload_fp is None:
         workload_fp = workload_fingerprint(workload)
     return ("tier0_estimate", config_fingerprint(config), workload_fp)
-
-
-def trainer_fingerprint(trainer: Any) -> Tuple[Hashable, ...]:
-    """Stable, content-only key for a Phase 1 CEM trainer configuration.
-
-    Covers everything that shapes a training run's result: population
-    and elite sizes, episode/iteration budgets, the exploration noise,
-    the seed (it drives both the parameter sampling and the arena
-    stream) and the rollout engine.  Two trainers differing in *any* of
-    these must never alias; the engine is included defensively even
-    though the engines are bit-equivalent.
-    """
-    return (
-        "cem",
-        trainer.population_size,
-        trainer.elite_count,
-        trainer.episodes_per_candidate,
-        trainer.iterations,
-        float(trainer.initial_std),
-        int(trainer.seed),
-        str(trainer.engine),
-    )
-
-
-def training_key(trainer: Any, hyperparams: Any,
-                 scenario: Any) -> Tuple[Hashable, ...]:
-    """Content-addressed key for one Phase 1 policy training run."""
-    return ("training_result", trainer_fingerprint(trainer),
-            (hyperparams.num_layers, hyperparams.num_filters),
-            scenario.value)
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Fault-tolerant, process-parallel map for Phase 1 policy training.
 
-Phase 1's trainer backend trains every uncached Table II template point
-with the CEM trainer: seconds of pure rollouts per point, coarse enough
-for a process pool to pay off.  :func:`parallel_map` fans such items
-out over a fresh ``ProcessPoolExecutor`` per call, with deterministic
-result ordering, and survives worker failures without degrading the
-whole batch:
+Phase 1's trainer backend trains every Table II template point missing
+from the Air Learning database with the CEM trainer: seconds of pure
+rollouts per point, coarse enough for a process pool to pay off.
+:func:`parallel_map` fans such items out over a fresh
+``ProcessPoolExecutor`` per call, with deterministic result ordering,
+and survives worker failures without degrading the whole batch:
 
 * Work is split into indexed chunks.  A chunk whose worker dies
   (``BrokenProcessPool``) or raises is **re-queued with bounded

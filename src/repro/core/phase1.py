@@ -11,13 +11,13 @@ Two backends are available:
   standing in for the paper's multi-day RL training farm -- covers all
   27 template points instantly and reproduces Fig. 2b's shape;
 * ``trainer``: the real CEM trainer on the navigation simulator,
-  exercising the full train -> validate -> database path.  The trainer
-  backend runs on the vectorised rollout engine by default, fans
-  uncached template points out over a process pool (``workers``), and
-  serves repeated (hyperparams, scenario, trainer-config) runs from the
-  shared content-addressed cache -- so full sweeps are viable, not just
-  tiny hyper-parameter subsets.  This is the only process pool in a
-  run: Phase 2 evaluates in-process.
+  exercising the full train -> validate -> database path on the
+  vectorised rollout engine.  With ``workers > 1`` the template points
+  train on a process pool and validate in-process; this is the only
+  process pool in a run: Phase 2 evaluates in-process.
+
+Either way the database is the only memo: a point already in it for the
+task's scenario is neither trained nor validated again.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.airlearning.trainer import CemTrainer, TrainingResult
 from repro.airlearning.evaluate import validate_policy
 from repro.airlearning.scenarios import Scenario
 from repro.core.checkpoint import RunCheckpoint
-from repro.core.evalcache import shared_report_cache, training_key
 from repro.core.parallel import parallel_map, resolve_workers
 from repro.core.spec import TaskSpec
 from repro.errors import ConfigError
@@ -58,16 +57,10 @@ class Phase1Result:
 
 
 def _train_point(item: Tuple[CemTrainer, PolicyHyperparams, Scenario]
-                 ) -> Tuple[Tuple[object, ...], TrainingResult]:
-    """Pool worker: train one template point, return cache key + result.
-
-    Runs the pure, expensive part (the CEM rollouts) in the worker; the
-    parent merges the result into its shared cache so parallel and
-    serial runs leave the cache in the same state.
-    """
+                 ) -> TrainingResult:
+    """Pool worker: train one template point."""
     trainer, point, scenario = item
-    return training_key(trainer, point, scenario), trainer.train(point,
-                                                                 scenario)
+    return trainer.train(point, scenario)
 
 
 class FrontEnd:
@@ -81,7 +74,7 @@ class FrontEnd:
             raise ConfigError("backend must be 'surrogate' or 'trainer'")
         self.backend = backend
         self.seed = seed
-        self.trainer = trainer or CemTrainer(seed=seed, cache=True)
+        self.trainer = trainer or CemTrainer(seed=seed)
         self.validation_episodes = validation_episodes
         self.workers = resolve_workers(workers)
         # One surrogate for the whole front end: constructing it per
@@ -133,15 +126,12 @@ class FrontEnd:
 
         todo = [p for p in points
                 if db.get(p, task.scenario) is None]  # reuse prior runs
-        pool_steps = (self._warm_training_cache(todo, task.scenario)
-                      if self.backend == "trainer" else {})
+        trainings = (self._train_on_pool(todo, task.scenario)
+                     if self.backend == "trainer" else {})
         try:
             for point in todo:
-                success, steps = self._train_and_validate(point, task,
-                                                          checkpoint)
-                # Journal a point's pool-run training with it, so a
-                # resume replays the same step count.
-                steps += pool_steps.get(point, 0)
+                success, steps = self._train_and_validate(
+                    point, task, checkpoint, trainings.get(point))
                 result.env_steps += steps
                 db.add(point, task.scenario, success)
                 result.trained.append(point)
@@ -157,49 +147,42 @@ class FrontEnd:
             profiler.add_steps("phase1", result.env_steps)
         return result
 
-    def _warm_training_cache(self, points: Sequence[PolicyHyperparams],
-                             scenario: Scenario
-                             ) -> Dict[PolicyHyperparams, int]:
-        """Train uncached template points in parallel into the cache.
+    def _train_on_pool(self, points: Sequence[PolicyHyperparams],
+                       scenario: Scenario
+                       ) -> Dict[PolicyHyperparams, TrainingResult]:
+        """Train template points in parallel, for in-process validation.
 
         Only the training rollouts (the pure, expensive part) run in the
         pool; validation and database assembly stay in-process.  With
-        one worker, an uncacheable trainer or a single point this is a
-        no-op and the serial loop below does all the work.  Returns the
-        rollout steps the pool executed, per point.
+        one worker or a single point this is a no-op and the serial loop
+        trains each point itself.
         """
-        if self.workers <= 1 or not self.trainer.cache:
+        if self.workers <= 1 or len(points) <= 1:
             return {}
-        cache = shared_report_cache()
-        missing = [p for p in points
-                   if training_key(self.trainer, p, scenario) not in cache]
-        if len(missing) <= 1:
-            return {}
-        items = [(self.trainer, point, scenario) for point in missing]
-        steps = {}
-        for point, (key, training) in zip(missing, parallel_map(
-                _train_point, items, workers=self.workers, chunksize=1)):
-            cache.put(key, training)
-            steps[point] = training.env_steps
-        return steps
+        items = [(self.trainer, point, scenario) for point in points]
+        return dict(zip(points, parallel_map(
+            _train_point, items, workers=self.workers, chunksize=1)))
 
     def _train_and_validate(self, point: PolicyHyperparams,
                             task: TaskSpec,
-                            checkpoint: Optional[RunCheckpoint] = None
+                            checkpoint: Optional[RunCheckpoint] = None,
+                            training: Optional[TrainingResult] = None
                             ) -> Tuple[float, int]:
+        """The point's validated success rate and its rollout steps.
+
+        ``training`` is the point's result from the pool, if it trained
+        there; otherwise the point trains here, snapshotting its CEM
+        state into ``checkpoint``.
+        """
         if self.backend == "surrogate":
             return self._surrogate.success_rate(point, task.scenario), 0
-        cem_path = None
-        if checkpoint is not None:
-            cem_path = checkpoint.cem_checkpoint_path(point, task.scenario)
-        # A cached training run executes no rollouts; only count steps
-        # that actually ran in this process (run() adds the steps of
-        # pool-warmed runs).
-        was_cached = (self.trainer.cache and
-                      training_key(self.trainer, point, task.scenario)
-                      in shared_report_cache())
-        training = self.trainer.train(point, task.scenario,
-                                      checkpoint_path=cem_path)
+        if training is None:
+            cem_path = None
+            if checkpoint is not None:
+                cem_path = checkpoint.cem_checkpoint_path(point,
+                                                          task.scenario)
+            training = self.trainer.train(point, task.scenario,
+                                          checkpoint_path=cem_path)
         sensor = RaycastSensor()
         policy = MlpPolicy(point, sensor.num_rays + 4, NUM_ACTIONS)
         policy.set_params(training.best_params)
@@ -207,6 +190,5 @@ class FrontEnd:
                                      episodes=self.validation_episodes,
                                      seed=self.seed,
                                      engine=self.trainer.engine)
-        training_steps = 0 if was_cached else training.env_steps
         return (validation.success_rate,
-                training_steps + validation.env_steps)
+                training.env_steps + validation.env_steps)

@@ -64,8 +64,7 @@ class AutoPilot:
 
     def __init__(self, config: RunConfig, *, workers: Optional[int] = None):
         self.config = config
-        trainer = (CemTrainer.from_settings(config.trainer, seed=config.seed,
-                                            cache=True)
+        trainer = (CemTrainer.from_settings(config.trainer, seed=config.seed)
                    if config.trainer is not None else None)
         self.frontend = FrontEnd(backend=config.frontend_backend,
                                  seed=config.seed, trainer=trainer,

@@ -79,6 +79,9 @@ class RunConfig:
         trainer: The CEM trainer's :meth:`~CemTrainer.settings` for the
             trainer backend, with settings left out filled in from
             :class:`CemTrainer`'s defaults; ``None`` for the surrogate.
+            The rollout engine is not among them: the engines are
+            bit-equivalent, and an ``engine`` key that older manifests
+            record is accepted and dropped.
         proposal_batch: SMS-EGO candidates proposed per GP fit (q).
         gp_refit_every: Full GP lengthscale-grid refit cadence.
         fidelity: Multi-fidelity Phase 2 screening, ``"off"``/``"on"``.

@@ -115,11 +115,21 @@ def _standardise(y: np.ndarray) -> Tuple[float, float, np.ndarray]:
     return mean, std, (y - mean) / std
 
 
-def _log_marginal(y_std: np.ndarray, chol: np.ndarray,
-                  alpha: np.ndarray) -> float:
+def _half_log_det(chol: np.ndarray) -> np.floating:
+    """Half the log-determinant of ``chol @ chol.T``."""
+    return np.sum(np.log(np.diag(chol)))
+
+
+def _log_marginal(y_std: np.ndarray, alpha: np.ndarray,
+                  half_log_det: np.floating) -> float:
+    """Log marginal likelihood from a factor's :func:`_half_log_det`.
+
+    The determinant term depends on the factor only, so fits that score
+    several targets against one factor compute it once.
+    """
     n = y_std.shape[0]
     return float(-0.5 * y_std @ alpha
-                 - np.sum(np.log(np.diag(chol)))
+                 - half_log_det
                  - 0.5 * n * np.log(2 * np.pi))
 
 
@@ -211,7 +221,7 @@ class GaussianProcess:
                 chol, alpha = self._factorise(x, y_std, ls)
             except np.linalg.LinAlgError:
                 continue
-            lml = self._log_marginal(y_std, chol, alpha)
+            lml = _log_marginal(y_std, alpha, _half_log_det(chol))
             if best is None or lml > best[0]:
                 best = (lml, ls, chol, alpha)
         if best is None:
@@ -228,11 +238,6 @@ class GaussianProcess:
         chol = np.linalg.cholesky(k)
         alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_std))
         return chol, alpha
-
-    @staticmethod
-    def _log_marginal(y_std: np.ndarray, chol: np.ndarray,
-                      alpha: np.ndarray) -> float:
-        return _log_marginal(y_std, chol, alpha)
 
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at query points (m x d)."""
@@ -363,7 +368,7 @@ class MultiObjectiveGP:
             candidates = [base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
 
         jitter = self.noise ** 2 + 1e-8
-        factors: List[Tuple[float, np.ndarray]] = []
+        factors: List[Tuple[float, np.ndarray, np.floating]] = []
         for ls in candidates:
             k = kernel_from_sq(sq, ls, self._variance)
             k[np.diag_indices_from(k)] += jitter
@@ -372,7 +377,7 @@ class MultiObjectiveGP:
             except np.linalg.LinAlgError:
                 continue
             _gp_stats.factorisations += 1
-            factors.append((ls, chol))
+            factors.append((ls, chol, _half_log_det(chol)))
         if not factors:
             raise ConfigError("GP factorisation failed for all lengthscales")
 
@@ -380,9 +385,9 @@ class MultiObjectiveGP:
         for j in range(y.shape[1]):
             y_mean, y_scale, y_std = _standardise(y[:, j])
             best: Tuple[float, float, np.ndarray, np.ndarray] | None = None
-            for ls, chol in factors:
+            for ls, chol, half_log_det in factors:
                 alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_std))
-                lml = _log_marginal(y_std, chol, alpha)
+                lml = _log_marginal(y_std, alpha, half_log_det)
                 if best is None or lml > best[0]:
                     best = (lml, ls, chol, alpha)
             models.append(_ObjectiveModel(

@@ -101,7 +101,7 @@ class TestEnvEquivalence:
     def test_lockstep_episode_matches_scalar(self, scenario):
         generator = ArenaGenerator(scenario, seed=5)
         arenas = [generator.generate() for _ in range(4)]
-        env = VecNavigationEnv([[a] for a in arenas])
+        env = VecNavigationEnv(arenas)
         observations = env.reset()
 
         scalars = []

@@ -3,7 +3,8 @@
 The digests below were captured at the commit *before* the scenario
 registry existed, over the paper's three scenarios.  Any refactor of
 the scenario/arena/env stack that perturbs an arena RNG stream, a
-rollout float, or a cache key fails against this frozen table -- the
+rollout float, or a CEM snapshot identity fails against this frozen
+table -- the
 registry is only allowed to *add* scenarios, never to change the three
 the rest of the repository's frozen references were built on.
 
@@ -24,7 +25,7 @@ from repro.airlearning.scenarios import Scenario, scenario_spec
 from repro.airlearning.surrogate import SuccessRateSurrogate
 from repro.airlearning.trainer import CemTrainer
 from repro.airlearning.vecenv import VecNavigationEnv
-from repro.core.evalcache import training_key
+from repro.core.checkpoint import RunCheckpoint
 from repro.nn.template import PolicyHyperparams
 
 # Captured at the pre-registry HEAD (see module docstring).
@@ -49,12 +50,15 @@ FROZEN_DIGESTS = {
         "bead88bf5a37ad002b9b8a286b64f22a488afa0a0a34bcda46c29b9f74786052"),
 }
 
-# The training-cache keys of one CemTrainer/PolicyHyperparams
-# configuration.  A scenario handle that keyed the cache differently
-# would train the same point twice.
-FROZEN_TRAINING_KEYS = {
-    scenario_id: ("training_result", ("cem", 6, 2, 1, 2, 0.5, 3, "vec"),
-                  (3, 32), scenario_id)
+# The CEM snapshot identity of one CemTrainer/PolicyHyperparams
+# configuration: the file a run checkpoint keeps the snapshot in, and
+# the fingerprint a snapshot must carry to be resumed.  A scenario
+# handle that named either differently would not resume the snapshot
+# the enum member wrote, and a changed fingerprint would refuse every
+# snapshot already on disk.
+FROZEN_SNAPSHOT_IDENTITIES = {
+    scenario_id: (f"cem-L3-F32-{scenario_id}.pkl",
+                  (("cem", 6, 2, 1, 2, 0.5, 3, "vec"), (3, 32), scenario_id))
     for scenario_id in ("low", "medium", "dense")
 }
 
@@ -101,18 +105,20 @@ def test_legacy_rollouts_bit_identical(scenario_id, seed):
     assert _rollout_digest(scenario_id, seed) == frozen_rollout
 
 
-def test_legacy_training_cache_keys_unchanged():
+def test_legacy_cem_snapshot_identities_unchanged(tmp_path):
     trainer = CemTrainer(population_size=6, iterations=2,
                          episodes_per_candidate=1, seed=3)
     hyperparams = PolicyHyperparams(num_layers=3, num_filters=32)
+    checkpoint = RunCheckpoint(tmp_path)
     for member in Scenario:
-        assert (training_key(trainer, hyperparams, member)
-                == FROZEN_TRAINING_KEYS[member.value])
-        # Registry spec handles duck-type .value, so they key the cache
-        # exactly like the enum member.
-        spec = scenario_spec(member)
-        assert (training_key(trainer, hyperparams, spec)
-                == FROZEN_TRAINING_KEYS[member.value])
+        name, fingerprint = FROZEN_SNAPSHOT_IDENTITIES[member.value]
+        # Registry spec handles duck-type .value, so they name and
+        # fingerprint the snapshot exactly like the enum member.
+        for handle in (member, scenario_spec(member)):
+            assert (checkpoint.cem_checkpoint_path(hyperparams, handle)
+                    == tmp_path / "phase1" / name)
+            assert (trainer._snapshot_fingerprint(hyperparams, handle)
+                    == fingerprint)
 
 
 def test_surrogate_identical_across_handle_shapes():
@@ -133,11 +139,12 @@ def test_surrogate_identical_across_handle_shapes():
     "open-windy",      # wind at the guardrail limit
 ])
 def test_scalar_env_is_bitwise_oracle_of_vec_env(scenario_id):
-    """Lane 0 of the vec engine replays the scalar env bit-for-bit.
+    """Each lane of the vec engine replays one scalar episode bit-for-bit.
 
-    The vec engine auto-resets: at a done step the lane's returned
-    observation is already the *next* episode's reset observation, so
-    the streams are compared with that alignment.
+    The scalar env runs the episodes back to back from one arena stream;
+    the vec engine runs one lane per episode, in the same arenas, and
+    each lane replays its episode's actions.  The episodes end at
+    different steps, so finished lanes must drop out of the lockstep.
     """
     spec = scenario_spec(scenario_id)
     seed, episodes = 11, 3
@@ -146,38 +153,40 @@ def test_scalar_env_is_bitwise_oracle_of_vec_env(scenario_id):
     rng = np.random.default_rng(99)
     resets, transitions = [], []
     for _ in range(episodes):
-        obs = env.reset()
-        resets.append(obs.copy())
+        resets.append(env.reset().copy())
+        episode = []
         done = False
         while not done:
             action = int(rng.integers(0, env.num_actions))
             step = env.step(action)
-            transitions.append((action, step.observation.copy(),
-                                step.reward, step.done))
+            episode.append((action, step.observation.copy(), step.reward,
+                            step.done))
             done = step.done
+        transitions.append(episode)
 
     generator = ArenaGenerator(spec, seed=seed)
-    arenas = [generator.generate() for _ in range(episodes)]
-    venv = VecNavigationEnv([arenas], wind=spec.wind_vector,
+    venv = VecNavigationEnv([generator.generate() for _ in range(episodes)],
+                            wind=spec.wind_vector,
                             sensor_noise=spec.sensor_noise)
-    vec_obs = venv.reset()[0]
-    np.testing.assert_array_equal(vec_obs, resets[0])
+    np.testing.assert_array_equal(venv.reset(), np.asarray(resets))
 
-    episode = 0
-    for action, scalar_obs, scalar_reward, scalar_done in transitions:
-        result = venv.step(np.asarray([action]))
-        assert result.rewards[0] == scalar_reward
-        assert bool(result.dones[0]) == scalar_done
-        if not scalar_done:
-            np.testing.assert_array_equal(result.observations[0],
-                                          scalar_obs)
-        else:
-            episode += 1
-            if episode < episodes:
-                np.testing.assert_array_equal(result.observations[0],
-                                              resets[episode])
-    assert episode == episodes
+    for t in range(max(len(episode) for episode in transitions)):
+        live = [t < len(episode) for episode in transitions]
+        actions = [episode[t][0] if t < len(episode) else 0
+                   for episode in transitions]
+        result = venv.step(np.asarray(actions))
+        assert result.active.tolist() == live
+        for lane, episode in enumerate(transitions):
+            if not live[lane]:
+                continue
+            _, scalar_obs, scalar_reward, scalar_done = episode[t]
+            assert result.rewards[lane] == scalar_reward
+            assert bool(result.dones[lane]) == scalar_done
+            if not scalar_done:
+                np.testing.assert_array_equal(result.observations[lane],
+                                              scalar_obs)
     assert venv.all_done
+    assert len({len(episode) for episode in transitions}) > 1
 
 
 def test_wind_actually_displaces_the_uav():

@@ -6,12 +6,16 @@ old checkpoint directory written before that must keep loading, and its
 cache keys and journals) it was written with.  New registry ids must
 round-trip through the same manifest machinery.  Manifests that carry
 fields of removed features (the array backend, concurrent bench cells,
-the pool mode) must load and resume as if the fields were absent.
+the pool mode, the trainer's rollout engine) must load and resume as if
+the fields were absent.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import shutil
 
 import pytest
 
@@ -139,6 +143,73 @@ def test_manifest_with_removed_fields_resumes_identically(
     assert not any(hasattr(manifest, name) for name in _REMOVED_FIELDS)
 
     assert main([command[0], "--resume", str(run_dir)]) == 0
+    assert capsys.readouterr().out == baseline
+
+
+#: The trainer settings earlier versions recorded in both manifests for
+#: ``_TRAINER_BENCH``: they named the rollout engine, which no longer
+#: shapes a run's identity.
+_TRAINER_SETTINGS_WITH_ENGINE = {
+    "elite_count": 2, "engine": "vec", "episodes_per_candidate": 1,
+    "initial_std": 0.5, "iterations": 1, "population_size": 4}
+_TRAINER_BENCH = ["bench", "--scenarios", "dense", "--platforms", "nano",
+                  "--budget", "6", "--seed", "3", "--phase1-backend",
+                  "trainer", "--cem-population", "4", "--cem-iterations",
+                  "1", "--cem-episodes", "1"]
+
+
+@pytest.fixture(scope="module")
+def trainer_bench(tmp_path_factory):
+    """A completed checkpointed trainer-backend bench and its output.
+
+    Its one cell's directory is also a complete run checkpoint, as
+    ``design --checkpoint-dir`` writes one.
+    """
+    run_dir = tmp_path_factory.mktemp("trainer-bench")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(_TRAINER_BENCH + ["--checkpoint-dir", str(run_dir)]) == 0
+    return run_dir, out.getvalue()
+
+
+def _record_the_engine(run_dir, patterns):
+    """Rewrite the manifests' trainer settings as earlier versions did."""
+    for pattern in patterns:
+        paths = list(run_dir.glob(pattern))
+        assert paths
+        for path in paths:
+            payload = json.loads(path.read_text())
+            payload["trainer"] = _TRAINER_SETTINGS_WITH_ENGINE
+            path.write_text(json.dumps(payload))
+
+
+def _settings_without_the_engine():
+    return {key: value for key, value in _TRAINER_SETTINGS_WITH_ENGINE.items()
+            if key != "engine"}
+
+
+def test_trainer_bench_manifests_naming_the_engine_resume_identically(
+        trainer_bench, tmp_path, capsys):
+    source, baseline = trainer_bench
+    run_dir = shutil.copytree(source, tmp_path / "sweep")
+    _record_the_engine(run_dir,
+                       [BENCH_MANIFEST_NAME, f"cells/*/{MANIFEST_NAME}"])
+    assert (BenchManifest.load(run_dir).config.trainer
+            == _settings_without_the_engine())
+    assert main(["bench", "--resume", str(run_dir)]) == 0
+    assert capsys.readouterr().out == baseline
+
+
+def test_trainer_run_manifest_naming_the_engine_resumes_identically(
+        trainer_bench, tmp_path, capsys):
+    cell = trainer_bench[0] / "cells" / "dense__nano"
+    as_written = shutil.copytree(cell, tmp_path / "as-written")
+    assert main(["design", "--resume", str(as_written)]) == 0
+    baseline = capsys.readouterr().out
+    run_dir = shutil.copytree(cell, tmp_path / "run")
+    _record_the_engine(run_dir, [MANIFEST_NAME])
+    assert (RunManifest.load(run_dir).config.trainer
+            == _settings_without_the_engine())
+    assert main(["design", "--resume", str(run_dir)]) == 0
     assert capsys.readouterr().out == baseline
 
 

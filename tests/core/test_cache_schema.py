@@ -1,9 +1,9 @@
 """Golden digest of the simulator, tier-0 and trainer numerics.
 
 This test recomputes a fixed probe set -- one value of each kind the
-evaluation cache stores: a simulator run report, a tier-0 bound
-estimate and a CEM training result -- and pins the digest of its exact
-bits.  Any change to those computations fails it until the digest is
+evaluation cache stores (a simulator run report and a tier-0 bound
+estimate) plus a CEM training result -- and pins the digest of its
+exact bits.  Any change to those computations fails it until the digest is
 re-pinned, so a change of numerics is always deliberate.
 """
 
@@ -21,7 +21,6 @@ from repro.core.evalcache import (
     EvalCache,
     design_key,
     estimate_key,
-    training_key,
     workload_fingerprint,
 )
 from repro.nn.template import PolicyHyperparams, build_policy_network
@@ -85,7 +84,8 @@ def fresh_cache(monkeypatch):
 
 
 def probe_values(cache):
-    """Each cached kind, read back from the cache it was stored in."""
+    """Each cached kind, read back from the cache it was stored in, then
+    a training result."""
     values = []
     estimator = Tier0Estimator()
     estimator.estimate_designs(PROBE_DESIGNS)
@@ -97,10 +97,10 @@ def probe_values(cache):
         values.append(cache.get(estimate_key(None, design.accelerator,
                                              workload_fp=fingerprint)))
     trainer = CemTrainer(population_size=4, iterations=1,
-                         episodes_per_candidate=1, seed=0, cache=True)
-    policy = PolicyHyperparams(num_layers=2, num_filters=32)
-    trainer.train(policy, Scenario.LOW)
-    values.append(cache.get(training_key(trainer, policy, Scenario.LOW)))
+                         episodes_per_candidate=1, seed=0)
+    values.append(trainer.train(PolicyHyperparams(num_layers=2,
+                                                  num_filters=32),
+                                Scenario.LOW))
     assert all(value is not None for value in values)
     return values
 

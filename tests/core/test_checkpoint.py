@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from repro.airlearning.env import NavigationEnv
 from repro.airlearning.scenarios import Scenario
 from repro.airlearning.trainer import CemTrainer
 from repro.bench import BenchManifest, BenchRunner, build_suite
@@ -230,6 +231,40 @@ SMALL_CEM = dict(population_size=4, episodes_per_candidate=1, iterations=3,
                  seed=11)
 POINT = PolicyHyperparams(num_layers=4, num_filters=32)
 
+#: ``(trainer settings, template point, scenario)`` differing from
+#: ``(SMALL_CEM, POINT, DENSE)`` in one input the CEM snapshot
+#: fingerprint covers.  No two trainings may resume each other.
+FOREIGN_TRAININGS = {
+    "seed": (dict(SMALL_CEM, seed=99), POINT, Scenario.DENSE),
+    "population": (dict(SMALL_CEM, population_size=6), POINT,
+                   Scenario.DENSE),
+    "elite-fraction": (dict(SMALL_CEM, elite_fraction=0.75), POINT,
+                       Scenario.DENSE),
+    "iterations": (dict(SMALL_CEM, iterations=4), POINT, Scenario.DENSE),
+    "episodes": (dict(SMALL_CEM, episodes_per_candidate=2), POINT,
+                 Scenario.DENSE),
+    "initial-std": (dict(SMALL_CEM, initial_std=0.7), POINT,
+                    Scenario.DENSE),
+    "engine": (dict(SMALL_CEM, engine="scalar"), POINT, Scenario.DENSE),
+    "template-point": (SMALL_CEM, PolicyHyperparams(4, 48), Scenario.DENSE),
+    "scenario": (SMALL_CEM, POINT, Scenario.LOW),
+}
+
+
+@pytest.fixture(scope="module")
+def small_cem_snapshot(tmp_path_factory):
+    """A completed snapshot of ``SMALL_CEM`` training ``POINT`` on DENSE."""
+    path = tmp_path_factory.mktemp("cem") / "cem.pkl"
+    CemTrainer(**SMALL_CEM).train(POINT, Scenario.DENSE, checkpoint_path=path)
+    return path
+
+
+def assert_same_training(result, expected):
+    np.testing.assert_array_equal(result.best_params, expected.best_params)
+    assert result.mean_return_trace == expected.mean_return_trace
+    assert result.success_rate_trace == expected.success_rate_trace
+    assert result.env_steps == expected.env_steps
+
 
 class TestCemResume:
     @pytest.mark.parametrize("engine", ["vec", "scalar"])
@@ -245,11 +280,26 @@ class TestCemResume:
                     POINT, Scenario.DENSE, checkpoint_path=path)
         resumed = CemTrainer(engine=engine, **SMALL_CEM).train(
             POINT, Scenario.DENSE, checkpoint_path=path)
-        np.testing.assert_array_equal(resumed.best_params,
-                                      baseline.best_params)
-        assert resumed.mean_return_trace == baseline.mean_return_trace
-        assert resumed.success_rate_trace == baseline.success_rate_trace
-        assert resumed.env_steps == baseline.env_steps
+        assert_same_training(resumed, baseline)
+
+    def test_scalar_snapshot_holding_the_env_resumes(self, tmp_path):
+        """Earlier versions pickled the scalar engine's whole
+        NavigationEnv, not its arena generator; such a snapshot still
+        resumes bit-identically."""
+        baseline = CemTrainer(engine="scalar", **SMALL_CEM).train(
+            POINT, Scenario.DENSE)
+        path = tmp_path / "cem.pkl"
+        with faults.active_faults("kill@checkpoint-write:1"):
+            with pytest.raises(faults.SimulatedKill):
+                CemTrainer(engine="scalar", **SMALL_CEM).train(
+                    POINT, Scenario.DENSE, checkpoint_path=path)
+        snapshot = load_pickle(path)
+        env = NavigationEnv(Scenario.DENSE, seed=SMALL_CEM["seed"])
+        env.generator = snapshot.pop("generator")
+        atomic_write_pickle(path, dict(snapshot, env=env))
+        resumed = CemTrainer(engine="scalar", **SMALL_CEM).train(
+            POINT, Scenario.DENSE, checkpoint_path=path)
+        assert_same_training(resumed, baseline)
 
     def test_completed_checkpoint_short_circuits(self, tmp_path):
         path = tmp_path / "cem.pkl"
@@ -259,14 +309,12 @@ class TestCemResume:
         np.testing.assert_array_equal(first.best_params, again.best_params)
         assert again.env_steps == first.env_steps
 
-    def test_foreign_snapshot_rejected(self, tmp_path):
-        path = tmp_path / "cem.pkl"
-        CemTrainer(**SMALL_CEM).train(POINT, Scenario.DENSE,
-                                      checkpoint_path=path)
-        other = dict(SMALL_CEM, seed=99)
+    @pytest.mark.parametrize("differing", sorted(FOREIGN_TRAININGS))
+    def test_foreign_snapshot_rejected(self, small_cem_snapshot, differing):
+        settings, point, scenario = FOREIGN_TRAININGS[differing]
         with pytest.raises(CheckpointError, match="different"):
-            CemTrainer(**other).train(POINT, Scenario.DENSE,
-                                      checkpoint_path=path)
+            CemTrainer(**settings).train(point, scenario,
+                                         checkpoint_path=small_cem_snapshot)
 
     def test_corrupt_snapshot_quarantined_and_retrained(self, tmp_path):
         path = tmp_path / "cem.pkl"
@@ -688,13 +736,11 @@ class TestPhase1TrainerResume:
                   PolicyHyperparams(num_layers=4, num_filters=48)]
 
         def frontend():
-            # cache=False keeps the shared content-addressed cache out
-            # of the picture: resume must come from the checkpoint.
+            # One worker, also under REPRO_WORKERS: only points trained
+            # in-process write per-generation CEM snapshots.
             return FrontEnd(backend="trainer", seed=3,
-                            trainer=CemTrainer(cache=False, engine="vec",
-                                               **SMALL_CEM))
+                            trainer=CemTrainer(**SMALL_CEM), workers=1)
 
-        reset_shared_cache()
         baseline = frontend().run(task, hyperparams=points)
         checkpoint = RunCheckpoint(tmp_path / "run")
         # Per point: 3 CEM snapshots + 1 journal append = 4 writes.

@@ -206,85 +206,3 @@ class TestNoneValues:
         assert cache.lookup(("stored",)) is None
         assert cache.lookup(("missing",)) is _MISS
         assert cache.get(("missing",)) is None
-
-
-class TestTrainingKey:
-    """Phase 1 training-cache soundness: no two distinct runs may alias."""
-
-    @staticmethod
-    def make_trainer(**overrides):
-        from repro.airlearning.trainer import CemTrainer
-        kwargs = dict(population_size=8, iterations=2,
-                      episodes_per_candidate=2, seed=3)
-        kwargs.update(overrides)
-        return CemTrainer(**kwargs)
-
-    def test_key_is_stable(self):
-        from repro.airlearning.scenarios import Scenario
-        from repro.core.evalcache import training_key
-        point = PolicyHyperparams(3, 32)
-        key_a = training_key(self.make_trainer(), point, Scenario.LOW)
-        key_b = training_key(self.make_trainer(), point, Scenario.LOW)
-        assert key_a == key_b
-
-    def test_distinct_configurations_never_alias(self):
-        from repro.airlearning.scenarios import Scenario
-        from repro.core.evalcache import training_key
-        point = PolicyHyperparams(3, 32)
-        base = training_key(self.make_trainer(), point, Scenario.LOW)
-        variants = [
-            training_key(self.make_trainer(seed=4), point, Scenario.LOW),
-            training_key(self.make_trainer(population_size=12), point,
-                         Scenario.LOW),
-            training_key(self.make_trainer(iterations=3), point,
-                         Scenario.LOW),
-            training_key(self.make_trainer(episodes_per_candidate=1),
-                         point, Scenario.LOW),
-            training_key(self.make_trainer(initial_std=0.7), point,
-                         Scenario.LOW),
-            training_key(self.make_trainer(elite_fraction=0.5), point,
-                         Scenario.LOW),
-            training_key(self.make_trainer(engine="scalar"), point,
-                         Scenario.LOW),
-            training_key(self.make_trainer(), PolicyHyperparams(4, 32),
-                         Scenario.LOW),
-            training_key(self.make_trainer(), PolicyHyperparams(3, 48),
-                         Scenario.LOW),
-            training_key(self.make_trainer(), point, Scenario.DENSE),
-        ]
-        assert len({base, *variants}) == len(variants) + 1
-
-    def test_training_keys_never_collide_with_design_keys(self):
-        from repro.airlearning.scenarios import Scenario
-        from repro.core.evalcache import training_key
-        key = training_key(self.make_trainer(), PolicyHyperparams(3, 32),
-                           Scenario.LOW)
-        assert key[0] != design_key(make_workload(), make_config())[0]
-
-    def test_cached_training_round_trips(self):
-        from repro.airlearning.scenarios import Scenario
-        reset_shared_cache()
-        trainer = self.make_trainer(iterations=1, cache=True)
-        point = PolicyHyperparams(2, 32)
-        first = trainer.train(point, Scenario.LOW)
-        before = shared_report_cache().stats.snapshot()
-        second = trainer.train(point, Scenario.LOW)
-        delta = shared_report_cache().stats.since(before)
-        assert delta.hits == 1
-        assert first.mean_return_trace == second.mean_return_trace
-        assert first.success_rate_trace == second.success_rate_trace
-        reset_shared_cache()
-
-    def test_different_seed_retrains(self):
-        from repro.airlearning.scenarios import Scenario
-        reset_shared_cache()
-        point = PolicyHyperparams(2, 32)
-        self.make_trainer(iterations=1, cache=True).train(point,
-                                                          Scenario.LOW)
-        before = shared_report_cache().stats.snapshot()
-        self.make_trainer(iterations=1, cache=True,
-                          seed=9).train(point, Scenario.LOW)
-        delta = shared_report_cache().stats.since(before)
-        assert delta.hits == 0
-        assert delta.misses == 1
-        reset_shared_cache()

@@ -78,10 +78,9 @@ class TestValidation:
 
 class TestTrainerBackendScaling:
     @staticmethod
-    def make_frontend(workers=1, engine="vec", cache=True):
+    def make_frontend(workers=1):
         trainer = CemTrainer(population_size=8, iterations=1,
-                             episodes_per_candidate=1, seed=3,
-                             engine=engine, cache=cache)
+                             episodes_per_candidate=1, seed=3)
         return FrontEnd(backend="trainer", seed=3, trainer=trainer,
                         validation_episodes=4, workers=workers)
 
@@ -91,45 +90,23 @@ class TestTrainerBackendScaling:
                 for p in points]
 
     def test_env_steps_are_recorded(self):
-        from repro.core.evalcache import reset_shared_cache
-        reset_shared_cache()
         result = self.make_frontend().run(
             make_task(), hyperparams=[PolicyHyperparams(2, 32)])
         assert result.backend == "trainer"
         assert result.env_steps > 0
-        reset_shared_cache()
-
-    def test_cached_rerun_skips_training_steps(self):
-        from repro.core.evalcache import reset_shared_cache
-        reset_shared_cache()
-        frontend = self.make_frontend()
-        points = [PolicyHyperparams(2, 32)]
-        first = frontend.run(make_task(), hyperparams=points)
-        second = frontend.run(make_task(), hyperparams=points)
-        # The re-run trains from cache: only validation rollouts execute.
-        assert 0 < second.env_steps < first.env_steps
-        assert (self.success_rates(first, points)
-                == self.success_rates(second, points))
-        reset_shared_cache()
 
     def test_parallel_workers_match_serial(self):
-        from repro.core.evalcache import reset_shared_cache
         points = [PolicyHyperparams(2, 32), PolicyHyperparams(3, 32)]
-        reset_shared_cache()
         serial = self.make_frontend(workers=1).run(make_task(),
                                                    hyperparams=points)
-        reset_shared_cache()
         parallel = self.make_frontend(workers=2).run(make_task(),
                                                      hyperparams=points)
         assert (self.success_rates(serial, points)
                 == self.success_rates(parallel, points))
         assert serial.env_steps == parallel.env_steps
-        reset_shared_cache()
 
     def test_profiler_credited_with_steps(self):
-        from repro.core.evalcache import reset_shared_cache
         from repro.perf import Profiler
-        reset_shared_cache()
         profiler = Profiler()
         with profiler.phase("phase1"):
             self.make_frontend().run(
@@ -139,33 +116,9 @@ class TestTrainerBackendScaling:
         assert record.name == "phase1"
         assert record.steps > 0
         assert record.steps_per_second > 0
-        reset_shared_cache()
 
     def test_surrogate_is_constructed_once(self):
         frontend = FrontEnd(backend="surrogate", seed=0)
         assert frontend._surrogate is frontend._surrogate
         result = frontend.run(make_task())
         assert result.env_steps == 0
-
-
-
-class TestTrainingSweep:
-    def test_repeat_passes_are_served_from_the_training_cache(self):
-        """The sweep ``benchmarks/test_runtime_gates.py`` times: two
-        template points trained for one scenario over five passes, each
-        pass populating a fresh database.  Every pass after the first
-        must be served from the training cache."""
-        from repro.core.evalcache import reset_shared_cache, \
-            shared_report_cache
-        points = [PolicyHyperparams(2, 32), PolicyHyperparams(3, 32)]
-        passes = 5
-        trainer = CemTrainer(engine="vec", cache=True, population_size=32,
-                             iterations=2, episodes_per_candidate=3, seed=7)
-        frontend = FrontEnd(backend="trainer", seed=7, trainer=trainer,
-                            validation_episodes=12)
-        reset_shared_cache()
-        for _ in range(passes):
-            frontend.run(make_task(Scenario.DENSE), hyperparams=points)
-        hits = shared_report_cache().stats.hits
-        reset_shared_cache()
-        assert hits >= len(points) * (passes - 1)

@@ -94,3 +94,37 @@ class TestRepeatedRun:
     def test_repeat_selects_the_same_design(self, repeated_runs):
         first, second, _ = repeated_runs
         assert first.num_missions == second.num_missions
+
+
+class TestPhase1Reuse:
+    def test_each_template_point_trains_once_per_scenario(self,
+                                                          monkeypatch):
+        """The Air Learning database is Phase 1's only memo: one
+        AutoPilot that runs a two-platform bench of one scenario and then
+        one of its tasks again trains every template point once."""
+        from repro.airlearning.trainer import CemTrainer
+        from repro.bench import BenchRunner, build_suite
+        from repro.nn.template import enumerate_template_space
+
+        calls = []
+        train = CemTrainer.train
+
+        def spy(trainer, hyperparams, scenario, *args, **kwargs):
+            calls.append((hyperparams, scenario.value))
+            return train(trainer, hyperparams, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(CemTrainer, "train", spy)
+        config = RunConfig(seed=3, budget=6, frontend_backend="trainer",
+                           trainer={"population_size": 4, "iterations": 1,
+                                    "episodes_per_candidate": 1})
+        autopilot = AutoPilot(config, workers=1)
+        # Validation is not under test: one episode per point keeps the
+        # 27 trainings the bulk of a short run.
+        autopilot.frontend.validation_episodes = 1
+        suite = build_suite(ids=["dense"], platforms=["nano", "micro"])
+        assert len(BenchRunner(autopilot).run(suite).metrics) == 2
+        autopilot.run(suite.cells()[0].task(60.0))
+
+        points = list(enumerate_template_space())
+        assert len(calls) == len(points)
+        assert set(calls) == {(point, "dense") for point in points}

@@ -51,9 +51,13 @@ class TestParser:
         for argv in (["design", "--backend", "numpy"],
                      ["bench", "--bench-parallel", "2"],
                      ["design", "--pool", "warm"],
-                     ["sweep", "--pool", "cold"]):
-            with pytest.raises(SystemExit):
+                     ["sweep", "--pool", "cold"],
+                     ["design", "--rollout-engine", "vec"],
+                     ["bench", "--rollout-engine", "vec"],
+                     ["compare", "--rollout-engine", "scalar"]):
+            with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
 
 
 class TestCommands:
@@ -264,8 +268,8 @@ class TestCheckpointCli:
                 "--phase1-backend", "trainer", "--cem-population", "4",
                 "--cem-iterations", "1", "--cem-episodes", "1"]
         run_dir = tmp_path / "run"
-        # Each run starts from an empty shared training cache, as a
-        # separate process would.
+        # Each run starts from an empty report cache, as a separate
+        # process would.
         reset_shared_cache()
         assert main(args + ["--checkpoint-dir", str(run_dir)]) == 0
         first = capsys.readouterr().out
@@ -275,7 +279,7 @@ class TestCheckpointCli:
         assert RunManifest.load(run_dir).config.trainer == {
             "population_size": 4, "elite_count": 2,
             "episodes_per_candidate": 1, "iterations": 1,
-            "initial_std": 0.5, "engine": "vec"}
+            "initial_std": 0.5}
 
 
 #: Options that ``RunConfig`` rejects, and the error each prints.
