@@ -8,10 +8,12 @@ Phase 2 cache serves every platform of a scenario from one DSE run,
 and the content-addressed evaluation caches deduplicate across the
 whole sweep.
 
-Checkpointing composes with the PR-4 run format rather than inventing a
-new one: the bench directory holds a small atomic ``bench.json``
-manifest (the sweep's identity and per-cell status) plus one standard
-AutoPilot checkpoint directory per cell::
+Checkpointing composes with the run checkpoint format rather than
+inventing a new one: the bench directory holds a small atomic
+``bench.json`` manifest (the sweep's identity, written once when the
+sweep starts) plus one standard AutoPilot checkpoint directory per
+cell, whose own ``manifest.json`` is the one record of that cell's
+progress::
 
     <bench-dir>/
       bench.json                    atomic bench manifest
@@ -19,10 +21,10 @@ AutoPilot checkpoint directory per cell::
         manifest.json
         phase1/ phase2/ ...
 
-Resume replays completed cells from their journals and picks the
-interrupted cell up mid-phase, so a killed-and-resumed bench run is
-bit-identical to an uninterrupted one -- the CI ``bench-smoke`` job
-diffs the two reports byte for byte.
+Resume verifies ``bench.json`` without rewriting it, replays completed
+cells from their journals and picks the interrupted cell up mid-phase,
+so a killed-and-resumed bench run is bit-identical to an uninterrupted
+one -- the CI ``bench-smoke`` job diffs the two reports byte for byte.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import ClassVar, Dict, List, Optional, Union
 
 from repro.bench.metrics import CellMetrics, metrics_for
 from repro.bench.suite import BenchCell, BenchSuite, build_suite
-from repro.core.checkpoint import Manifest, progress_field
+from repro.core.checkpoint import MANIFEST_NAME, Manifest
 from repro.core.pipeline import AutoPilot, AutoPilotResult
 from repro.core.spec import RunConfig
 
@@ -46,13 +48,15 @@ BENCH_SCHEMA_VERSION = 1
 
 @dataclass
 class BenchManifest(Manifest):
-    """Durable identity and progress record of one bench sweep.
+    """Durable identity of one bench sweep.
 
-    Mirrors :class:`~repro.core.checkpoint.RunManifest` one level up:
-    the per-cell pipeline state lives in each cell's own run directory;
-    this manifest records *which* cells the sweep consists of and which
-    have completed, so ``autopilot bench --resume`` can rebuild the
-    exact suite without re-deriving it from command-line filters.
+    Mirrors :class:`~repro.core.checkpoint.RunManifest` one level up.
+    It records *which* cells the sweep consists of, so ``autopilot bench
+    --resume`` can rebuild the exact suite without re-deriving it from
+    command-line filters.  It holds no progress: each cell's status
+    lives in the manifest of its own run directory.  Manifests that
+    earlier versions wrote carry a per-cell ``cells`` map, which loading
+    ignores.
     """
 
     FILE_NAME: ClassVar[str] = BENCH_MANIFEST_NAME
@@ -65,8 +69,6 @@ class BenchManifest(Manifest):
     platforms: List[str]
     sensor_fps: float
     config: RunConfig
-    #: cell id -> ``pending`` / ``running`` / ``complete``.
-    cells: Dict[str, str] = progress_field(default_factory=dict)
     schema: int = BENCH_SCHEMA_VERSION
 
     def suite(self) -> BenchSuite:
@@ -111,20 +113,15 @@ class BenchRunner:
         inside a cell, which is what lets consecutive cells share the
         scenario database and Phase 2 cache.
         """
-        manifest: Optional[BenchManifest] = None
         if self.checkpoint_dir is not None:
             manifest = BenchManifest(
                 scenarios=list(suite.scenario_ids),
                 platforms=list(suite.platforms),
-                sensor_fps=self.sensor_fps, config=self.autopilot.config,
-                cells={cell.cell_id: "pending" for cell in suite.cells()})
+                sensor_fps=self.sensor_fps, config=self.autopilot.config)
             if self.resume:
-                # Keep the recorded per-cell progress for status
-                # reporting; actual resumability is decided per cell by
-                # the presence of its run manifest.
-                recorded = manifest.check_resume(self.checkpoint_dir)
-                manifest.cells.update(recorded.cells)
-            manifest.save(self.checkpoint_dir)
+                manifest.check_resume(self.checkpoint_dir)
+            else:
+                manifest.save(self.checkpoint_dir)
 
         metrics: List[CellMetrics] = []
         results: Dict[str, AutoPilotResult] = {}
@@ -135,16 +132,10 @@ class BenchRunner:
             # completed cells replay their journals bit-identically
             # (repopulating the shared caches deterministically).
             cell_resume = (self.resume and cell_dir is not None
-                           and (cell_dir / "manifest.json").exists())
-            if manifest is not None:
-                manifest.cells[cell.cell_id] = "running"
-                manifest.save(self.checkpoint_dir)
+                           and (cell_dir / MANIFEST_NAME).exists())
             result = self.autopilot.run(
                 cell.task(self.sensor_fps), profile=self.profile,
                 checkpoint_dir=cell_dir, resume=cell_resume)
             metrics.append(metrics_for(cell, result))
             results[cell.cell_id] = result
-            if manifest is not None:
-                manifest.cells[cell.cell_id] = "complete"
-                manifest.save(self.checkpoint_dir)
         return BenchResult(suite=suite, metrics=metrics, results=results)

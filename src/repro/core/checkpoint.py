@@ -226,10 +226,12 @@ class Manifest:
 class RunManifest(Manifest):
     """Durable identity and progress record of one checkpointed run.
 
-    The manifest is rewritten atomically at phase boundaries; the
-    fine-grained per-iteration progress lives in the phase journals.
-    ``status`` maps phase name (``phase1``/``phase2``/``phase3``) to
-    ``pending`` / ``running`` / ``complete``.
+    The pipeline rewrites it atomically only when it records progress
+    no earlier write holds: at the start, on entering a live Phase 2
+    and at the end.  The fine-grained per-iteration progress lives in
+    the phase journals.  ``status`` maps phase name
+    (``phase1``/``phase2``/``phase3``) to ``pending`` / ``running`` /
+    ``complete``.
     """
 
     FILE_NAME: ClassVar[str] = MANIFEST_NAME

@@ -92,7 +92,10 @@ class AutoPilot:
         work and produces a result bit-identical to an uninterrupted
         run.  Resuming verifies the manifest against this task and
         config and raises :class:`~repro.errors.CheckpointError` on any
-        mismatch.
+        mismatch.  The manifest is written only when it records
+        progress no earlier write holds: at the start, before a live
+        Phase 2, and at the end (Phase 3 keeps no journal; a resume
+        recomputes it).
         """
         if resume and checkpoint_dir is None:
             raise ConfigError("resume requires a checkpoint directory")
@@ -104,20 +107,15 @@ class AutoPilot:
             manifest = RunManifest.for_task(task, config)
             if resume:
                 manifest.check_resume(checkpoint.run_dir)
+            manifest.status["phase1"] = "running"
             manifest.save(checkpoint.run_dir)
 
         profiler = Profiler()
-        if manifest is not None:
-            manifest.status["phase1"] = "running"
-            manifest.save(checkpoint.run_dir)
         with profiler.phase("phase1"):
             phase1 = self.frontend.run(task, database=self.database,
                                        profiler=profiler,
                                        checkpoint=checkpoint,
                                        resume=resume)
-        if manifest is not None:
-            manifest.status["phase1"] = "complete"
-            manifest.save(checkpoint.run_dir)
 
         phase2 = (self._phase2_cache.get(task.scenario)
                   if reuse_phase2 else None)
@@ -134,7 +132,7 @@ class AutoPilot:
             promotion_journal = (checkpoint.phase2_promotions_journal()
                                  if checkpoint is not None else None)
             if manifest is not None:
-                manifest.status["phase2"] = "running"
+                manifest.status.update(phase1="complete", phase2="running")
                 manifest.save(checkpoint.run_dir)
             with profiler.phase("phase2"):
                 phase2 = dse.run(task, budget=config.budget,
@@ -142,16 +140,14 @@ class AutoPilot:
                                  promotion_journal=promotion_journal,
                                  resume=resume)
             self._phase2_cache[task.scenario] = phase2
-        if manifest is not None:
-            manifest.status["phase2"] = "complete"
-            manifest.phase2_evaluations = len(
-                phase2.optimization.evaluations)
-            manifest.save(checkpoint.run_dir)
 
         with profiler.phase("phase3"):
             phase3 = self.backend.run(phase2.candidates, task)
         if manifest is not None:
-            manifest.status["phase3"] = "complete"
+            manifest.status.update(phase1="complete", phase2="complete",
+                                   phase3="complete")
+            manifest.phase2_evaluations = len(
+                phase2.optimization.evaluations)
             manifest.save(checkpoint.run_dir)
 
         return AutoPilotResult(

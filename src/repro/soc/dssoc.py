@@ -13,6 +13,7 @@ from typing import Optional
 
 from repro.errors import ConfigError
 from repro.nn.template import PolicyHyperparams, PolicyNetwork, build_policy_network
+from repro.nn.workload import NetworkWorkload, lower_network
 from repro.power.soc_power import AcceleratorPowerBreakdown, accelerator_power
 from repro.scalesim.config import AcceleratorConfig
 from repro.scalesim.report import RunReport
@@ -78,7 +79,12 @@ class DssocEvaluation:
 
 
 class DssocEvaluator:
-    """Evaluates DSSoC design points, caching simulated policies."""
+    """Evaluates DSSoC design points.
+
+    Each policy's network and its lowered workload are cached, so an
+    evaluator builds and lowers a policy once however many accelerator
+    points it pairs it with.
+    """
 
     def __init__(self, operating_fps: Optional[float] = None):
         """``operating_fps`` caps the evaluated frame rate (e.g. to the
@@ -88,6 +94,7 @@ class DssocEvaluator:
             raise ConfigError("operating_fps must be positive")
         self.operating_fps = operating_fps
         self._network_cache: dict[str, PolicyNetwork] = {}
+        self._workload_cache: dict[str, NetworkWorkload] = {}
 
     def network_for(self, policy: PolicyHyperparams) -> PolicyNetwork:
         """Materialise (and cache) the policy network."""
@@ -97,11 +104,18 @@ class DssocEvaluator:
             self._network_cache[policy.identifier] = cached
         return cached
 
+    def workload_for(self, policy: PolicyHyperparams) -> NetworkWorkload:
+        """The policy network lowered to an accelerator workload (cached)."""
+        cached = self._workload_cache.get(policy.identifier)
+        if cached is None:
+            cached = lower_network(self.network_for(policy))
+            self._workload_cache[policy.identifier] = cached
+        return cached
+
     def evaluate(self, design: DssocDesign) -> DssocEvaluation:
         """Simulate and power-model one design point."""
-        network = self.network_for(design.policy)
         simulator = SystolicArraySimulator(design.accelerator)
-        report = simulator.run_network(network)
+        report = simulator.run(self.workload_for(design.policy))
 
         peak_power = accelerator_power(report, design.accelerator,
                                        frames_per_second=None)

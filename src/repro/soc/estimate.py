@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.nn.template import PolicyHyperparams
-from repro.nn.workload import lower_network
 from repro.power.cacti import sram_model
 from repro.power.dram import BACKGROUND_POWER_W
 from repro.power.pe import IDLE_ENERGY_PJ, PE_LEAKAGE_W
@@ -118,9 +117,9 @@ def power_weight_floor(configs: Sequence[AcceleratorConfig]
 class Tier0Estimator:
     """Pool-level lower bounds, cached per (workload, config) pair.
 
-    Wraps a :class:`~repro.soc.dssoc.DssocEvaluator` to reuse its policy
-    network cache; workload aggregates are reduced once per policy and
-    per-design results are published to the shared
+    Wraps a :class:`~repro.soc.dssoc.DssocEvaluator` to reuse its
+    lowered-workload cache; workload aggregates are reduced once per
+    policy and per-design results are published to the shared
     :class:`~repro.core.evalcache.EvalCache` under
     :func:`~repro.core.evalcache.estimate_key` -- a key family disjoint
     from the tier-1 ``design_key`` reports, so the fidelity tiers can
@@ -140,7 +139,7 @@ class Tier0Estimator:
         from repro.core.evalcache import workload_fingerprint
         cached = self._aggregates.get(policy.identifier)
         if cached is None:
-            workload = lower_network(self.evaluator.network_for(policy))
+            workload = self.evaluator.workload_for(policy)
             cached = (lower_workload_aggregates(workload),
                       workload_fingerprint(workload))
             self._aggregates[policy.identifier] = cached

@@ -6,8 +6,8 @@ old checkpoint directory written before that must keep loading, and its
 cache keys and journals) it was written with.  New registry ids must
 round-trip through the same manifest machinery.  Manifests that carry
 fields of removed features (the array backend, concurrent bench cells,
-the pool mode, the trainer's rollout engine) must load and resume as if
-the fields were absent.
+the pool mode, the trainer's rollout engine, the bench manifest's
+per-cell status map) must load and resume as if the fields were absent.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 from repro.airlearning.scenarios import Scenario, ScenarioSpec, scenario_ids
 from repro.bench.runner import BENCH_MANIFEST_NAME, BenchManifest
 from repro.cli import build_parser, main
-from repro.core.checkpoint import MANIFEST_NAME, RunManifest
+from repro.core.checkpoint import MANIFEST_NAME, RunCheckpoint, RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig, TaskSpec
 from repro.errors import CheckpointError, ConfigError
@@ -114,17 +114,30 @@ def test_checkpointed_run_with_registry_scenario_resumes(tmp_path):
 #: Fields that earlier versions wrote and this one no longer has.
 _REMOVED_FIELDS = {"array_backend": "threaded", "bench_parallel": 2,
                    "pool": "warm"}
+#: ... and, in the bench manifest, the per-cell status map, as it read
+#: while the first smoke cell ran.
+_REMOVED_BENCH_FIELDS = {**_REMOVED_FIELDS, "cells": {
+    "low__nano": "running", "dense__nano": "pending",
+    "corridor-narrow__nano": "pending", "urban-canyon__nano": "pending",
+    "open-field__nano": "pending"}}
 
 
-@pytest.mark.parametrize("command, kill_at, manifest_cls, patterns", [
-    (["design", "--uav", "nano", "--scenario", "low", "--budget", "15",
-      "--seed", "3"], 35, RunManifest, [MANIFEST_NAME]),
-    (["bench", "--tags", "smoke", "--platforms", "nano", "--budget", "6",
-      "--seed", "3"], 40, BenchManifest,
-     [BENCH_MANIFEST_NAME, f"cells/*/{MANIFEST_NAME}"]),
-], ids=["run-manifest", "bench-manifest"])
+@pytest.mark.parametrize(
+    "command, kill_at, records, manifest_cls, removed, patterns", [
+        # Killed after 29 writes (start manifest, 27 Phase 1 journal
+        # appends, the manifest entering Phase 2) and 4 Phase 2 ones.
+        (["design", "--uav", "nano", "--scenario", "low", "--budget", "15",
+          "--seed", "3"], 33, 4, RunManifest, _REMOVED_FIELDS,
+         [MANIFEST_NAME]),
+        # bench.json comes first; the first cell has journalled all 6
+        # Phase 2 evaluations but not written its final manifest.
+        (["bench", "--tags", "smoke", "--platforms", "nano", "--budget",
+          "6", "--seed", "3"], 36, 6, BenchManifest, _REMOVED_BENCH_FIELDS,
+         [BENCH_MANIFEST_NAME, f"cells/*/{MANIFEST_NAME}"]),
+    ], ids=["run-manifest", "bench-manifest"])
 def test_manifest_with_removed_fields_resumes_identically(
-        tmp_path, capsys, command, kill_at, manifest_cls, patterns):
+        tmp_path, capsys, command, kill_at, records, manifest_cls,
+        removed, patterns):
     assert main(command) == 0
     baseline = capsys.readouterr().out
     run_dir = tmp_path / "run"
@@ -132,15 +145,18 @@ def test_manifest_with_removed_fields_resumes_identically(
         with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
             main(command + ["--checkpoint-dir", str(run_dir)])
     capsys.readouterr()
+    (killed,) = (path.parent for path in run_dir.glob(patterns[-1]))
+    assert RunManifest.load(killed).status["phase2"] == "running"
+    assert len(RunCheckpoint(killed).phase2_journal().load()) == records
     for pattern in patterns:
         paths = list(run_dir.glob(pattern))
         assert paths
         for path in paths:
             payload = json.loads(path.read_text())
-            payload.update(_REMOVED_FIELDS)
+            payload.update(removed)
             path.write_text(json.dumps(payload))
     manifest = manifest_cls.load(run_dir)
-    assert not any(hasattr(manifest, name) for name in _REMOVED_FIELDS)
+    assert not any(hasattr(manifest, name) for name in removed)
 
     assert main([command[0], "--resume", str(run_dir)]) == 0
     assert capsys.readouterr().out == baseline

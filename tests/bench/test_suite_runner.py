@@ -3,7 +3,7 @@
 The load-bearing property is the acceptance criterion: a bench sweep
 killed mid-run and resumed produces a byte-identical report to an
 uninterrupted sweep, because every cell replays (or fast-forwards)
-through the PR-4 checkpoint machinery under one shared pipeline.
+through the run checkpoint machinery under one shared pipeline.
 """
 
 from __future__ import annotations
@@ -19,14 +19,27 @@ from repro.bench import (
     render_bench_report,
 )
 from repro.cli import main
+from repro.core.checkpoint import RunCheckpoint, RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig
 from repro.errors import CheckpointError, ConfigError
+from repro.optim.gp import gp_stats
 from repro.testing import faults
 
 BENCH_ARGS = ["bench", "--tags", "smoke", "--platforms", "nano",
               "--budget", "6", "--seed", "3"]
 CONFIG = RunConfig(seed=3, budget=6)
+
+#: Checkpoint writes before the first cell's first Phase 2 journal
+#: record: ``bench.json``, the cell's start manifest, its 27 Phase 1
+#: journal appends and its manifest written on entering Phase 2.
+PHASE2_FIRST_WRITE = 30
+
+#: Where the refit-cadence kills land, as the first cell's Phase 2
+#: journal length (see ``tests/test_cli.py``'s ``REFIT_KILLS``).
+REFIT_KILLS = [pytest.param(6, id="warm-up"),
+               pytest.param(20, id="after-incremental-group"),
+               pytest.param(26, id="mid-group")]
 
 
 @pytest.fixture(autouse=True)
@@ -110,8 +123,10 @@ class TestRunner:
                               resume=True).run(suite)
         assert (render_bench_report(resumed.metrics)
                 == render_bench_report(fresh.metrics))
-        manifest = BenchManifest.load(bench_dir)
-        assert set(manifest.cells.values()) == {"complete"}
+        assert BenchManifest.load(bench_dir).suite() == suite
+        for cell in suite.cells():
+            manifest = RunManifest.load(bench_dir / "cells" / cell.cell_id)
+            assert set(manifest.status.values()) == {"complete"}
 
     def test_resume_with_different_config_refused(self, tmp_path):
         suite = build_suite(ids=["dense"], platforms=["nano"])
@@ -155,28 +170,39 @@ class TestBenchCli:
         baseline = capsys.readouterr().out
 
         bench_dir = tmp_path / "bench"
-        # Simulated process death mid-sweep: some cells complete, one
-        # is mid-phase, the rest were never started.
+        # Simulated process death mid-sweep: the first cell has
+        # journalled all six Phase 2 evaluations but not finished, and
+        # the other four were never started.
         with pytest.raises(faults.SimulatedKill):
-            with faults.active_faults("kill@checkpoint-write:40"):
+            with faults.active_faults(
+                    f"kill@checkpoint-write:{PHASE2_FIRST_WRITE + 6}"):
                 main(BENCH_ARGS + ["--checkpoint-dir", str(bench_dir)])
         capsys.readouterr()
+        (cell,) = (bench_dir / "cells").iterdir()
+        assert RunManifest.load(cell).status["phase2"] == "running"
+        assert len(RunCheckpoint(cell).phase2_journal().load()) == 6
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == baseline
 
-    @pytest.mark.parametrize("kill_at", [3, 5, 8])
+    @pytest.mark.parametrize("records", REFIT_KILLS)
     def test_gp_refit_every_survives_kill_and_resume(self, tmp_path,
-                                                     capsys, kill_at):
+                                                     capsys, records):
         args = ["bench", "--scenarios", "dense", "--platforms", "nano",
                 "--seed", "7", "--budget", "60", "--proposal-batch", "4",
                 "--gp-refit-every", "8"]
         assert main(args) == 0
         baseline = capsys.readouterr().out
         bench_dir = tmp_path / "bench"
+        kill_at = PHASE2_FIRST_WRITE + records
+        before = gp_stats().snapshot()
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
                 main(args + ["--checkpoint-dir", str(bench_dir)])
         capsys.readouterr()
+        cell = RunCheckpoint(bench_dir / "cells" / "dense__nano")
+        assert len(cell.phase2_journal().load()) == records
+        assert ((gp_stats().since(before).incremental_updates > 0)
+                == (records > 16))
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == baseline
         assert BenchManifest.load(bench_dir).config.gp_refit_every == 8

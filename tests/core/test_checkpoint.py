@@ -8,7 +8,9 @@ three-phase pipeline.
 
 import json
 import pickle
+from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.airlearning.env import NavigationEnv
 from repro.airlearning.scenarios import Scenario
 from repro.airlearning.trainer import CemTrainer
 from repro.bench import BenchManifest, BenchRunner, build_suite
+from repro.core import checkpoint as checkpoint_module
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     EvaluationJournal,
@@ -572,15 +575,18 @@ class TestPipelineResume:
     def test_killed_pipeline_resumes_bit_identically(self, tmp_path, task):
         baseline = AutoPilot(PIPE_CONFIG).run(task)
         run_dir = tmp_path / "run"
-        # 2 manifest writes + 27 Phase 1 journal appends + 2 manifest
-        # writes = 31 writes precede the Phase 2 journal, whose first 12
-        # appends (31-42) are SMS-EGO's random warm-up.  Counter 45
-        # lands inside the model-based proposals, two of them journalled.
-        with faults.active_faults("kill@checkpoint-write:45"):
+        # The start manifest (write 0), 27 Phase 1 journal appends (1-27)
+        # and the manifest entering Phase 2 (28) precede the Phase 2
+        # journal, whose first 12 appends (29-40) are SMS-EGO's random
+        # warm-up.  Counter 43 lands inside the model-based proposals,
+        # two of them journalled.
+        with faults.active_faults("kill@checkpoint-write:43"):
             with pytest.raises(faults.SimulatedKill):
                 AutoPilot(PIPE_CONFIG).run(task, checkpoint_dir=run_dir)
         manifest = RunManifest.load(run_dir)
-        assert manifest.status["phase1"] == "complete"
+        assert manifest.status == {"phase1": "complete",
+                                   "phase2": "running",
+                                   "phase3": "pending"}
         assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 14
         resumed = AutoPilot(PIPE_CONFIG).run(task, checkpoint_dir=run_dir,
                                              resume=True)
@@ -599,10 +605,10 @@ class TestPipelineResume:
         config = replace(PIPE_CONFIG, proposal_batch=4, fidelity="on")
         baseline = AutoPilot(config).run(task)
         run_dir = tmp_path / "run"
-        # 31 writes precede the Phase 2 journals (see above); counter
-        # 45 lands past the warm-up batch (31-42) and the first
-        # promotion record (43), inside the first group's evaluations.
-        with faults.active_faults("kill@checkpoint-write:45"):
+        # 29 writes precede the Phase 2 journals (see above); counter
+        # 43 lands past the warm-up batch (29-40) and the first
+        # promotion record (41), inside the first group's evaluations.
+        with faults.active_faults("kill@checkpoint-write:43"):
             with pytest.raises(faults.SimulatedKill):
                 AutoPilot(config).run(task, checkpoint_dir=run_dir)
         checkpoint = RunCheckpoint(run_dir)
@@ -634,9 +640,13 @@ class TestPipelineResume:
         baseline = AutoPilot(config).run(task)
         run_dir = tmp_path / "run"
         reset_shared_cache()
-        with faults.active_faults("kill@checkpoint-write:35"):
+        # 29 writes precede the Phase 2 journal (see above): counter 33
+        # lands after four warm-up evaluations.
+        with faults.active_faults("kill@checkpoint-write:33"):
             with pytest.raises(faults.SimulatedKill):
                 AutoPilot(config).run(task, checkpoint_dir=run_dir)
+        assert RunManifest.load(run_dir).status["phase2"] == "running"
+        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 4
         reset_shared_cache()
         resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
                                         resume=True)
@@ -652,6 +662,57 @@ class TestPipelineResume:
             AutoPilot(PIPE_CONFIG).run(task,
                                        checkpoint_dir=tmp_path / "none",
                                        resume=True)
+
+
+# ----------------------------------------------------------------------
+# Write schedule: a manifest is written only for progress no earlier
+# write holds
+# ----------------------------------------------------------------------
+@pytest.fixture
+def json_writes(monkeypatch):
+    """Paths of every ``atomic_write_json`` call, in order."""
+    writes = []
+    original = checkpoint_module.atomic_write_json
+
+    def spy(path, payload):
+        writes.append(Path(path))
+        original(path, payload)
+
+    monkeypatch.setattr(checkpoint_module, "atomic_write_json", spy)
+    return writes
+
+
+class TestWriteSchedule:
+    def test_run_writes_its_manifest_three_times(self, tmp_path, task,
+                                                  json_writes):
+        # At the start, on entering Phase 2 and at the end.
+        run_dir = tmp_path / "run"
+        AutoPilot(RunConfig(seed=3, budget=6)).run(task,
+                                                   checkpoint_dir=run_dir)
+        assert json_writes == [run_dir / "manifest.json"] * 3
+
+    def test_bench_writes_its_manifest_once(self, tmp_path, json_writes):
+        suite = build_suite(ids=["dense"], platforms=["mini", "nano"])
+        bench_dir = tmp_path / "bench"
+
+        def written():
+            counts = Counter(path.relative_to(bench_dir).as_posix()
+                             for path in json_writes)
+            json_writes.clear()
+            return counts
+
+        BenchRunner(AutoPilot(RunConfig(seed=3, budget=6)),
+                    checkpoint_dir=bench_dir).run(suite)
+        # The live cell's manifest is written three times; the cell
+        # served from the Phase 2 cache skips the Phase 2 entry write.
+        assert written() == {"bench.json": 1,
+                             "cells/dense__mini/manifest.json": 3,
+                             "cells/dense__nano/manifest.json": 2}
+        # A resume verifies bench.json without rewriting it.
+        BenchRunner(AutoPilot(RunConfig(seed=3, budget=6)),
+                    checkpoint_dir=bench_dir, resume=True).run(suite)
+        assert written() == {"cells/dense__mini/manifest.json": 3,
+                             "cells/dense__nano/manifest.json": 2}
 
 
 # ----------------------------------------------------------------------

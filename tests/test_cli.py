@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.checkpoint import RunManifest
+from repro.core.checkpoint import RunCheckpoint, RunManifest
 from repro.core.evalcache import reset_shared_cache
+from repro.optim.gp import gp_stats
 from repro.testing import faults
 
 
@@ -142,6 +143,20 @@ class TestStartup:
 DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
                "--budget", "15", "--seed", "3"]
 
+#: Checkpoint writes before a run's first Phase 2 journal record: the
+#: start manifest, one Phase 1 journal append per template point (27)
+#: and the manifest written on entering Phase 2.
+PHASE2_FIRST_WRITE = 29
+
+#: Where the refit-cadence kills land, as the Phase 2 journal length
+#: each leaves.  At q=4 and K=8 the GP is fitted in full at 12
+#: observations and extended at 16, so 20 records end the first group
+#: proposed from an incremental update, and 26 is mid-way through the
+#: next such group (extended at 24).
+REFIT_KILLS = [pytest.param(6, id="warm-up"),
+               pytest.param(20, id="after-incremental-group"),
+               pytest.param(26, id="mid-group")]
+
 #: One non-default value of every option a checkpoint records.
 NON_DEFAULT_OPTIONS = [
     ["--seed", "3"],
@@ -171,13 +186,14 @@ class TestCheckpointCli:
         assert main(DESIGN_ARGS) == 0
         baseline = capsys.readouterr().out
         run_dir = tmp_path / "run"
-        # Kill the process (simulated) mid-phase-2: after the initial
-        # manifest writes and the phase 1 journal, a handful of phase 2
-        # evaluations have been journalled when write #35 dies.
+        # Kill the process (simulated) mid-phase-2, once four phase 2
+        # evaluations have been journalled.
         with pytest.raises(faults.SimulatedKill):
-            with faults.active_faults("kill@checkpoint-write:35"):
+            with faults.active_faults(
+                    f"kill@checkpoint-write:{PHASE2_FIRST_WRITE + 4}"):
                 main(DESIGN_ARGS + ["--checkpoint-dir", str(run_dir)])
         capsys.readouterr()
+        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 4
         assert main(["design", "--resume", str(run_dir)]) == 0
         assert capsys.readouterr().out == baseline
 
@@ -210,19 +226,24 @@ class TestCheckpointCli:
         assert manifest["seed"] == 3
         assert manifest["budget"] == 15
 
-    @pytest.mark.parametrize("kill_at", [3, 5, 8])
+    @pytest.mark.parametrize("records", REFIT_KILLS)
     def test_gp_refit_every_survives_kill_and_resume(self, tmp_path,
-                                                     capsys, kill_at):
+                                                     capsys, records):
         args = ["design", "--uav", "nano", "--scenario", "dense",
                 "--seed", "7", "--budget", "60", "--proposal-batch", "4",
                 "--gp-refit-every", "8"]
         assert main(args) == 0
         baseline = capsys.readouterr().out
         run_dir = tmp_path / "run"
+        kill_at = PHASE2_FIRST_WRITE + records
+        before = gp_stats().snapshot()
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
                 main(args + ["--checkpoint-dir", str(run_dir)])
         capsys.readouterr()
+        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == records
+        assert ((gp_stats().since(before).incremental_updates > 0)
+                == (records > 16))
         # The resume command line names no pipeline option: the
         # manifest restores the refit cadence.
         assert main(["design", "--resume", str(run_dir)]) == 0
@@ -230,13 +251,14 @@ class TestCheckpointCli:
         assert RunManifest.load(run_dir).config.gp_refit_every == 8
 
     @pytest.mark.parametrize("command, kill_at", [
-        # 12 SMS-EGO warm-up evaluations follow the run's first 31
-        # (bench: 33) checkpoint writes, so each kill lands two journal
-        # writes into the model-based proposals.
+        # 12 SMS-EGO warm-up evaluations follow the run's first 29
+        # (bench, which first writes bench.json: 30) checkpoint writes,
+        # so each kill lands two Phase 2 journal writes into the
+        # model-based proposals.
         (["design", "--uav", "nano", "--scenario", "low",
-          "--budget", "20"], 45),
+          "--budget", "20"], PHASE2_FIRST_WRITE + 14),
         (["bench", "--scenarios", "dense", "--platforms", "nano",
-          "--budget", "20"], 47),
+          "--budget", "20"], PHASE2_FIRST_WRITE + 15),
     ], ids=["design", "bench"])
     @pytest.mark.parametrize("option", NON_DEFAULT_OPTIONS,
                              ids=lambda option: option[0].lstrip("-"))
@@ -250,6 +272,13 @@ class TestCheckpointCli:
             with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
                 main(args + ["--checkpoint-dir", str(run_dir)])
         capsys.readouterr()
+        # Fourteen Phase 2 journal writes; with the fidelity screen on,
+        # the first group's promotion record is one of them.
+        cell = run_dir if command[0] == "design" else next(
+            run_dir.glob("cells/*"))
+        checkpoint = RunCheckpoint(cell)
+        assert (len(checkpoint.phase2_journal().load())
+                + len(checkpoint.phase2_promotions_journal().load())) == 14
         # The resume command line names no option: the manifest
         # restores every one of them.
         assert main([command[0], "--resume", str(run_dir)]) == 0
