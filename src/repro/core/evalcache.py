@@ -10,13 +10,23 @@ unsound (CPython reuses ``id()`` values after garbage collection, so a
 recycled id plus a template-shared network name could silently return a
 stale report for a *different* workload).
 
-This module replaces that with a *content-addressed* key derived from
-the full workload and accelerator content (layer GEMM shapes, operand
-byte sizes, PE dimensions, SRAM sizes, dataflow, clock, DRAM bandwidth)
-plus a small shared in-memory LRU cache, so identical designs are
-simulated exactly once per process no matter how many simulators, DSE
-runs or pipeline sweeps touch them.  Entries never outlive the process
-that computed them.
+This module replaces that with *content-addressed* keys derived from
+what fixes the result -- the workload (its layer GEMM shapes and
+operand byte sizes, or the template point it is lowered from) and the
+accelerator (PE dimensions, SRAM sizes, dataflow, clock, DRAM
+bandwidth) -- plus a small shared in-memory LRU cache.  It holds three
+kinds of entry, each under its own key tag so they can never alias:
+
+* finished DSSoC evaluations (:func:`evaluation_key`), which
+  :class:`~repro.soc.dssoc.DssocEvaluator` stores, so each distinct
+  (design, operating rate) pair is simulated and power-modelled once per
+  process no matter how many DSE runs, fine-tunes or pipeline sweeps
+  touch it -- a repeat is one hit and no work;
+* simulator run reports (:func:`design_key`), for direct users of
+  :meth:`~repro.scalesim.simulator.SystolicArraySimulator.run`;
+* tier-0 bound estimates (:func:`estimate_key`).
+
+Entries never outlive the process that computed them.
 
 Phase 1 training results are not cached here: the Air Learning database
 already trains each (template point, scenario) once per pipeline, so a
@@ -37,7 +47,7 @@ from typing import Any, Hashable, Iterable, Optional, Tuple
 from repro.errors import ConfigError
 from repro.perf.counters import DeltaCounters
 
-#: Default in-memory capacity of the shared report cache.  The full
+#: Default in-memory capacity of the shared cache.  The full
 #: Table II space has ~1.8M hardware points but any realistic DSE run
 #: touches a few thousand; 16K entries of small frozen dataclasses is a
 #: few tens of MB at most.
@@ -94,6 +104,20 @@ def design_key(workload: Any, config: Any) -> Tuple[Hashable, ...]:
             workload_fingerprint(workload))
 
 
+def evaluation_key(design: Any, operating_fps: Optional[float]
+                   ) -> Tuple[Hashable, ...]:
+    """Content-addressed key for one finished DSSoC evaluation.
+
+    The template point (the two policy hyper-parameters, which fix the
+    lowered workload) and the accelerator content identify the design;
+    the operating frame rate changes its power, so it is part of the
+    key too.
+    """
+    policy = design.policy
+    return ("dssoc_evaluation", policy.num_layers, policy.num_filters,
+            config_fingerprint(design.accelerator), operating_fps)
+
+
 def estimate_key(workload: Any, config: Any, *,
                  workload_fp: Tuple[Hashable, ...] | None = None
                  ) -> Tuple[Hashable, ...]:
@@ -133,9 +157,9 @@ class CacheStats(DeltaCounters):
 class EvalCache:
     """Thread-safe, in-memory LRU cache.
 
-    Keys are hashable tuples of primitives (see :func:`design_key`);
+    Keys are hashable tuples of primitives (see :func:`evaluation_key`);
     values are immutable result records (e.g.
-    :class:`~repro.scalesim.report.RunReport`).
+    :class:`~repro.soc.dssoc.DssocEvaluation`).
 
     Args:
         capacity: LRU entry bound.
@@ -210,10 +234,10 @@ class EvalCache:
 
 
 # ----------------------------------------------------------------------
-# The process-wide shared report cache.
+# The process-wide shared cache.
 #
 # One cache instance is shared by every simulator / evaluator in the
-# process so identical designs are simulated once across all pipeline
+# process so identical designs are evaluated once across all pipeline
 # runs.  ``configure_shared_cache`` swaps it (e.g. to shrink capacity in
 # tests).
 
@@ -222,7 +246,7 @@ _shared_lock = threading.Lock()
 
 
 def shared_report_cache() -> EvalCache:
-    """The process-wide simulation report cache."""
+    """The process-wide evaluation cache."""
     return _shared_cache
 
 

@@ -89,8 +89,8 @@ class MultiObjectiveDse:
     """Phase 2 driver: wires the evaluation engine into an optimiser.
 
     Evaluations run in-process, one design at a time, through
-    :meth:`DssocEvaluator.evaluate` and the content-addressed shared
-    report cache (identical designs are simulated once per process).
+    :meth:`DssocEvaluator.evaluate`, which serves a design the process
+    already evaluated from the content-addressed shared cache.
 
     Args:
         database: Validated Phase 1 success rates.
@@ -129,8 +129,7 @@ class MultiObjectiveDse:
         self.fidelity = fidelity
         self.promotion_eta = promotion_eta
 
-    def derive_reference(self, evaluator: Optional[DssocEvaluator] = None
-                         ) -> List[float]:
+    def derive_reference(self) -> List[float]:
         """Hypervolume reference from the design-space extremes.
 
         The seed implementation hard-coded ``[1.0, 1.0, 50.0]``, which
@@ -144,7 +143,7 @@ class MultiObjectiveDse:
         strictly inside the reference.  Both corner evaluations hit the
         shared cache on every run after the first.
         """
-        evaluator = evaluator or DssocEvaluator()
+        evaluator = DssocEvaluator()
         dims = {dim.name: dim.values for dim in self.space.dimensions}
 
         def corner(hw_pick) -> DssocEvaluation:
@@ -215,8 +214,12 @@ class MultiObjectiveDse:
             else:
                 journal.reset()
 
-        def to_candidate(assignment: Assignment, design: DssocDesign,
+        def to_candidate(assignment: Assignment,
                          evaluation: DssocEvaluation) -> CandidateDesign:
+            # The evaluation's own design object, so that a journal
+            # record pickles one design even when the evaluation was
+            # served from the cache for an equal, earlier design.
+            design = evaluation.design
             success = self.database.success_rate(design.policy,
                                                  task.scenario)
             candidate = CandidateDesign(design=design, evaluation=evaluation,
@@ -251,20 +254,19 @@ class MultiObjectiveDse:
             # simulated.
             if replayer.pending:
                 return replay_one(assignment).objectives
-            design = assignment_to_design(assignment)
-            return to_candidate(assignment, design,
-                                evaluator.evaluate(design)).objectives
+            evaluation = evaluator.evaluate(assignment_to_design(assignment))
+            return to_candidate(assignment, evaluation).objectives
 
         optimizer = self.optimizer_cls(self.space, seed=self.seed,
                                        **self.optimizer_kwargs)
         if reference is None:
-            reference = self.derive_reference(evaluator)
+            reference = self.derive_reference()
 
         fidelity_kwargs: dict = {}
         if self.fidelity == "on":
             from repro.soc.estimate import Tier0Estimator
 
-            estimator = Tier0Estimator(evaluator)
+            estimator = Tier0Estimator()
 
             def screen(assignments: Sequence[Assignment]) -> np.ndarray:
                 designs = [assignment_to_design(a) for a in assignments]
@@ -329,8 +331,7 @@ class MultiObjectiveDse:
     def evaluate_design(self, design: DssocDesign,
                         task: TaskSpec) -> CandidateDesign:
         """Evaluate one explicit design point outside the search loop."""
-        evaluator = DssocEvaluator()
-        evaluation = evaluator.evaluate(design)
+        evaluation = DssocEvaluator().evaluate(design)
         success = self.database.success_rate(design.policy, task.scenario)
-        return CandidateDesign(design=design, evaluation=evaluation,
-                               success_rate=success)
+        return CandidateDesign(design=evaluation.design,
+                               evaluation=evaluation, success_rate=success)

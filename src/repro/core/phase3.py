@@ -126,23 +126,22 @@ class BackEnd:
         target = knee / fps
         scales = sorted(set(self._TUNING_SCALES) | {float(np.clip(target,
                                                                   0.5, 1.5))})
-        evaluator = DssocEvaluator()
         best: Optional[RankedDesign] = None
         for scale in scales:
-            tuned = self._retune(selected.candidate, scale, task, evaluator)
+            tuned = self._retune(selected.candidate, scale, task)
             if best is None or tuned.num_missions > best.num_missions:
                 best = tuned
         return best
 
     def _retune(self, candidate: CandidateDesign, scale: float,
-                task: TaskSpec, evaluator: DssocEvaluator) -> RankedDesign:
+                task: TaskSpec) -> RankedDesign:
         """Re-evaluate a candidate at a scaled clock with DVFS power."""
         design = candidate.design
         scaled = DssocDesign(
             policy=design.policy,
             accelerator=design.accelerator.scaled_clock(scale),
         )
-        evaluation = evaluator.evaluate(scaled)
+        evaluation = DssocEvaluator().evaluate(scaled)
         # Voltage tracks frequency inside the DVFS window: per-operation
         # energy scales with V^2, which the cycle-level models do not
         # capture, so apply it to the accelerator share of power here.

@@ -6,14 +6,16 @@ network-level timing, utilisation, scratchpad access counts and DRAM
 traffic -- the quantities AutoPilot's Phase 2 consumes for performance
 and power estimation.
 
-Simulation results are memoised in the process-wide content-addressed
-cache (:mod:`repro.core.evalcache`): the key is derived from the full
-workload content (per-layer GEMM shapes and operand sizes) and the full
-accelerator configuration, so identical designs are simulated exactly
-once across every simulator instance, DSE run and pipeline sweep, and
-two *different* workloads can never alias -- unlike the earlier
+:meth:`SystolicArraySimulator.run` memoises reports in the process-wide
+content-addressed cache (:mod:`repro.core.evalcache`): the key is
+derived from the full workload content (per-layer GEMM shapes and
+operand sizes) and the full accelerator configuration, so identical
+designs are simulated once across every simulator instance, and two
+*different* workloads can never alias -- unlike the earlier
 ``(workload.name, id(workload))`` key, which never hit in practice and
-could return a stale report for a recycled ``id()``.
+could return a stale report for a recycled ``id()``.  The DSSoC
+evaluator caches its finished evaluations instead and simulates through
+:meth:`~SystolicArraySimulator.run_uncached`.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ class SystolicArraySimulator:
 
     Args:
         config: The accelerator design point to simulate.
-        cache: Report cache to consult; defaults to the process-wide
-            shared cache.  Pass ``None`` explicitly through
-            ``use_cache=False`` semantics by supplying a private
-            :class:`~repro.core.evalcache.EvalCache` when isolation is
-            needed (e.g. micro-benchmarks measuring raw simulation cost).
+        cache: Report cache :meth:`run` consults; ``None`` (the
+            default) means the process-wide shared cache.  Supply a
+            private :class:`~repro.core.evalcache.EvalCache` to isolate
+            a caller from it, or call :meth:`run_uncached` to skip
+            caching altogether (e.g. micro-benchmarks measuring raw
+            simulation cost).
     """
 
     def __init__(self, config: AcceleratorConfig, cache=None):
@@ -76,12 +79,12 @@ class SystolicArraySimulator:
                 # identical, only the display name differs.
                 return replace(cached, network_name=workload.name)
             return cached
-        report = self._simulate(workload)
+        report = self.run_uncached(workload)
         cache.put(key, report)
         return report
 
-    def _simulate(self, workload: NetworkWorkload) -> RunReport:
-        """Run the analytical model, bypassing the cache."""
+    def run_uncached(self, workload: NetworkWorkload) -> RunReport:
+        """Run the analytical model without consulting any cache."""
         layer_reports = []
         for layer in workload.layers:
             mapping = map_gemm(layer.gemm, self.config)

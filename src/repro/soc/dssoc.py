@@ -9,6 +9,7 @@ inference latency/throughput, SoC power, TDP and compute payload weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -81,9 +82,13 @@ class DssocEvaluation:
 class DssocEvaluator:
     """Evaluates DSSoC design points.
 
-    Each policy's network and its lowered workload are cached, so an
-    evaluator builds and lowers a policy once however many accelerator
-    points it pairs it with.
+    A finished evaluation is stored in the process-wide
+    :class:`~repro.core.evalcache.EvalCache` under
+    :func:`~repro.core.evalcache.evaluation_key`, so each distinct
+    (design, operating rate) pair is simulated and power-modelled once
+    per process however many evaluators, DSE runs or fine-tunes ask for
+    it.  Each policy's network and lowered workload are likewise built
+    once per process, on the first miss that needs them.
     """
 
     def __init__(self, operating_fps: Optional[float] = None):
@@ -93,29 +98,46 @@ class DssocEvaluator:
         if operating_fps is not None and operating_fps <= 0:
             raise ConfigError("operating_fps must be positive")
         self.operating_fps = operating_fps
-        self._network_cache: dict[str, PolicyNetwork] = {}
-        self._workload_cache: dict[str, NetworkWorkload] = {}
 
-    def network_for(self, policy: PolicyHyperparams) -> PolicyNetwork:
-        """Materialise (and cache) the policy network."""
-        cached = self._network_cache.get(policy.identifier)
-        if cached is None:
-            cached = build_policy_network(policy)
-            self._network_cache[policy.identifier] = cached
-        return cached
+    # A network and its lowered workload are pure functions of the two
+    # hyper-parameters, so one copy per template point serves every
+    # evaluator; the 27 Table II points bound both caches.
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def network_for(policy: PolicyHyperparams) -> PolicyNetwork:
+        """The policy network, built once per process."""
+        return build_policy_network(policy)
 
-    def workload_for(self, policy: PolicyHyperparams) -> NetworkWorkload:
-        """The policy network lowered to an accelerator workload (cached)."""
-        cached = self._workload_cache.get(policy.identifier)
-        if cached is None:
-            cached = lower_network(self.network_for(policy))
-            self._workload_cache[policy.identifier] = cached
-        return cached
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def workload_for(policy: PolicyHyperparams) -> NetworkWorkload:
+        """The policy network lowered to an accelerator workload, once
+        per process."""
+        return lower_network(DssocEvaluator.network_for(policy))
 
     def evaluate(self, design: DssocDesign) -> DssocEvaluation:
-        """Simulate and power-model one design point."""
+        """Simulate and power-model one design point, or serve it cached.
+
+        One shared-cache lookup either way.  A served evaluation's
+        ``design`` is the equal design object it was first computed
+        for, so callers that keep both should take the design from the
+        evaluation.
+        """
+        # Imported here: importing repro.core imports this module.
+        from repro.core.evalcache import evaluation_key, shared_report_cache
+
+        cache = shared_report_cache()
+        key = evaluation_key(design, self.operating_fps)
+        evaluation = cache.get(key)
+        if evaluation is None:
+            evaluation = self._evaluate(design)
+            cache.put(key, evaluation)
+        return evaluation
+
+    def _evaluate(self, design: DssocDesign) -> DssocEvaluation:
+        """Simulate and power-model ``design`` without the shared cache."""
         simulator = SystolicArraySimulator(design.accelerator)
-        report = simulator.run(self.workload_for(design.policy))
+        report = simulator.run_uncached(self.workload_for(design.policy))
 
         peak_power = accelerator_power(report, design.accelerator,
                                        frames_per_second=None)

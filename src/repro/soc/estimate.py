@@ -35,7 +35,7 @@ evaluator over random configs x the model zoo in both frame modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from repro.scalesim.estimate import (
     lower_workload_aggregates,
 )
 from repro.soc.components import fixed_components_power_w
+from repro.soc.dssoc import DssocDesign, DssocEvaluator
 from repro.soc.weight import (
     CONVECTION_CM3_K_PER_W,
     FIN_FILL_FACTOR,
@@ -58,9 +59,6 @@ from repro.soc.weight import (
     T_MAX_C,
 )
 from repro.units import ALUMINIUM_DENSITY_G_PER_CM3
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.soc.dssoc import DssocDesign, DssocEvaluator
 
 
 @dataclass(frozen=True)
@@ -117,20 +115,17 @@ def power_weight_floor(configs: Sequence[AcceleratorConfig]
 class Tier0Estimator:
     """Pool-level lower bounds, cached per (workload, config) pair.
 
-    Wraps a :class:`~repro.soc.dssoc.DssocEvaluator` to reuse its
-    lowered-workload cache; workload aggregates are reduced once per
+    Takes each policy's lowered workload from
+    :meth:`~repro.soc.dssoc.DssocEvaluator.workload_for`, which lowers
+    it once per process; workload aggregates are reduced once per
     policy and per-design results are published to the shared
     :class:`~repro.core.evalcache.EvalCache` under
     :func:`~repro.core.evalcache.estimate_key` -- a key family disjoint
-    from the tier-1 ``design_key`` reports, so the fidelity tiers can
-    never alias.
+    from the exact tier's ``evaluation_key`` and ``design_key`` entries,
+    so the fidelity tiers can never alias.
     """
 
-    def __init__(self, evaluator: Optional["DssocEvaluator"] = None):
-        if evaluator is None:
-            from repro.soc.dssoc import DssocEvaluator
-            evaluator = DssocEvaluator()
-        self.evaluator = evaluator
+    def __init__(self):
         self._aggregates: Dict[str, Tuple[WorkloadAggregates, tuple]] = {}
 
     def aggregates_for(self, policy: PolicyHyperparams
@@ -139,13 +134,13 @@ class Tier0Estimator:
         from repro.core.evalcache import workload_fingerprint
         cached = self._aggregates.get(policy.identifier)
         if cached is None:
-            workload = self.evaluator.workload_for(policy)
+            workload = DssocEvaluator.workload_for(policy)
             cached = (lower_workload_aggregates(workload),
                       workload_fingerprint(workload))
             self._aggregates[policy.identifier] = cached
         return cached
 
-    def estimate_designs(self, designs: Sequence["DssocDesign"]
+    def estimate_designs(self, designs: Sequence[DssocDesign]
                          ) -> DesignBounds:
         """Lower-bound columns for a design pool.
 

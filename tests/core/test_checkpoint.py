@@ -30,7 +30,8 @@ from repro.core.checkpoint import (
     atomic_write_pickle,
     load_pickle,
 )
-from repro.core.evalcache import reset_shared_cache
+from repro.core import evalcache
+from repro.core.evalcache import EvalCache, reset_shared_cache
 from repro.core.phase1 import FrontEnd
 from repro.core.phase2 import MultiObjectiveDse
 from repro.core.pipeline import AutoPilot
@@ -620,6 +621,29 @@ class TestPipelineResume:
         manifest = RunManifest.load(run_dir)
         assert manifest.config.fidelity == "on"
         assert manifest.status["phase2"] == "complete"
+
+    def test_served_evaluations_journal_one_design_each(self, tmp_path,
+                                                       task, monkeypatch):
+        """A run whose designs an earlier run evaluated is served from the
+        cache, yet every Phase 2 candidate holds its evaluation's own
+        design object, so each journal record pickles one design."""
+        cache = EvalCache()
+        monkeypatch.setattr(evalcache, "_shared_cache", cache)
+        config = RunConfig(seed=7, budget=20)
+        earlier = AutoPilot(config).run(
+            TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW))
+        seen = {c.design for c in earlier.phase2.candidates}
+        hits = cache.stats.hits
+        result = AutoPilot(config).run(task, checkpoint_dir=tmp_path / "run")
+        assert cache.stats.hits > hits
+        for candidate in result.phase2.candidates:
+            assert candidate.design is candidate.evaluation.design
+        records = RunCheckpoint(tmp_path / "run").phase2_journal().load()
+        assert len(records) == 20
+        assert sum(r["candidate"].design in seen for r in records) > 0
+        for record in records:
+            candidate = record["candidate"]
+            assert candidate.design is candidate.evaluation.design
 
     def test_checkpointing_leaves_the_design_unchanged(self, tmp_path,
                                                        task):

@@ -128,3 +128,52 @@ class TestPhase1Reuse:
         points = list(enumerate_template_space())
         assert len(calls) == len(points)
         assert set(calls) == {(point, "dense") for point in points}
+
+
+class TestEvaluationReuse:
+    def test_bench_does_each_evaluation_step_once(self, monkeypatch):
+        """Across a two-scenario, two-platform bench, each template point
+        is built and lowered once and each distinct design power-modelled
+        once, while the shared cache counts the same hits and misses as
+        when every repeat re-ran the power model (30 and 31)."""
+        from repro.bench import BenchRunner, build_suite
+        from repro.core import evalcache
+        from repro.core.evalcache import EvalCache, config_fingerprint
+        from repro.soc import dssoc
+        from repro.soc.dssoc import DssocEvaluator
+
+        cache = EvalCache()
+        monkeypatch.setattr(evalcache, "_shared_cache", cache)
+        DssocEvaluator.network_for.cache_clear()
+        DssocEvaluator.workload_for.cache_clear()
+        built, lowered, powered = [], [], []
+        build = dssoc.build_policy_network
+        lower = dssoc.lower_network
+        power = dssoc.accelerator_power
+
+        def build_spy(policy):
+            built.append(policy)
+            return build(policy)
+
+        def lower_spy(network):
+            lowered.append(network.hyperparams)
+            return lower(network)
+
+        def power_spy(report, config, frames_per_second=None):
+            powered.append((report.network_name, config_fingerprint(config),
+                            frames_per_second))
+            return power(report, config, frames_per_second=frames_per_second)
+
+        monkeypatch.setattr(dssoc, "build_policy_network", build_spy)
+        monkeypatch.setattr(dssoc, "lower_network", lower_spy)
+        monkeypatch.setattr(dssoc, "accelerator_power", power_spy)
+        suite = build_suite(ids=["low", "dense"], platforms=["nano", "micro"])
+        autopilot = AutoPilot(RunConfig(seed=3, budget=12))
+        assert len(BenchRunner(autopilot).run(suite).metrics) == 4
+
+        assert len(built) == len(set(built)) == 12
+        assert lowered == built
+        assert {name for name, _, _ in powered} == {
+            policy.identifier for policy in built}
+        assert len(powered) == len(set(powered)) == cache.stats.misses
+        assert (cache.stats.hits, cache.stats.misses) == (30, 31)

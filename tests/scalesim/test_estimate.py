@@ -59,7 +59,7 @@ def kendall_tau(a, b) -> float:
 
 def exact_reports(workload, configs):
     """The exact simulator's report per config, bypassing the cache."""
-    return [SystolicArraySimulator(config)._simulate(workload)
+    return [SystolicArraySimulator(config).run_uncached(workload)
             for config in configs]
 
 

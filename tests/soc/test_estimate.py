@@ -33,7 +33,7 @@ class TestFloors:
     def test_floors_hold_in_both_frame_modes(self, operating_fps):
         designs = random_designs(seed=41, count=48)
         evaluator = DssocEvaluator(operating_fps=operating_fps)
-        bounds = Tier0Estimator(evaluator).estimate_designs(designs)
+        bounds = Tier0Estimator().estimate_designs(designs)
         exact = [evaluator.evaluate(design) for design in designs]
         for i, evaluation in enumerate(exact):
             assert bounds.latency_s[i] <= evaluation.latency_seconds
