@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(FILTER_CHOICES))
     sweep.add_argument("--profile", action="store_true",
                        help="print sweep timing, throughput and "
-                            "simulator-cache statistics")
+                            "evaluation-cache statistics")
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

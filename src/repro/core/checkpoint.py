@@ -11,13 +11,15 @@ resumable runtime is built on:
   status, completed Phase 2 evaluations).  ``autopilot design --resume``
   reads it back to reconstruct the exact run.
 * :class:`EvaluationJournal` -- an append-only, pickle-framed log of
-  completed work items (one record per Phase 2 evaluation / Phase 1
-  template point).  Appends are flushed per record; a crash mid-write
-  leaves a truncated tail that :meth:`EvaluationJournal.load` detects
-  and drops, so the journal always recovers to the last *completed*
-  iteration.  Pickle framing (rather than JSON lines) preserves float
-  bit patterns and whole result dataclasses exactly -- the foundation
-  of the bit-identical-resume guarantee.
+  completed work items.  A Phase 1 record keeps its template point's
+  validated success rate, which is costly to recompute; a Phase 2
+  record keeps only the evaluated assignment, since re-evaluating a
+  design costs well under a millisecond.  Appends are flushed per
+  record; a crash mid-write leaves a truncated tail that
+  :meth:`EvaluationJournal.load` detects and drops, so the journal
+  always recovers to the last *completed* iteration.  Pickle framing
+  (rather than JSON lines) preserves float bit patterns exactly -- the
+  foundation of the bit-identical-resume guarantee.
 * :func:`atomic_write_json` / :func:`atomic_write_pickle` -- the
   write-temp-then-``os.replace`` primitive every durable write goes
   through, so readers never observe a partially written file.
@@ -28,10 +30,14 @@ SIGKILL landing between any two checkpoint writes.
 
 Resumption is *replay*, not state surgery: optimisers are deterministic
 functions of their seed and the observed objective values, so feeding
-the journalled evaluations back in order reconstructs the optimiser's
-exact internal state (GP posteriors included) without simulating
-anything, after which the run continues live -- bit-identically to an
-uninterrupted run.
+the journalled assignments back in order, each re-evaluated through the
+shared evaluation cache, reconstructs the optimiser's exact internal
+state (GP posteriors included), after which the run continues live --
+bit-identically to an uninterrupted run.  Phase 2 stores no result for
+a later code revision to inherit: a resume after a change to the
+evaluation model yields the current model's run, or a
+:class:`~repro.errors.CheckpointError` once the new results steer the
+optimiser away from the journalled assignments.
 """
 
 from __future__ import annotations
@@ -409,7 +415,7 @@ class RunCheckpoint:
           manifest.json              atomic run manifest
           phase1/trainings.jnl       journal of validated template points
           phase1/cem-L<l>-F<f>-<scenario>.pkl   per-point CEM snapshots
-          phase2/evaluations.jnl     journal of completed DSE evaluations
+          phase2/evaluations.jnl     journal of evaluated DSE assignments
           phase2/promotions.jnl      journal of multi-fidelity promotions
     """
 
@@ -427,7 +433,7 @@ class RunCheckpoint:
                                  kind="phase1-trainings")
 
     def phase2_journal(self) -> EvaluationJournal:
-        """Journal of completed Phase 2 design evaluations."""
+        """Journal of the assignments Phase 2 evaluated, in order."""
         return EvaluationJournal(self.run_dir / "phase2" / "evaluations.jnl",
                                  kind="phase2-evaluations")
 

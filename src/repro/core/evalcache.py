@@ -2,31 +2,33 @@
 
 Phase 2 evaluates the same (policy network, accelerator config) pairs
 over and over: every optimiser restart, every (UAV, scenario) pipeline
-run and every ablation re-simulates designs that were already simulated.
-The seed implementation memoised run reports per simulator instance
-keyed by ``(workload.name, id(workload))`` -- a key that never hits in
-practice (``run_network`` lowers a fresh workload per call) and is
-unsound (CPython reuses ``id()`` values after garbage collection, so a
-recycled id plus a template-shared network name could silently return a
-stale report for a *different* workload).
+run, every fine-tune and every replayed checkpoint evaluates designs
+that were already evaluated.  The seed implementation memoised run
+reports per simulator instance keyed by ``(workload.name,
+id(workload))`` -- a key that never hits in practice (``run_network``
+lowers a fresh workload per call) and is unsound (CPython reuses
+``id()`` values after garbage collection, so a recycled id plus a
+template-shared network name could silently return a stale report for
+a *different* workload).
 
 This module replaces that with *content-addressed* keys derived from
 what fixes the result -- the workload (its layer GEMM shapes and
 operand byte sizes, or the template point it is lowered from) and the
 accelerator (PE dimensions, SRAM sizes, dataflow, clock, DRAM
-bandwidth) -- plus a small shared in-memory LRU cache.  It holds three
+bandwidth) -- plus a small shared in-memory LRU cache.  It holds two
 kinds of entry, each under its own key tag so they can never alias:
 
 * finished DSSoC evaluations (:func:`evaluation_key`), which
   :class:`~repro.soc.dssoc.DssocEvaluator` stores, so each distinct
   (design, operating rate) pair is simulated and power-modelled once per
-  process no matter how many DSE runs, fine-tunes or pipeline sweeps
-  touch it -- a repeat is one hit and no work;
-* simulator run reports (:func:`design_key`), for direct users of
-  :meth:`~repro.scalesim.simulator.SystolicArraySimulator.run`;
+  process no matter how many DSE runs, fine-tunes, resumes or pipeline
+  sweeps touch it -- a repeat is one hit and no work;
 * tier-0 bound estimates (:func:`estimate_key`).
 
-Entries never outlive the process that computed them.
+An entry here is the only stored copy of its result, and it never
+outlives the process that computed it: checkpoints journal the decisions
+(Phase 2's assignments), not the evaluations, so a resume recomputes
+every result with the current code.
 
 Phase 1 training results are not cached here: the Air Learning database
 already trains each (template point, scenario) once per pipeline, so a
@@ -52,20 +54,6 @@ from repro.perf.counters import DeltaCounters
 #: touches a few thousand; 16K entries of small frozen dataclasses is a
 #: few tens of MB at most.
 DEFAULT_CAPACITY = 16384
-
-
-class _MissType:
-    """Sentinel distinguishing 'absent from the cache' from a stored
-    ``None`` value, so legitimately-``None`` results are cacheable."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<MISS>"
-
-
-#: The unique miss marker returned by :meth:`EvalCache.lookup`.
-_MISS = _MissType()
 
 
 def workload_fingerprint(workload: Any) -> Tuple[Hashable, ...]:
@@ -98,12 +86,6 @@ def config_fingerprint(config: Any) -> Tuple[Hashable, ...]:
     )
 
 
-def design_key(workload: Any, config: Any) -> Tuple[Hashable, ...]:
-    """Content-addressed key for one (workload, accelerator) simulation."""
-    return ("run_report", config_fingerprint(config),
-            workload_fingerprint(workload))
-
-
 def evaluation_key(design: Any, operating_fps: Optional[float]
                    ) -> Tuple[Hashable, ...]:
     """Content-addressed key for one finished DSSoC evaluation.
@@ -123,10 +105,10 @@ def estimate_key(workload: Any, config: Any, *,
                  ) -> Tuple[Hashable, ...]:
     """Content-addressed key for one tier-0 bound estimate.
 
-    The leading tag differs from :func:`design_key`'s ``"run_report"``
-    so the low-fidelity estimates and the exact simulation reports of
-    the same (workload, config) pair can never alias in the shared
-    cache, whatever order the fidelity tiers touch it in.
+    The leading tag differs from :func:`evaluation_key`'s
+    ``"dssoc_evaluation"``, so the low-fidelity estimates and the exact
+    evaluations of the same design can never alias in the shared cache,
+    whatever order the fidelity tiers touch it in.
     """
     if workload_fp is None:
         workload_fp = workload_fingerprint(workload)
@@ -181,29 +163,19 @@ class EvalCache:
             return key in self._entries
 
     # ------------------------------------------------------------------
-    def lookup(self, key: Tuple[Hashable, ...]) -> Any:
-        """Look up ``key``; returns :data:`_MISS` when absent.
-
-        Unlike :meth:`get` this distinguishes a stored ``None`` (a hit)
-        from an absent entry, so ``None`` is a first-class cache value.
-        Counts a hit or a miss either way.
-        """
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return self._entries[key]
-            self.stats.misses += 1
-            return _MISS
-
     def get(self, key: Tuple[Hashable, ...]) -> Optional[Any]:
         """Look up ``key``; counts a hit or a miss.
 
-        Returns ``None`` on a miss -- callers that may cache ``None``
-        values should use :meth:`lookup`.
+        Returns ``None`` on a miss, so no entry may store ``None``.
         """
-        value = self.lookup(key)
-        return None if value is _MISS else value
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.stats.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+            return value
 
     def put(self, key: Tuple[Hashable, ...], value: Any) -> None:
         """Insert ``key`` -> ``value``."""
@@ -236,7 +208,7 @@ class EvalCache:
 # ----------------------------------------------------------------------
 # The process-wide shared cache.
 #
-# One cache instance is shared by every simulator / evaluator in the
+# One cache instance is shared by every evaluator and estimator in the
 # process so identical designs are evaluated once across all pipeline
 # runs.  ``configure_shared_cache`` swaps it (e.g. to shrink capacity in
 # tests).

@@ -82,7 +82,6 @@ def load_candidates_json(path: Path | str, scenario: Scenario,
                 f"stored metrics for {design.describe()} do not match "
                 f"re-evaluation; the export predates a model change")
         candidates.append(CandidateDesign(
-            design=design,
             evaluation=evaluation,
             success_rate=database.success_rate(design.policy, scenario),
         ))

@@ -37,9 +37,13 @@ REFERENCE_MARGIN = 0.05
 class CandidateDesign:
     """One evaluated Phase 2 candidate."""
 
-    design: DssocDesign
     evaluation: DssocEvaluation
     success_rate: float
+
+    @property
+    def design(self) -> DssocDesign:
+        """The evaluated design point."""
+        return self.evaluation.design
 
     @property
     def objectives(self) -> np.ndarray:
@@ -183,18 +187,21 @@ class MultiObjectiveDse:
                 from the design-space extremes when omitted.
             profiler: Optional :class:`repro.perf.Profiler` credited
                 with the evaluation count of this run.
-            journal: Optional evaluation journal.  Every completed
-                evaluation is durably appended to it; with ``resume``
-                the journalled evaluations are *replayed* through the
-                optimiser (the optimiser re-runs its decision sequence
-                from scratch, served recorded results without
-                simulating), then evaluation continues live -- producing
-                a run bit-identical to an uninterrupted one.
+            journal: Optional evaluation journal.  Every live
+                evaluation's assignment is durably appended to it -- the
+                decision, not the result.  With ``resume`` the journalled
+                assignments are *replayed*: the optimiser re-runs its
+                decision sequence from scratch and each replayed point
+                is re-evaluated through the shared cache, then
+                evaluation continues live -- producing a run
+                bit-identical to an uninterrupted one under the current
+                evaluation model.
             resume: Replay ``journal`` instead of discarding it.  Each
                 replayed record is verified against the assignment the
                 optimiser actually requests; a mismatch (journal from a
-                different seed/space/configuration) raises
-                :class:`~repro.errors.CheckpointError`.
+                different seed/space/configuration, or written under an
+                evaluation model whose results steered the optimiser
+                elsewhere) raises :class:`~repro.errors.CheckpointError`.
             promotion_journal: Optional journal of the multi-fidelity
                 promotion decisions (one record per screened proposal
                 group, appended *before* the group's evaluations).  On
@@ -204,7 +211,6 @@ class MultiObjectiveDse:
         """
         if budget <= 0:
             raise ConfigError("budget must be positive")
-        evaluator = DssocEvaluator()
         candidates: List[CandidateDesign] = []
 
         replayer = JournalReplayer([])
@@ -214,48 +220,30 @@ class MultiObjectiveDse:
             else:
                 journal.reset()
 
-        def to_candidate(assignment: Assignment,
-                         evaluation: DssocEvaluation) -> CandidateDesign:
-            # The evaluation's own design object, so that a journal
-            # record pickles one design even when the evaluation was
-            # served from the cache for an equal, earlier design.
-            design = evaluation.design
-            success = self.database.success_rate(design.policy,
-                                                 task.scenario)
-            candidate = CandidateDesign(design=design, evaluation=evaluation,
-                                        success_rate=success)
-            candidates.append(candidate)
-            if journal is not None:
-                journal.append({"assignment": dict(assignment),
-                                "candidate": candidate})
-            return candidate
-
-        def replay_one(assignment: Assignment) -> CandidateDesign:
-            record = replayer.take()
-            if (self.space.key(record["assignment"])
-                    != self.space.key(assignment)):
-                raise CheckpointError(
-                    "phase 2 journal does not match the resumed run: "
-                    f"recorded point {record['assignment']} but the "
-                    f"optimiser requested {dict(assignment)} (different "
-                    "seed, space or optimiser configuration?)")
-            candidate = record["candidate"]
-            candidates.append(candidate)
-            return candidate
-
         def objectives(assignment: Assignment) -> Sequence[float]:
             # The optimiser re-issues the same deterministic request
-            # sequence on resume, so journalled records are served in
-            # order until the journal drains; the rest is evaluated
-            # live.  This also covers a q-point proposal group
-            # interrupted mid-group: the journal records per evaluation,
-            # the optimiser reconstructs the identical group from the
-            # replayed history, and only its unjournalled tail is
-            # simulated.
-            if replayer.pending:
-                return replay_one(assignment).objectives
-            evaluation = evaluator.evaluate(assignment_to_design(assignment))
-            return to_candidate(assignment, evaluation).objectives
+            # sequence on resume, so journalled assignments are checked
+            # in order until the journal drains; the rest is journalled
+            # as it is evaluated.  This also covers a q-point proposal
+            # group interrupted mid-group: the journal records per
+            # evaluation, and the optimiser reconstructs the identical
+            # group from the replayed history.
+            replaying = replayer.pending
+            if replaying:
+                recorded = replayer.take()["assignment"]
+                if self.space.key(recorded) != self.space.key(assignment):
+                    raise CheckpointError(
+                        "phase 2 journal does not match the resumed run: "
+                        f"recorded point {recorded} but the optimiser "
+                        f"requested {dict(assignment)} (different seed, "
+                        "space, optimiser configuration or a changed "
+                        "evaluation model?)")
+            candidate = self.evaluate_design(assignment_to_design(assignment),
+                                             task)
+            candidates.append(candidate)
+            if journal is not None and not replaying:
+                journal.append({"assignment": dict(assignment)})
+            return candidate.objectives
 
         optimizer = self.optimizer_cls(self.space, seed=self.seed,
                                        **self.optimizer_kwargs)
@@ -330,8 +318,8 @@ class MultiObjectiveDse:
 
     def evaluate_design(self, design: DssocDesign,
                         task: TaskSpec) -> CandidateDesign:
-        """Evaluate one explicit design point outside the search loop."""
+        """Evaluate one design point, served from the shared cache when
+        the process already evaluated it."""
         evaluation = DssocEvaluator().evaluate(design)
         success = self.database.success_rate(design.policy, task.scenario)
-        return CandidateDesign(design=evaluation.design,
-                               evaluation=evaluation, success_rate=success)
+        return CandidateDesign(evaluation=evaluation, success_rate=success)

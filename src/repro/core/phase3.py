@@ -156,7 +156,6 @@ class BackEnd:
             weight=compute_weight(fixed_w + tdp_accel_w),
         )
         tuned_candidate = CandidateDesign(
-            design=scaled,
             evaluation=adjusted,
             success_rate=candidate.success_rate,
         )

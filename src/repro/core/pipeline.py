@@ -84,7 +84,7 @@ class AutoPilot:
 
         With ``profile=True``, the result carries a
         :class:`~repro.perf.ProfileReport` of per-phase wall time,
-        evaluation throughput and simulator-cache activity.
+        evaluation throughput and evaluation-cache activity.
 
         With ``checkpoint_dir`` set, the run writes an atomic manifest
         plus per-phase progress journals into the directory; a later

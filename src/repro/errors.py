@@ -17,9 +17,5 @@ class SimulationError(ReproError):
     """A simulator was driven into an inconsistent state."""
 
 
-class InfeasibleDesignError(ReproError):
-    """A design cannot be realised on the target UAV (e.g. cannot lift off)."""
-
-
 class CheckpointError(ReproError):
     """A run checkpoint is missing, corrupt or inconsistent with the run."""

@@ -1,6 +1,6 @@
 """Lightweight performance instrumentation for the AutoPilot pipeline.
 
-Records per-phase wall time, evaluation throughput and simulator-cache
+Records per-phase wall time, evaluation throughput and evaluation-cache
 hit rates with near-zero overhead, so a ``--profile`` run answers the
 questions that matter for DSE cost (the paper's 3-7 day Phase 2 loop):
 where did the time go, how many designs per second were evaluated, and

@@ -56,22 +56,6 @@ class MappingStats:
         return min(1.0, self.macs / total_pe_cycles)
 
 
-def _tile_counts(extent: int, tile: int) -> tuple[int, int]:
-    """Return (number of full tiles, remainder tile size) for a dimension."""
-    full, rem = divmod(extent, tile)
-    return full, rem
-
-
-def _fold_dim_sums(extent: int, tile: int) -> tuple[int, int]:
-    """Return (fold count, sum of mapped sizes across folds) along one dim.
-
-    E.g. extent=70, tile=32 -> 3 folds mapping 32+32+6 = 70 elements.
-    The sum equals ``extent`` by construction; returned for clarity.
-    """
-    folds = math.ceil(extent / tile)
-    return folds, extent
-
-
 def map_gemm(gemm: GemmShape, config: AcceleratorConfig) -> MappingStats:
     """Map a GEMM onto the configured array under its dataflow."""
     if config.dataflow is Dataflow.OUTPUT_STATIONARY:

@@ -6,22 +6,14 @@ network-level timing, utilisation, scratchpad access counts and DRAM
 traffic -- the quantities AutoPilot's Phase 2 consumes for performance
 and power estimation.
 
-:meth:`SystolicArraySimulator.run` memoises reports in the process-wide
-content-addressed cache (:mod:`repro.core.evalcache`): the key is
-derived from the full workload content (per-layer GEMM shapes and
-operand sizes) and the full accelerator configuration, so identical
-designs are simulated once across every simulator instance, and two
-*different* workloads can never alias -- unlike the earlier
-``(workload.name, id(workload))`` key, which never hit in practice and
-could return a stale report for a recycled ``id()``.  The DSSoC
-evaluator caches its finished evaluations instead and simulates through
-:meth:`~SystolicArraySimulator.run_uncached`.
+The simulator keeps no cache: each :meth:`SystolicArraySimulator.run`
+runs the analytical model.  Reuse happens one level up, where
+:class:`~repro.soc.dssoc.DssocEvaluator` stores each finished evaluation
+in the process-wide content-addressed cache
+(:mod:`repro.core.evalcache`).
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
-from typing import Optional
 
 from repro.nn.template import PolicyNetwork
 from repro.nn.workload import NetworkWorkload, lower_network
@@ -29,13 +21,6 @@ from repro.scalesim.config import AcceleratorConfig
 from repro.scalesim.dataflow import map_gemm
 from repro.scalesim.memory import analyze_traffic
 from repro.scalesim.report import LayerReport, RunReport
-
-
-def _report_cache():
-    # Imported lazily: repro.core.__init__ transitively imports this
-    # module, so a top-level import would be circular.
-    from repro.core.evalcache import shared_report_cache
-    return shared_report_cache()
 
 
 class SystolicArraySimulator:
@@ -47,44 +32,13 @@ class SystolicArraySimulator:
 
     Args:
         config: The accelerator design point to simulate.
-        cache: Report cache :meth:`run` consults; ``None`` (the
-            default) means the process-wide shared cache.  Supply a
-            private :class:`~repro.core.evalcache.EvalCache` to isolate
-            a caller from it, or call :meth:`run_uncached` to skip
-            caching altogether (e.g. micro-benchmarks measuring raw
-            simulation cost).
     """
 
-    def __init__(self, config: AcceleratorConfig, cache=None):
+    def __init__(self, config: AcceleratorConfig):
         self.config = config
-        self._cache = cache
-
-    @property
-    def cache(self):
-        """The report cache in effect (shared unless overridden)."""
-        if self._cache is None:
-            self._cache = _report_cache()
-        return self._cache
 
     def run(self, workload: NetworkWorkload) -> RunReport:
-        """Simulate one inference of the workload (cached by content)."""
-        from repro.core.evalcache import design_key
-
-        key = design_key(workload, self.config)
-        cache = self.cache
-        cached = cache.get(key)
-        if cached is not None:
-            if cached.network_name != workload.name:
-                # Same content under a different label: the numbers are
-                # identical, only the display name differs.
-                return replace(cached, network_name=workload.name)
-            return cached
-        report = self.run_uncached(workload)
-        cache.put(key, report)
-        return report
-
-    def run_uncached(self, workload: NetworkWorkload) -> RunReport:
-        """Run the analytical model without consulting any cache."""
+        """Simulate one inference of the workload."""
         layer_reports = []
         for layer in workload.layers:
             mapping = map_gemm(layer.gemm, self.config)
@@ -109,7 +63,6 @@ class SystolicArraySimulator:
         return self.run(lower_network(network))
 
 
-def simulate(network: PolicyNetwork, config: AcceleratorConfig,
-             cache: Optional[object] = None) -> RunReport:
+def simulate(network: PolicyNetwork, config: AcceleratorConfig) -> RunReport:
     """One-shot simulation of a policy network on an accelerator config."""
-    return SystolicArraySimulator(config, cache=cache).run_network(network)
+    return SystolicArraySimulator(config).run_network(network)

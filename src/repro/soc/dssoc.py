@@ -137,7 +137,7 @@ class DssocEvaluator:
     def _evaluate(self, design: DssocDesign) -> DssocEvaluation:
         """Simulate and power-model ``design`` without the shared cache."""
         simulator = SystolicArraySimulator(design.accelerator)
-        report = simulator.run_uncached(self.workload_for(design.policy))
+        report = simulator.run(self.workload_for(design.policy))
 
         peak_power = accelerator_power(report, design.accelerator,
                                        frames_per_second=None)

@@ -121,8 +121,9 @@ class Tier0Estimator:
     policy and per-design results are published to the shared
     :class:`~repro.core.evalcache.EvalCache` under
     :func:`~repro.core.evalcache.estimate_key` -- a key family disjoint
-    from the exact tier's ``evaluation_key`` and ``design_key`` entries,
-    so the fidelity tiers can never alias.
+    from the exact tier's ``evaluation_key`` entries, so the fidelity
+    tiers can never alias.  Each screened design is one cache lookup,
+    a hit or a miss, whether or not the cache is empty.
     """
 
     def __init__(self):
@@ -156,13 +157,12 @@ class Tier0Estimator:
         rows: List[Optional[tuple]] = [None] * count
         pending: Dict[str, List[int]] = {}
         keys: List[tuple] = []
-        consult_cache = len(cache) > 0
         for i, design in enumerate(designs):
             _, workload_fp = self.aggregates_for(design.policy)
             key = estimate_key(None, design.accelerator,
                                workload_fp=workload_fp)
             keys.append(key)
-            cached = cache.get(key) if consult_cache else None
+            cached = cache.get(key)
             if cached is not None:
                 rows[i] = cached
             else:

@@ -8,6 +8,7 @@ through the run checkpoint machinery under one shared pipeline.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ from repro.bench import (
 )
 from repro.cli import main
 from repro.core.checkpoint import RunCheckpoint, RunManifest
+from repro.core.evalcache import reset_shared_cache
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig
 from repro.errors import CheckpointError, ConfigError
@@ -40,6 +42,19 @@ PHASE2_FIRST_WRITE = 30
 REFIT_KILLS = [pytest.param(6, id="warm-up"),
                pytest.param(20, id="after-incremental-group"),
                pytest.param(26, id="mid-group")]
+
+
+def profile_counts(out):
+    """``(cell, phase, evaluations, hit rate)`` per row of the ``--profile``
+    tables of a bench report, leaving out the timing columns."""
+    rows, cell = [], None
+    for line in out.splitlines():
+        if line.startswith("--- "):
+            cell = line.strip("- ")
+        elif cell is not None and re.match(r"(phase\d|total) ", line):
+            rows.append((cell, line[:18].strip(), line[28:35].strip(),
+                         line[-9:].strip()))
+    return rows
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +198,27 @@ class TestBenchCli:
         assert len(RunCheckpoint(cell).phase2_journal().load()) == 6
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == baseline
+
+    def test_kill_and_resume_profiles_identically(self, tmp_path, capsys):
+        """A resumed sweep counts the evaluations and cache hits an
+        uninterrupted one does: replayed evaluations go through the
+        shared cache, so each cell sees the same cache contents."""
+        args = BENCH_ARGS + ["--profile"]
+        reset_shared_cache()
+        assert main(args) == 0
+        baseline = profile_counts(capsys.readouterr().out)
+        assert any(row[1] == "phase2" and row[3] == "100.0%"
+                   for row in baseline)
+
+        bench_dir = tmp_path / "bench"
+        with pytest.raises(faults.SimulatedKill):
+            with faults.active_faults(
+                    f"kill@checkpoint-write:{PHASE2_FIRST_WRITE + 6}"):
+                main(args + ["--checkpoint-dir", str(bench_dir)])
+        capsys.readouterr()
+        reset_shared_cache()
+        assert main(["bench", "--resume", str(bench_dir), "--profile"]) == 0
+        assert profile_counts(capsys.readouterr().out) == baseline
 
     @pytest.mark.parametrize("records", REFIT_KILLS)
     def test_gp_refit_every_survives_kill_and_resume(self, tmp_path,

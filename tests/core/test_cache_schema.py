@@ -1,10 +1,10 @@
 """Golden digest of the simulator, tier-0 and trainer numerics.
 
-This test recomputes a fixed probe set -- one value of each kind the
-evaluation cache stores (a simulator run report and a tier-0 bound
-estimate) plus a CEM training result -- and pins the digest of its
-exact bits.  Any change to those computations fails it until the digest is
-re-pinned, so a change of numerics is always deliberate.
+This test recomputes a fixed probe set -- per probe design a simulator
+run report (the basis of every cached DSSoC evaluation) and a tier-0
+bound estimate, plus a CEM training result -- and pins the digest of
+its exact bits.  Any change to those computations fails it until the
+digest is re-pinned, so a change of numerics is always deliberate.
 """
 
 import dataclasses
@@ -19,7 +19,6 @@ from repro.airlearning.trainer import CemTrainer
 from repro.core import evalcache
 from repro.core.evalcache import (
     EvalCache,
-    design_key,
     estimate_key,
     workload_fingerprint,
 )
@@ -84,16 +83,17 @@ def fresh_cache(monkeypatch):
 
 
 def probe_values(cache):
-    """Each cached kind, read back from the cache it was stored in, then
-    a training result."""
+    """Per probe design its simulator report and its tier-0 estimate,
+    the estimate read back from the cache it was stored in, then a
+    training result."""
     values = []
     estimator = Tier0Estimator()
     estimator.estimate_designs(PROBE_DESIGNS)
     for design in PROBE_DESIGNS:
         workload = lower_network(build_policy_network(design.policy))
-        SystolicArraySimulator(design.accelerator).run(workload)
         fingerprint = workload_fingerprint(workload)
-        values.append(cache.get(design_key(workload, design.accelerator)))
+        simulator = SystolicArraySimulator(design.accelerator)
+        values.append(simulator.run(workload))
         values.append(cache.get(estimate_key(None, design.accelerator,
                                              workload_fp=fingerprint)))
     trainer = CemTrainer(population_size=4, iterations=1,

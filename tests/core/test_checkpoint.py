@@ -30,14 +30,14 @@ from repro.core.checkpoint import (
     atomic_write_pickle,
     load_pickle,
 )
-from repro.core import evalcache
-from repro.core.evalcache import EvalCache, reset_shared_cache
+from repro.core.evalcache import reset_shared_cache
 from repro.core.phase1 import FrontEnd
-from repro.core.phase2 import MultiObjectiveDse
+from repro.core.phase2 import CandidateDesign, MultiObjectiveDse
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig, TaskSpec, build_design_space
 from repro.errors import CheckpointError, ConfigError
 from repro.nn.template import PolicyHyperparams
+from repro.soc import dssoc
 from repro.testing import faults
 from repro.uav.platforms import NANO_ZHANG
 
@@ -354,6 +354,16 @@ DSE_KWARGS = dict(seed=5, optimizer_kwargs={"num_initial": 4,
                                             "pool_size": 16})
 
 
+def earlier_layout_candidate(evaluation, success_rate):
+    """A candidate pickled as earlier revisions wrote it into each Phase 2
+    journal record, with ``design`` stored beside ``evaluation``."""
+    candidate = object.__new__(CandidateDesign)
+    candidate.__dict__.update(design=evaluation.design,
+                              evaluation=evaluation,
+                              success_rate=success_rate)
+    return candidate
+
+
 def assert_phase2_equal(a, b):
     assert len(a.candidates) == len(b.candidates)
     for x, y in zip(a.candidates, b.candidates):
@@ -453,13 +463,46 @@ class TestPhase2Resume:
                                     kind="phase2-evaluations")
         journal.append({"assignment": {}, "candidate": None})
         journal.close()
-        MultiObjectiveDse(database=database, space=small_space,
-                          **DSE_KWARGS).run(task, budget=6, journal=journal)
+        result = MultiObjectiveDse(database=database, space=small_space,
+                                   **DSE_KWARGS).run(task, budget=6,
+                                                     journal=journal)
         reread = EvaluationJournal(tmp_path / "phase2.jnl",
                                    kind="phase2-evaluations")
-        records = reread.load()
-        assert len(records) == 6
-        assert all(r["candidate"] is not None for r in records)
+        # A record is the decision alone, never its result.
+        assert reread.load() == [{"assignment": e.assignment}
+                                 for e in result.optimization.evaluations]
+
+    def test_journal_with_candidate_payloads_resumes_bit_identically(
+            self, tmp_path, database, task, small_space):
+        """Records in the earlier layout carry a whole candidate beside
+        the assignment.  A resume re-evaluates each assignment and reads
+        no payload, so even payloads holding stale results replay to
+        the current model's run."""
+        baseline = MultiObjectiveDse(database=database, space=small_space,
+                                     **DSE_KWARGS).run(task, budget=12)
+        journal = EvaluationJournal(tmp_path / "phase2.jnl",
+                                    kind="phase2-evaluations")
+        for evaluation, candidate in zip(baseline.optimization.evaluations[:6],
+                                         baseline.candidates):
+            stale = replace(candidate.evaluation,
+                            soc_power_w=candidate.soc_power_w * 1.5)
+            journal.append({"assignment": evaluation.assignment,
+                            "candidate": earlier_layout_candidate(
+                                stale, candidate.success_rate)})
+        journal.close()
+        journal = EvaluationJournal(tmp_path / "phase2.jnl",
+                                    kind="phase2-evaluations")
+        resumed = MultiObjectiveDse(database=database, space=small_space,
+                                    **DSE_KWARGS).run(task, budget=12,
+                                                      journal=journal,
+                                                      resume=True)
+        assert_phase2_equal(resumed, baseline)
+        assert ([c.soc_power_w for c in resumed.candidates]
+                == [c.soc_power_w for c in baseline.candidates])
+        records = EvaluationJournal(tmp_path / "phase2.jnl",
+                                    kind="phase2-evaluations").load()
+        assert [set(r) for r in records] == (
+            [{"assignment", "candidate"}] * 6 + [{"assignment"}] * 6)
 
 
 # ----------------------------------------------------------------------
@@ -622,28 +665,68 @@ class TestPipelineResume:
         assert manifest.config.fidelity == "on"
         assert manifest.status["phase2"] == "complete"
 
-    def test_served_evaluations_journal_one_design_each(self, tmp_path,
-                                                       task, monkeypatch):
-        """A run whose designs an earlier run evaluated is served from the
-        cache, yet every Phase 2 candidate holds its evaluation's own
-        design object, so each journal record pickles one design."""
-        cache = EvalCache()
-        monkeypatch.setattr(evalcache, "_shared_cache", cache)
-        config = RunConfig(seed=7, budget=20)
-        earlier = AutoPilot(config).run(
-            TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW))
-        seen = {c.design for c in earlier.phase2.candidates}
-        hits = cache.stats.hits
-        result = AutoPilot(config).run(task, checkpoint_dir=tmp_path / "run")
-        assert cache.stats.hits > hits
-        for candidate in result.phase2.candidates:
-            assert candidate.design is candidate.evaluation.design
-        records = RunCheckpoint(tmp_path / "run").phase2_journal().load()
-        assert len(records) == 20
-        assert sum(r["candidate"].design in seen for r in records) > 0
-        for record in records:
-            candidate = record["candidate"]
-            assert candidate.design is candidate.evaluation.design
+    def test_resume_after_a_model_change_gives_the_current_models_run(
+            self, tmp_path, monkeypatch):
+        """A run killed with 11 Phase 2 records and resumed after the
+        evaluation model changed yields the current model's candidates,
+        not the recorded ones."""
+        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
+        config = RunConfig(seed=3, budget=20)
+        run_dir = tmp_path / "run"
+        reset_shared_cache()
+        # 29 writes precede the Phase 2 journal (see above): counter 40
+        # lands after 11 warm-up evaluations.
+        with faults.active_faults("kill@checkpoint-write:40"):
+            with pytest.raises(faults.SimulatedKill):
+                AutoPilot(config).run(task, checkpoint_dir=run_dir)
+        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 11
+
+        fixed_w = dssoc.fixed_components_power_w
+        monkeypatch.setattr(dssoc, "fixed_components_power_w",
+                            lambda: 1.5 * fixed_w())
+        reset_shared_cache()
+        fresh = AutoPilot(config).run(task)
+        reset_shared_cache()
+        resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
+                                        resume=True)
+        reset_shared_cache()
+        assert resumed.phase2.candidates == fresh.phase2.candidates
+        assert_pipeline_equal(resumed, fresh)
+
+    def test_resume_after_a_ranking_change_is_refused(self, tmp_path,
+                                                      monkeypatch):
+        """A model change that reorders designs steers the optimiser off
+        the journalled path; the resume then fails loudly instead of
+        mixing recorded and current results."""
+        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
+        config = RunConfig(seed=3, budget=20)
+        run_dir = tmp_path / "run"
+        reset_shared_cache()
+        # Counter 44 lands after the 12 warm-up evaluations and three
+        # model-based proposals.
+        with faults.active_faults("kill@checkpoint-write:44"):
+            with pytest.raises(faults.SimulatedKill):
+                AutoPilot(config).run(task, checkpoint_dir=run_dir)
+        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 15
+
+        evaluate = dssoc.DssocEvaluator._evaluate
+
+        def larger_arrays_cost_more(self, design):
+            evaluation = evaluate(self, design)
+            scale = 1.0 + design.accelerator.num_pes / 1000
+            return replace(evaluation,
+                           soc_power_w=evaluation.soc_power_w * scale)
+
+        monkeypatch.setattr(dssoc.DssocEvaluator, "_evaluate",
+                            larger_arrays_cost_more)
+        reset_shared_cache()
+        try:
+            with pytest.raises(CheckpointError,
+                               match="changed evaluation model"):
+                AutoPilot(config).run(task, checkpoint_dir=run_dir,
+                                      resume=True)
+        finally:
+            reset_shared_cache()
 
     def test_checkpointing_leaves_the_design_unchanged(self, tmp_path,
                                                        task):

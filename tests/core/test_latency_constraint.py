@@ -16,8 +16,7 @@ def make_candidate(pe=16, success=0.8):
         "num_layers": 7, "num_filters": 48, "pe_rows": pe, "pe_cols": pe,
         "ifmap_sram_kb": 64, "filter_sram_kb": 64, "ofmap_sram_kb": 64,
     })
-    return CandidateDesign(design=design,
-                           evaluation=DssocEvaluator().evaluate(design),
+    return CandidateDesign(evaluation=DssocEvaluator().evaluate(design),
                            success_rate=success)
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.airlearning.scenarios import Scenario
 from repro.core.evalcache import reset_shared_cache
 from repro.core.phase1 import FrontEnd
-from repro.core.phase2 import MultiObjectiveDse
+from repro.core.phase2 import CandidateDesign, MultiObjectiveDse
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import ConfigError
 from repro.optim.bayesopt import SmsEgoBayesOpt
@@ -102,6 +102,17 @@ class TestPhase2:
         assert candidate.frames_per_second > 0
         assert candidate.success_rate == database.success_rate(
             design.policy, task.scenario)
+
+    def test_candidate_design_is_its_evaluations_design(self, dse_result):
+        for candidate in dse_result.candidates:
+            assert candidate.design is candidate.evaluation.design
+        candidate = dse_result.candidates[0]
+        with pytest.raises(AttributeError):
+            candidate.design = candidate.evaluation.design
+        with pytest.raises(TypeError):
+            CandidateDesign(design=candidate.design,
+                            evaluation=candidate.evaluation,
+                            success_rate=candidate.success_rate)
 
     def test_objective_diversity(self, dse_result):
         # The search space spans meaningfully different designs.

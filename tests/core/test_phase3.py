@@ -18,8 +18,7 @@ def make_candidate(pe_rows=16, pe_cols=16, sram=64, success=0.8):
         "ofmap_sram_kb": sram,
     })
     evaluation = DssocEvaluator().evaluate(design)
-    return CandidateDesign(design=design, evaluation=evaluation,
-                           success_rate=success)
+    return CandidateDesign(evaluation=evaluation, success_rate=success)
 
 
 @pytest.fixture(scope="module")

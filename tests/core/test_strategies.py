@@ -24,8 +24,7 @@ def make_candidate(pe=16, sram=64, layers=7, filters=48, success=0.8):
         "ofmap_sram_kb": sram,
     })
     evaluation = DssocEvaluator().evaluate(design)
-    return CandidateDesign(design=design, evaluation=evaluation,
-                           success_rate=success)
+    return CandidateDesign(evaluation=evaluation, success_rate=success)
 
 
 @pytest.fixture(scope="module")

@@ -58,8 +58,8 @@ def kendall_tau(a, b) -> float:
 
 
 def exact_reports(workload, configs):
-    """The exact simulator's report per config, bypassing the cache."""
-    return [SystolicArraySimulator(config).run_uncached(workload)
+    """The exact simulator's report per config."""
+    return [SystolicArraySimulator(config).run(workload)
             for config in configs]
 
 

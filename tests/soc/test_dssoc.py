@@ -8,7 +8,6 @@ from repro.core import evalcache
 from repro.core.evalcache import (
     EvalCache,
     configure_shared_cache,
-    design_key,
     estimate_key,
     evaluation_key,
     reset_shared_cache,
@@ -152,7 +151,7 @@ class TestEvaluationCache:
         assert shared_report_cache().stats.misses == 1
         assert fresh is not served
         assert canonical(served) == canonical(fresh)
-        report = SystolicArraySimulator(design.accelerator).run_uncached(
+        report = SystolicArraySimulator(design.accelerator).run(
             evaluator.workload_for(design.policy))
         assert canonical(served.report) == canonical(report)
 
@@ -171,9 +170,8 @@ class TestEvaluationCache:
         design = PROBE_DESIGNS[0]
         workload = DssocEvaluator.workload_for(design.policy)
         tags = {evaluation_key(design, None)[0],
-                design_key(workload, design.accelerator)[0],
                 estimate_key(workload, design.accelerator)[0]}
-        assert len(tags) == 3
+        assert len(tags) == 2
 
     def test_reset_drops_cached_evaluations(self, fresh_cache):
         design = PROBE_DESIGNS[0]

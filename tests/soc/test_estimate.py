@@ -1,14 +1,14 @@
 """Tier-0 SoC floors: latency/power/weight must bound the exact
 evaluator from below in both frame modes, and the tier-0 cache keys
-must never alias the tier-1 report keys.
+must never alias the tier-1 evaluation keys.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.evalcache import (
-    design_key,
     estimate_key,
+    evaluation_key,
     reset_shared_cache,
     shared_report_cache,
     workload_fingerprint,
@@ -65,6 +65,17 @@ class TestEstimatorCaching:
         assert np.array_equal(first.soc_power_w, second.soc_power_w)
         reset_shared_cache()
 
+    def test_each_screened_design_is_one_lookup_on_a_cold_cache(self):
+        reset_shared_cache()
+        cache = shared_report_cache()
+        designs = random_designs(seed=3, count=12)
+        Tier0Estimator().estimate_designs(designs)
+        assert len(cache) == 12
+        assert (cache.stats.hits, cache.stats.misses) == (0, 12)
+        Tier0Estimator().estimate_designs(designs)
+        assert (cache.stats.hits, cache.stats.misses) == (12, 12)
+        reset_shared_cache()
+
     def test_duplicate_designs_share_one_slot(self):
         reset_shared_cache()
         designs = random_designs(seed=5, count=4)
@@ -79,13 +90,13 @@ class TestEstimatorCaching:
 
 class TestKeySchema:
     def test_estimate_keys_never_collide_with_design_keys(self):
-        workload = lower_network(
-            DssocEvaluator().network_for(PolicyHyperparams(2, 32)))
-        config = random_designs(seed=1, count=1)[0].accelerator
-        tier0 = estimate_key(workload, config)
-        tier1 = design_key(workload, config)
-        assert tier0[0] != tier1[0]
-        assert tier0 != tier1
+        design = random_designs(seed=1, count=1)[0]
+        workload = DssocEvaluator.workload_for(design.policy)
+        tier0 = estimate_key(workload, design.accelerator)
+        for operating_fps in (None, 60.0):
+            tier1 = evaluation_key(design, operating_fps)
+            assert tier0[0] != tier1[0]
+            assert tier0 != tier1
 
     def test_estimate_key_accepts_precomputed_fingerprint(self):
         workload = lower_network(
