@@ -97,10 +97,11 @@ def test_phase1_vec_rollout_throughput_beats_scalar(training_sweeps):
 # ----------------------------------------------------------------------
 # Phase 2 hot loop: the shared-factor GP
 # ----------------------------------------------------------------------
-def test_gp_proposal_loop_speedup_at_least_3x():
+def test_shared_gp_proposal_loop_speedup_at_least_1_3x():
     """41 proposals (100..140 observations, 7 inputs, 3 objectives, a
     256-point pool): three per-objective refits per proposal vs one
-    shared GP refit every 8 proposals."""
+    shared-factor refit per proposal.  A fit that stopped sharing its
+    factors reads about 1.0x."""
     rng = np.random.default_rng(29)
     x = rng.integers(0, 9, size=(140, 7)) / 8.0
     y = rng.normal(size=(140, 3))
@@ -112,13 +113,11 @@ def test_gp_proposal_loop_speedup_at_least_3x():
                 GaussianProcess().fit(x[:n], y[:n, j]).predict(pool)
 
     def shared():
-        gp = MultiObjectiveGP(refit_every=8)
         for n in range(100, 141):
-            gp.fit(x[:n], y[:n])
-            gp.predict(pool)
+            MultiObjectiveGP().fit(x[:n], y[:n]).predict(pool)
 
     (legacy_s, shared_s), _ = best_walls(3, legacy, shared)
-    assert legacy_s / shared_s >= 3.0
+    assert legacy_s / shared_s >= 1.3
 
 
 # ----------------------------------------------------------------------

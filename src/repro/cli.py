@@ -96,12 +96,6 @@ def _add_phase1(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_phase2(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gp-refit-every", type=int, default=1,
-                        help="full GP lengthscale-grid refit cadence in "
-                             "observations (1 = refit every proposal, the "
-                             "exact reference behaviour; larger values "
-                             "extend the cached Cholesky factors "
-                             "incrementally between grid refits)")
     parser.add_argument("--proposal-batch", type=int, default=1,
                         help="SMS-EGO candidates proposed per GP fit (q); "
                              "one GP fit is amortised over the q "
@@ -129,7 +123,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(seed=args.seed, budget=args.budget,
                      frontend_backend=args.phase1_backend, trainer=trainer,
                      proposal_batch=args.proposal_batch,
-                     gp_refit_every=args.gp_refit_every,
                      fidelity=args.fidelity, promotion_eta=args.promotion_eta)
 
 

@@ -12,10 +12,11 @@ resumable runtime is built on:
   reads it back to reconstruct the exact run.
 * :class:`EvaluationJournal` -- an append-only, pickle-framed log of
   completed work items.  A Phase 1 record keeps its template point's
-  validated success rate, which is costly to recompute; a Phase 2
-  record keeps only the evaluated assignment, since re-evaluating a
-  design costs well under a millisecond.  Appends are flushed per
-  record; a crash mid-write leaves a truncated tail that
+  validated success rate, which a trainer-backed resume serves because
+  training is costly to repeat (the surrogate backend re-derives it); a
+  Phase 2 record keeps only the evaluated assignment, since
+  re-evaluating a design costs well under a millisecond.  Appends are
+  flushed per record; a crash mid-write leaves a truncated tail that
   :meth:`EvaluationJournal.load` detects and drops, so the journal
   always recovers to the last *completed* iteration.  Pickle framing
   (rather than JSON lines) preserves float bit patterns exactly -- the
@@ -63,6 +64,12 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 #: File name of the run manifest inside a checkpoint directory.
 MANIFEST_NAME = "manifest.json"
+
+#: Config fields of retired options, each mapped to the one value this
+#: version still behaves as.  A manifest recording another value was
+#: shaped by a code path that no longer exists, so loading refuses it
+#: rather than resume it as a different run.
+RETIRED_FIELDS: Dict[str, Any] = {"gp_refit_every": 1}
 
 
 def _trip_checkpoint_write() -> None:
@@ -165,13 +172,14 @@ class Manifest:
         """Load the manifest of ``directory``.
 
         Keys this version does not know (fields of removed features) are
-        ignored; config fields an older manifest lacks take their
-        defaults.
+        ignored, and config fields an older manifest lacks take their
+        defaults.  A retired option's field (:data:`RETIRED_FIELDS`) is
+        ignored only at the value this version behaves as.
 
         Raises:
             CheckpointError: when the manifest is missing, unreadable,
-                structurally corrupt, invalid or from an incompatible
-                schema.
+                structurally corrupt, invalid, from an incompatible
+                schema or records a retired option at another value.
         """
         path = Path(directory) / cls.FILE_NAME
         if not path.exists():
@@ -193,6 +201,12 @@ class Manifest:
                 f"{cls.NOUN} manifest at {path} has schema "
                 f"{payload.get('schema')!r}; this version reads schema "
                 f"{cls.schema}")
+        for name, kept in RETIRED_FIELDS.items():
+            if payload.get(name, kept) != kept:
+                raise CheckpointError(
+                    f"{cls.NOUN} manifest at {path} records "
+                    f"{name}={payload[name]!r}, an option this version no "
+                    f"longer has; only {name}={kept!r} can resume")
 
         def known(owner) -> Dict[str, Any]:
             names = {f.name for f in fields(owner)}

@@ -103,7 +103,9 @@ class FrontEnd:
                 generation, so an interrupted sweep resumes at the last
                 completed generation of the point it died in.
             resume: Replay the checkpoint's journal into the database
-                instead of discarding it.
+                instead of discarding it.  The trainer backend's replay
+                serves the journalled success rates; the surrogate's
+                re-derives each from the current surrogate.
         """
         points = list(hyperparams or enumerate_template_space())
         db = database if database is not None else AirLearningDatabase()
@@ -118,7 +120,14 @@ class FrontEnd:
                         continue
                     point = record["point"]
                     if db.get(point, task.scenario) is None:
-                        db.add(point, task.scenario, record["success"])
+                        # The surrogate's rate costs microseconds, so a
+                        # resume re-derives it from the current model;
+                        # only the trainer's costly rates are served.
+                        success = (
+                            self._surrogate.success_rate(point, task.scenario)
+                            if self.backend == "surrogate"
+                            else record["success"])
+                        db.add(point, task.scenario, success)
                         result.trained.append(point)
                         result.env_steps += record["env_steps"]
             else:

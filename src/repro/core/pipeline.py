@@ -122,9 +122,7 @@ class AutoPilot:
         if phase2 is None:
             dse = MultiObjectiveDse(
                 database=self.database, seed=config.seed,
-                optimizer_kwargs={
-                    "proposal_batch": config.proposal_batch,
-                    "gp_refit_every": config.gp_refit_every},
+                optimizer_kwargs={"proposal_batch": config.proposal_batch},
                 fidelity=config.fidelity,
                 promotion_eta=config.promotion_eta)
             journal = (checkpoint.phase2_journal()

@@ -83,7 +83,6 @@ class RunConfig:
             bit-equivalent, and an ``engine`` key that older manifests
             record is accepted and dropped.
         proposal_batch: SMS-EGO candidates proposed per GP fit (q).
-        gp_refit_every: Full GP lengthscale-grid refit cadence.
         fidelity: Multi-fidelity Phase 2 screening, ``"off"``/``"on"``.
         promotion_eta: Fraction of a screened group promoted to the
             exact simulator, in ``(0, 1]``; checked with fidelity off
@@ -95,17 +94,15 @@ class RunConfig:
     frontend_backend: str = "surrogate"
     trainer: Optional[Dict[str, Any]] = None
     proposal_batch: int = 1
-    gp_refit_every: int = 1
     fidelity: str = "off"
     promotion_eta: float = 0.5
 
     def __post_init__(self) -> None:
         if self.budget <= 0:
             raise ConfigError(f"budget must be positive, got {self.budget!r}")
-        for name in ("proposal_batch", "gp_refit_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got "
-                                  f"{getattr(self, name)!r}")
+        if self.proposal_batch < 1:
+            raise ConfigError("proposal_batch must be at least 1, got "
+                              f"{self.proposal_batch!r}")
         if not 0.0 < self.promotion_eta <= 1.0:
             raise ConfigError("promotion_eta must be in (0, 1], got "
                               f"{self.promotion_eta!r}")

@@ -31,7 +31,7 @@ q-groups bit-identically, including a group interrupted mid-batch.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class SmsEgoBayesOpt(Optimizer):
         gain: SMS-EGO epsilon-dominance penalty steepness.
         reference_margin: Fractional margin used to derive the internal
             hypervolume reference point from observed objective ranges.
-        gp_refit_every: Full GP lengthscale-grid refit cadence in
-            observations.  The default 1 refits every proposal (the
-            exact legacy behaviour); larger values extend the cached
-            Cholesky factors incrementally between grid refits.
         proposal_batch: Candidates proposed per GP fit (q).  The default
             1 is the exact serial behaviour; larger values select q
             points greedily with virtual-front penalisation and submit
@@ -90,15 +86,12 @@ class SmsEgoBayesOpt(Optimizer):
                  num_initial: int = 12, pool_size: int = 256,
                  kappa: float = 1.0, gain: float = 1.0,
                  reference_margin: float = 0.1,
-                 gp_refit_every: int = 1,
                  proposal_batch: int = 1):
         super().__init__(space, seed)
         if num_initial < 2:
             raise ConfigError("num_initial must be at least 2")
         if pool_size < 1:
             raise ConfigError("pool_size must be positive")
-        if gp_refit_every < 1:
-            raise ConfigError("gp_refit_every must be at least 1")
         if proposal_batch < 1:
             raise ConfigError("proposal_batch must be at least 1")
         self.num_initial = num_initial
@@ -106,16 +99,11 @@ class SmsEgoBayesOpt(Optimizer):
         self.kappa = kappa
         self.gain = gain
         self.reference_margin = reference_margin
-        self.gp_refit_every = gp_refit_every
         self.proposal_batch = proposal_batch
-        self._gp: Optional[MultiObjectiveGP] = None
 
     # ------------------------------------------------------------------
     def run(self, evaluator: CachingEvaluator,
             rng: np.random.Generator) -> None:
-        # The surrogate state is per run: optimize() may be called again
-        # (or replayed) on the same instance and must start fresh.
-        self._gp = None
         self._initial_sampling(evaluator, rng)
         screened = isinstance(evaluator, MultiFidelityEvaluator)
         barren_rounds = 0
@@ -215,14 +203,9 @@ class SmsEgoBayesOpt(Optimizer):
         history = evaluator.result.evaluations
         x_train = evaluator.space.encode_many([e.assignment for e in history])
         objectives = np.vstack([e.objectives for e in history])
-        num_objectives = objectives.shape[1]
 
         x_pool = evaluator.space.encode_many(pool)
-        gp = self._gp
-        if gp is None or gp.num_objectives not in (0, num_objectives):
-            gp = self._gp = MultiObjectiveGP(
-                refit_every=self.gp_refit_every)
-        gp.fit(x_train, objectives)
+        gp = MultiObjectiveGP().fit(x_train, objectives)
         means, stds = gp.predict(x_pool)
 
         lcb = means - self.kappa * stds

@@ -9,28 +9,17 @@ internally, the lengthscale comes from the median heuristic (optionally
 refined by a small grid search on the log marginal likelihood), and a
 jittered Cholesky factorisation gives numerically stable posteriors.
 
-Two observations make the Phase 2 proposal loop cheap without changing
-a single bit of its output:
+The Gram matrix -- and therefore every candidate Cholesky factor of the
+lengthscale grid -- depends only on the *inputs* and the lengthscale,
+never on the objective values.  All objectives share the same training
+inputs, so :class:`MultiObjectiveGP` factorises each candidate
+lengthscale once and reuses the factor across objectives (5 Choleskys
+per fit instead of 15 for three objectives), producing bit-identical
+posteriors to three independent :class:`GaussianProcess` fits.
 
-* The Gram matrix -- and therefore every candidate Cholesky factor of
-  the lengthscale grid -- depends only on the *inputs* and the
-  lengthscale, never on the objective values.  All objectives share the
-  same training inputs, so :class:`MultiObjectiveGP` factorises each
-  candidate lengthscale once and reuses the factor across objectives
-  (5 Choleskys per proposal instead of 15 for three objectives),
-  producing bit-identical posteriors to three independent
-  :class:`GaussianProcess` fits.
-* Between consecutive BO iterations the training set grows by appended
-  rows only.  With ``refit_every > 1`` the fitted factor is *extended*
-  by a rank-r block Cholesky update (O(n^2) instead of O(n^3)) and the
-  lengthscale grid re-runs only every ``refit_every`` observations;
-  alpha is always re-derived from the updated factor against the
-  re-standardised targets.  The default ``refit_every=1`` keeps the
-  exact legacy refit-every-iteration behaviour.
-
-Every solve, incremental ones included, is NumPy's ``np.linalg.solve``:
-with no optional SciPy path, a fit's bits do not depend on which
-packages the host has installed.
+Every solve is NumPy's ``np.linalg.solve``: with no optional SciPy
+path, a fit's bits do not depend on which packages the host has
+installed.
 """
 
 from __future__ import annotations
@@ -141,13 +130,11 @@ class GpStats(DeltaCounters):
     reports deltas (:class:`~repro.perf.counters.DeltaCounters`).
     """
 
-    full_fits: int = 0            # per-objective fits via the grid search
-    incremental_updates: int = 0  # per-objective fits via factor extension
-    factorisations: int = 0       # Cholesky factorisations performed
-    fit_wall_s: float = 0.0       # time spent in full (grid) fits
-    update_wall_s: float = 0.0    # time spent in incremental updates
-    proposal_groups: int = 0      # acquisition rounds (one per GP fit)
-    proposed_points: int = 0      # candidates proposed across all groups
+    full_fits: int = 0          # per-objective fits via the grid search
+    factorisations: int = 0     # Cholesky factorisations performed
+    fit_wall_s: float = 0.0     # time spent fitting
+    proposal_groups: int = 0    # acquisition rounds (one per GP fit)
+    proposed_points: int = 0    # candidates proposed across all groups
 
     @property
     def mean_proposal_group(self) -> float:
@@ -259,8 +246,8 @@ class _ObjectiveModel:
     """Fitted state of one objective: its lengthscale, factor and alpha.
 
     ``chol`` is shared (by reference) between objectives that selected
-    the same lengthscale, so extension and prediction work is done once
-    per distinct factor, not once per objective.
+    the same lengthscale, so prediction work is done once per distinct
+    factor, not once per objective.
     """
 
     lengthscale: float
@@ -281,45 +268,25 @@ class MultiObjectiveGP:
     exactly.  :meth:`predict` likewise shares ``k_star`` and the
     variance solve between objectives that fitted the same lengthscale.
 
-    ``refit_every`` controls the incremental path: with the default 1
-    every :meth:`fit` re-runs the exact grid search; with K > 1 a fit
-    whose inputs extend the previous training set by appended rows
-    reuses the fitted lengthscales and extends each Cholesky factor by
-    a rank-r block update, re-running the grid only once K new
-    observations have accumulated (or whenever the update is not
-    applicable -- changed prefix, changed width, non-PD extension).
-
     Args:
         noise: Observation noise std (on standardised y), per objective.
         lengthscale: Fixed SE lengthscale; fitted per objective if None.
         tune_lengthscale: Grid-refine the median heuristic.
-        refit_every: Full lengthscale-grid refit cadence in observations
-            (1 = always refit, the exact scalar behaviour).
     """
 
     def __init__(self, noise: float = 1e-3,
                  lengthscale: Optional[float] = None,
-                 tune_lengthscale: bool = True,
-                 refit_every: int = 1):
+                 tune_lengthscale: bool = True):
         if noise <= 0:
             raise ConfigError("noise must be positive")
         if lengthscale is not None and lengthscale <= 0:
             raise ConfigError("lengthscale must be positive when set")
-        if refit_every < 1:
-            raise ConfigError("refit_every must be at least 1")
         self.noise = noise
         self.lengthscale = lengthscale
         self.tune_lengthscale = tune_lengthscale
-        self.refit_every = refit_every
         self._variance = 1.0
         self._x: Optional[np.ndarray] = None
         self._models: Optional[List[_ObjectiveModel]] = None
-        self._grid_n = 0  # observation count at the last grid fit
-
-    @property
-    def num_objectives(self) -> int:
-        """Fitted objective count (0 before the first fit)."""
-        return 0 if self._models is None else len(self._models)
 
     @property
     def fitted_lengthscales(self) -> List[float]:
@@ -339,26 +306,7 @@ class MultiObjectiveGP:
             raise ConfigError("x and y must have matching lengths")
         if x.shape[0] == 0 or y.shape[1] == 0:
             raise ConfigError("cannot fit a GP to zero observations")
-        if self._can_extend(x, y):
-            try:
-                self._extend(x, y)
-                return self
-            except np.linalg.LinAlgError:
-                pass  # non-PD extension: fall through to the exact refit
-        self._full_fit(x, y)
-        return self
 
-    def _can_extend(self, x: np.ndarray, y: np.ndarray) -> bool:
-        if self.refit_every <= 1 or self._models is None or self._x is None:
-            return False
-        prev_n, n = self._x.shape[0], x.shape[0]
-        return (n > prev_n
-                and x.shape[1] == self._x.shape[1]
-                and y.shape[1] == len(self._models)
-                and n - self._grid_n < self.refit_every
-                and np.array_equal(x[:prev_n], self._x))
-
-    def _full_fit(self, x: np.ndarray, y: np.ndarray) -> None:
         start = time.perf_counter()
         sq = pairwise_sq(x, x)
         base = (self.lengthscale if self.lengthscale is not None
@@ -395,55 +343,9 @@ class MultiObjectiveGP:
                 y_mean=y_mean, y_std=y_scale))
         self._x = x
         self._models = models
-        self._grid_n = x.shape[0]
         _gp_stats.full_fits += len(models)
         _gp_stats.fit_wall_s += time.perf_counter() - start
-
-    def _extend(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Grow every factor by the appended rows (rank-r block update).
-
-        For K = [[K_old, C], [C.T, D]] the lower Cholesky factor is
-        [[L, 0], [B.T, Ls]] with B = L^-1 C and Ls = chol(D - B.T B);
-        alpha is re-derived from the extended factor against the
-        re-standardised targets.  Raises ``LinAlgError`` when the
-        extension is not positive definite, which the caller turns into
-        an exact full refit.
-        """
-        start = time.perf_counter()
-        prev_n, n = self._x.shape[0], x.shape[0]
-        x_new = x[prev_n:]
-        sq_cross = pairwise_sq(self._x, x_new)
-        sq_corner = pairwise_sq(x_new, x_new)
-        jitter = self.noise ** 2 + 1e-8
-
-        extended: Dict[int, np.ndarray] = {}
-        models: List[_ObjectiveModel] = []
-        for j, model in enumerate(self._models):
-            new_chol = extended.get(id(model.chol))
-            if new_chol is None:
-                ls = model.lengthscale
-                corner = kernel_from_sq(sq_corner, ls, self._variance)
-                corner[np.diag_indices_from(corner)] += jitter
-                b = np.linalg.solve(
-                    model.chol, kernel_from_sq(sq_cross, ls, self._variance))
-                corner_chol = np.linalg.cholesky(corner - b.T @ b)
-                _gp_stats.factorisations += 1
-                new_chol = np.empty((n, n))
-                new_chol[:prev_n, :prev_n] = model.chol
-                new_chol[:prev_n, prev_n:] = 0.0
-                new_chol[prev_n:, :prev_n] = b.T
-                new_chol[prev_n:, prev_n:] = corner_chol
-                extended[id(model.chol)] = new_chol
-            y_mean, y_scale, y_std = _standardise(y[:, j])
-            alpha = np.linalg.solve(new_chol.T,
-                                    np.linalg.solve(new_chol, y_std))
-            models.append(_ObjectiveModel(
-                lengthscale=model.lengthscale, chol=new_chol, alpha=alpha,
-                y_mean=y_mean, y_std=y_scale))
-        self._x = x
-        self._models = models
-        _gp_stats.incremental_updates += len(models)
-        _gp_stats.update_wall_s += time.perf_counter() - start
+        return self
 
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

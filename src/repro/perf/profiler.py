@@ -178,12 +178,10 @@ def render_profile(report: ProfileReport) -> str:
                  f"{'':>9} "
                  f"{(f'{overall.hit_rate:.1%}' if overall.lookups else '-'):>9}")
     for phase in report.phases:
-        if phase.gp.full_fits or phase.gp.incremental_updates:
+        if phase.gp.full_fits:
             lines.append(
                 f"{phase.name} gp: {phase.gp.full_fits} full fits "
                 f"({phase.gp.fit_wall_s:.3f} s), "
-                f"{phase.gp.incremental_updates} incremental updates "
-                f"({phase.gp.update_wall_s:.3f} s), "
                 f"{phase.gp.factorisations} factorisations")
         if phase.gp.proposal_groups:
             lines.append(

@@ -25,7 +25,6 @@ from repro.core.evalcache import reset_shared_cache
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig
 from repro.errors import CheckpointError, ConfigError
-from repro.optim.gp import gp_stats
 from repro.testing import faults
 
 BENCH_ARGS = ["bench", "--tags", "smoke", "--platforms", "nano",
@@ -37,10 +36,10 @@ CONFIG = RunConfig(seed=3, budget=6)
 #: journal appends and its manifest written on entering Phase 2.
 PHASE2_FIRST_WRITE = 30
 
-#: Where the refit-cadence kills land, as the first cell's Phase 2
-#: journal length (see ``tests/test_cli.py``'s ``REFIT_KILLS``).
-REFIT_KILLS = [pytest.param(6, id="warm-up"),
-               pytest.param(20, id="after-incremental-group"),
+#: Where the q=4 kills land, as the first cell's Phase 2 journal
+#: length (see ``tests/test_cli.py``'s ``GROUP_KILLS``).
+GROUP_KILLS = [pytest.param(6, id="warm-up"),
+               pytest.param(20, id="after-group"),
                pytest.param(26, id="mid-group")]
 
 
@@ -220,28 +219,24 @@ class TestBenchCli:
         assert main(["bench", "--resume", str(bench_dir), "--profile"]) == 0
         assert profile_counts(capsys.readouterr().out) == baseline
 
-    @pytest.mark.parametrize("records", REFIT_KILLS)
-    def test_gp_refit_every_survives_kill_and_resume(self, tmp_path,
-                                                     capsys, records):
+    @pytest.mark.parametrize("records", GROUP_KILLS)
+    def test_q4_groups_survive_kill_and_resume(self, tmp_path, capsys,
+                                               records):
         args = ["bench", "--scenarios", "dense", "--platforms", "nano",
-                "--seed", "7", "--budget", "60", "--proposal-batch", "4",
-                "--gp-refit-every", "8"]
+                "--seed", "7", "--budget", "60", "--proposal-batch", "4"]
         assert main(args) == 0
         baseline = capsys.readouterr().out
         bench_dir = tmp_path / "bench"
         kill_at = PHASE2_FIRST_WRITE + records
-        before = gp_stats().snapshot()
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
                 main(args + ["--checkpoint-dir", str(bench_dir)])
         capsys.readouterr()
         cell = RunCheckpoint(bench_dir / "cells" / "dense__nano")
         assert len(cell.phase2_journal().load()) == records
-        assert ((gp_stats().since(before).incremental_updates > 0)
-                == (records > 16))
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == baseline
-        assert BenchManifest.load(bench_dir).config.gp_refit_every == 8
+        assert BenchManifest.load(bench_dir).config.proposal_batch == 4
 
     def test_resume_missing_manifest_is_a_clean_error(self, tmp_path,
                                                       capsys):

@@ -17,6 +17,7 @@ import pytest
 
 from repro.airlearning.env import NavigationEnv
 from repro.airlearning.scenarios import Scenario
+from repro.airlearning.surrogate import SuccessRateSurrogate
 from repro.airlearning.trainer import CemTrainer
 from repro.bench import BenchManifest, BenchRunner, build_suite
 from repro.core import checkpoint as checkpoint_module
@@ -693,6 +694,35 @@ class TestPipelineResume:
         assert resumed.phase2.candidates == fresh.phase2.candidates
         assert_pipeline_equal(resumed, fresh)
 
+    def test_resume_after_a_surrogate_change_gives_the_current_run(
+            self, tmp_path, monkeypatch):
+        """The surrogate backend re-derives each journalled template
+        point's success rate on resume, so a run killed with four Phase 2
+        records and resumed after the surrogate changed yields the
+        current surrogate's candidates."""
+        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
+        config = RunConfig(seed=3, budget=20)
+        run_dir = tmp_path / "run"
+        reset_shared_cache()
+        with faults.active_faults("kill@checkpoint-write:33"):
+            with pytest.raises(faults.SimulatedKill):
+                AutoPilot(config).run(task, checkpoint_dir=run_dir)
+        checkpoint = RunCheckpoint(run_dir)
+        assert len(checkpoint.phase1_journal().load()) == 27
+        assert len(checkpoint.phase2_journal().load()) == 4
+
+        rate = SuccessRateSurrogate.success_rate
+        monkeypatch.setattr(SuccessRateSurrogate, "success_rate",
+                            lambda self, *args: 0.9 * rate(self, *args))
+        reset_shared_cache()
+        fresh = AutoPilot(config).run(task)
+        reset_shared_cache()
+        resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
+                                        resume=True)
+        reset_shared_cache()
+        assert resumed.phase2.candidates == fresh.phase2.candidates
+        assert_pipeline_equal(resumed, fresh)
+
     def test_resume_after_a_ranking_change_is_refused(self, tmp_path,
                                                       monkeypatch):
         """A model change that reorders designs steers the optimiser off
@@ -835,7 +865,6 @@ NON_DEFAULT = {
                 "trainer": {"population_size": 4, "iterations": 1,
                             "episodes_per_candidate": 1}},
     "proposal_batch": {"proposal_batch": 4},
-    "gp_refit_every": {"gp_refit_every": 8},
     "fidelity": {"fidelity": "on"},
     "promotion_eta": {"promotion_eta": 0.25},
 }
@@ -892,6 +921,57 @@ class TestRunIdentity:
                                  rf"requested one \(.*\b{name}: recorded"):
             BenchRunner(AutoPilot(requested), checkpoint_dir=bench_dir,
                         resume=True).run(suite)
+
+
+# ----------------------------------------------------------------------
+# Retired options: a checkpoint shaped by a removed code path is refused
+# ----------------------------------------------------------------------
+def file_bytes(directory):
+    """Every file under ``directory`` with its contents."""
+    return {path: path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+class TestRetiredFields:
+    #: The manifest that records the retired field, by where it sits.
+    MANIFESTS = {"run": "manifest.json", "bench": "bench.json",
+                 "cell": "cells/dense__nano/manifest.json"}
+
+    @pytest.mark.parametrize("recorded_in", list(MANIFESTS))
+    def test_refit_cadence_above_one_is_refused(self, tmp_path, task,
+                                                recorded_in):
+        """Earlier versions recorded ``gp_refit_every``; a checkpoint
+        recording any value but 1 took a GP path this version no longer
+        has, and is refused before anything in it is rewritten."""
+        config = RunConfig(seed=9, budget=6)
+        suite = build_suite(ids=["dense"], platforms=["nano"])
+        directory = tmp_path / "checkpoint"
+
+        def run(resume=False):
+            if recorded_in == "run":
+                return AutoPilot(config).run(task, checkpoint_dir=directory,
+                                             resume=resume)
+            return BenchRunner(AutoPilot(config), checkpoint_dir=directory,
+                               resume=resume).run(suite)
+
+        # Two writes: the run manifest and a Phase 1 record, or
+        # bench.json and the cell's manifest.
+        with faults.active_faults("kill@checkpoint-write:2"):
+            with pytest.raises(faults.SimulatedKill):
+                run()
+        manifest = directory / self.MANIFESTS[recorded_in]
+        payload = json.loads(manifest.read_text())
+        payload["gp_refit_every"] = 8
+        manifest.write_text(json.dumps(payload))
+        written = file_bytes(directory)
+
+        loader = BenchManifest if recorded_in == "bench" else RunManifest
+        match = rf"{loader.NOUN} manifest at .* records gp_refit_every=8"
+        with pytest.raises(CheckpointError, match=match):
+            loader.load(manifest.parent)
+        with pytest.raises(CheckpointError, match=match):
+            run(resume=True)
+        assert file_bytes(directory) == written
 
 
 # ----------------------------------------------------------------------

@@ -192,7 +192,6 @@ class _LegacySerialSmsEgo(SmsEgoBayesOpt):
     """
 
     def run(self, evaluator, rng):
-        self._gp = None
         self._initial_sampling(evaluator, rng)
         while not evaluator.exhausted:
             pool = self._candidate_pool(evaluator, rng)
@@ -203,12 +202,7 @@ class _LegacySerialSmsEgo(SmsEgoBayesOpt):
                 [e.assignment for e in history])
             objectives = np.vstack([e.objectives for e in history])
             x_pool = evaluator.space.encode_many(pool)
-            gp = self._gp
-            if gp is None or gp.num_objectives not in (0,
-                                                       objectives.shape[1]):
-                gp = self._gp = MultiObjectiveGP(
-                    refit_every=self.gp_refit_every)
-            gp.fit(x_train, objectives)
+            gp = MultiObjectiveGP().fit(x_train, objectives)
             means, stds = gp.predict(x_pool)
             lcb = means - self.kappa * stds
             front = objectives[non_dominated_mask(objectives)]

@@ -8,7 +8,6 @@ from repro.optim.gp import (
     GaussianProcess,
     MultiObjectiveGP,
     _median_heuristic,
-    gp_stats,
     pairwise_sq,
     se_kernel,
 )
@@ -165,54 +164,3 @@ class TestGpIncrementalEquivalence:
                 assert gp.fitted_lengthscale == mo.fitted_lengthscales[j]
                 assert np.array_equal(mean, means[:, j])
                 assert np.array_equal(std, stds[:, j])
-
-    def test_incremental_update_matches_full_refit(self):
-        # At a fixed lengthscale the extended factor must reproduce the
-        # from-scratch factorisation to numerical round-off.
-        x, y, xq = self._data(3, n=26)
-        inc = MultiObjectiveGP(lengthscale=0.8, refit_every=16)
-        ref = MultiObjectiveGP(lengthscale=0.8)
-        inc.fit(x[:18], y[:18])
-        for n in range(19, 27):
-            inc.fit(x[:n], y[:n])
-        ref.fit(x, y)
-        im, isd = inc.predict(xq)
-        rm, rsd = ref.predict(xq)
-        assert np.abs(im - rm).max() < 1e-8
-        assert np.abs(isd - rsd).max() < 1e-8
-
-    def test_refit_cadence_counts_grid_fits(self):
-        x, y, _ = self._data(4, n=20, m=2)
-        gp = MultiObjectiveGP(refit_every=3)
-        before = gp_stats().snapshot()
-        gp.fit(x[:10], y[:10])
-        for n in range(11, 21):
-            gp.fit(x[:n], y[:n])
-        delta = gp_stats().since(before)
-        # Grid refits at n=10 (first) then every 3rd appended point;
-        # the other fits must take the incremental path.
-        assert delta.full_fits == 2 * 4  # 4 grid fits x 2 objectives
-        assert delta.incremental_updates == 2 * 7
-        assert delta.update_wall_s >= 0.0
-
-    def test_changed_prefix_falls_back_to_exact_refit(self):
-        x, y, xq = self._data(6, n=15)
-        gp = MultiObjectiveGP(refit_every=50).fit(x[:10], y[:10])
-        x2 = x.copy()
-        x2[0, 0] += 0.5  # history rewritten: the factor cannot extend
-        gp.fit(x2, y)
-        fresh = MultiObjectiveGP(refit_every=50).fit(x2, y)
-        gm, gs = gp.predict(xq)
-        fm, fs = fresh.predict(xq)
-        assert np.array_equal(gm, fm)
-        assert np.array_equal(gs, fs)
-
-    def test_default_refit_every_is_exact(self):
-        # refit_every=1 never takes the incremental path, keeping the
-        # legacy fit-every-proposal behaviour bit-for-bit.
-        x, y, _ = self._data(7, n=12, m=2)
-        gp = MultiObjectiveGP()
-        before = gp_stats().snapshot()
-        gp.fit(x[:10], y[:10])
-        gp.fit(x, y)
-        assert gp_stats().since(before).incremental_updates == 0

@@ -119,7 +119,6 @@ class TestProposalBatch:
         evaluator = CachingEvaluator(toy_space, toy_objectives, budget=30,
                                      reference=REFERENCE)
         rng = np.random.default_rng(opt.seed)
-        opt._gp = None
         opt._initial_sampling(evaluator, rng)
         batch = opt._propose(evaluator, rng)
         assert len(batch) == 4
@@ -136,7 +135,6 @@ class TestProposalBatch:
             evaluator = CachingEvaluator(toy_space, toy_objectives,
                                          budget=30, reference=REFERENCE)
             rng = np.random.default_rng(opt.seed)
-            opt._gp = None
             opt._initial_sampling(evaluator, rng)
             return opt._propose(evaluator, rng)[0]
         assert toy_space.key(first_pick(1)) == toy_space.key(first_pick(4))

@@ -141,8 +141,7 @@ phase2                0.167      25     149.7         -         -     32.4%
 phase3                0.002       -         -         -         -         -
 ---------------------------------------------------------------------------
 total                 0.788      25               20059               35.0%
-phase2 gp: 39 full fits (0.016 s), 6 incremental updates (0.002 s), \
-65 factorisations
+phase2 gp: 39 full fits (0.016 s), 65 factorisations
 phase2 proposals: 4 groups, 13 points, mean group size 3.2
 phase2 fidelity: 32 screened in 4 groups (0.004 s), 13 promoted \
 (41%, 2 via safety rail), 19 simulator evals avoided (~0.04 s saved)
@@ -160,9 +159,8 @@ def _golden_report() -> ProfileReport:
         PhaseRecord(name="phase2", wall_s=0.167, calls=1, evaluations=25,
                     cache=CacheStats(hits=11, misses=23, evictions=1),
                     pool=PoolStats(unpicklable_chunks=1, poisoned_chunks=1),
-                    gp=GpStats(full_fits=39, incremental_updates=6,
-                               factorisations=65, fit_wall_s=0.016,
-                               update_wall_s=0.0021, proposal_groups=4,
+                    gp=GpStats(full_fits=39, factorisations=65,
+                               fit_wall_s=0.016, proposal_groups=4,
                                proposed_points=13),
                     fidelity=FidelityStats(screen_calls=4, screened=32,
                                            promoted=13, rail_promotions=2,

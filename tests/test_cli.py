@@ -11,7 +11,6 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.checkpoint import RunCheckpoint, RunManifest
 from repro.core.evalcache import reset_shared_cache
-from repro.optim.gp import gp_stats
 from repro.testing import faults
 
 
@@ -55,7 +54,10 @@ class TestParser:
                      ["sweep", "--pool", "cold"],
                      ["design", "--rollout-engine", "vec"],
                      ["bench", "--rollout-engine", "vec"],
-                     ["compare", "--rollout-engine", "scalar"]):
+                     ["compare", "--rollout-engine", "scalar"],
+                     ["design", "--gp-refit-every", "8"],
+                     ["bench", "--gp-refit-every", "8"],
+                     ["compare", "--gp-refit-every", "8"]):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
             assert exit_info.value.code == 2
@@ -114,7 +116,7 @@ import sys
 import repro.cli
 status = repro.cli.main(["design", "--uav", "nano", "--scenario", "low",
                          "--budget", "20", "--seed", "3",
-                         "--proposal-batch", "4", "--gp-refit-every", "4",
+                         "--proposal-batch", "4",
                          "--output", sys.argv[1]])
 print(sorted(name for name in sys.modules if name in ("scipy", "numpy.ma")
              or name.startswith(("scipy.", "numpy.ma.", "repro.bench",
@@ -148,13 +150,11 @@ DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
 #: and the manifest written on entering Phase 2.
 PHASE2_FIRST_WRITE = 29
 
-#: Where the refit-cadence kills land, as the Phase 2 journal length
-#: each leaves.  At q=4 and K=8 the GP is fitted in full at 12
-#: observations and extended at 16, so 20 records end the first group
-#: proposed from an incremental update, and 26 is mid-way through the
-#: next such group (extended at 24).
-REFIT_KILLS = [pytest.param(6, id="warm-up"),
-               pytest.param(20, id="after-incremental-group"),
+#: Where the q=4 kills land, as the Phase 2 journal length each leaves.
+#: Groups of four follow the 12 warm-up records, so 20 records end the
+#: second group and 26 is mid-way through the fourth (records 25-28).
+GROUP_KILLS = [pytest.param(6, id="warm-up"),
+               pytest.param(20, id="after-group"),
                pytest.param(26, id="mid-group")]
 
 #: One non-default value of every option a checkpoint records.
@@ -162,9 +162,34 @@ NON_DEFAULT_OPTIONS = [
     ["--seed", "3"],
     ["--sensor-fps", "30"],
     ["--proposal-batch", "4"],
-    ["--gp-refit-every", "8"],
     ["--fidelity", "on", "--promotion-eta", "0.25"],
 ]
+
+#: A design and a bench command, each with the checkpoint write to
+#: kill it at.  12 SMS-EGO warm-up evaluations follow the run's first 29
+#: (bench, which first writes bench.json: 30) checkpoint writes, so each
+#: kill lands two Phase 2 journal writes into the model-based proposals.
+MID_PHASE2_KILLS = [
+    (["design", "--uav", "nano", "--scenario", "low", "--budget", "20"],
+     PHASE2_FIRST_WRITE + 14),
+    (["bench", "--scenarios", "dense", "--platforms", "nano",
+      "--budget", "20"], PHASE2_FIRST_WRITE + 15),
+]
+
+
+def killed_with_refit_cadence(tmp_path, capsys, command, kill_at, value):
+    """A checkpoint of ``command`` killed at ``kill_at``, each of its
+    manifests recording ``gp_refit_every`` as earlier versions did."""
+    run_dir = tmp_path / "run"
+    with pytest.raises(faults.SimulatedKill):
+        with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
+            main(command + ["--checkpoint-dir", str(run_dir)])
+    capsys.readouterr()
+    for path in run_dir.rglob("*.json"):
+        payload = json.loads(path.read_text())
+        payload["gp_refit_every"] = value
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return run_dir
 
 
 class TestCheckpointCli:
@@ -226,40 +251,28 @@ class TestCheckpointCli:
         assert manifest["seed"] == 3
         assert manifest["budget"] == 15
 
-    @pytest.mark.parametrize("records", REFIT_KILLS)
-    def test_gp_refit_every_survives_kill_and_resume(self, tmp_path,
-                                                     capsys, records):
+    @pytest.mark.parametrize("records", GROUP_KILLS)
+    def test_q4_groups_survive_kill_and_resume(self, tmp_path, capsys,
+                                               records):
         args = ["design", "--uav", "nano", "--scenario", "dense",
-                "--seed", "7", "--budget", "60", "--proposal-batch", "4",
-                "--gp-refit-every", "8"]
+                "--seed", "7", "--budget", "60", "--proposal-batch", "4"]
         assert main(args) == 0
         baseline = capsys.readouterr().out
         run_dir = tmp_path / "run"
         kill_at = PHASE2_FIRST_WRITE + records
-        before = gp_stats().snapshot()
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
                 main(args + ["--checkpoint-dir", str(run_dir)])
         capsys.readouterr()
         assert len(RunCheckpoint(run_dir).phase2_journal().load()) == records
-        assert ((gp_stats().since(before).incremental_updates > 0)
-                == (records > 16))
         # The resume command line names no pipeline option: the
-        # manifest restores the refit cadence.
+        # manifest restores the group size.
         assert main(["design", "--resume", str(run_dir)]) == 0
         assert capsys.readouterr().out == baseline
-        assert RunManifest.load(run_dir).config.gp_refit_every == 8
+        assert RunManifest.load(run_dir).config.proposal_batch == 4
 
-    @pytest.mark.parametrize("command, kill_at", [
-        # 12 SMS-EGO warm-up evaluations follow the run's first 29
-        # (bench, which first writes bench.json: 30) checkpoint writes,
-        # so each kill lands two Phase 2 journal writes into the
-        # model-based proposals.
-        (["design", "--uav", "nano", "--scenario", "low",
-          "--budget", "20"], PHASE2_FIRST_WRITE + 14),
-        (["bench", "--scenarios", "dense", "--platforms", "nano",
-          "--budget", "20"], PHASE2_FIRST_WRITE + 15),
-    ], ids=["design", "bench"])
+    @pytest.mark.parametrize("command, kill_at", MID_PHASE2_KILLS,
+                             ids=["design", "bench"])
     @pytest.mark.parametrize("option", NON_DEFAULT_OPTIONS,
                              ids=lambda option: option[0].lstrip("-"))
     def test_option_survives_kill_and_resume(self, tmp_path, capsys,
@@ -289,6 +302,32 @@ class TestCheckpointCli:
             key = flag.lstrip("-").replace("-", "_")
             assert recorded[key] == type(recorded[key])(value)
 
+    @pytest.mark.parametrize("command, kill_at", MID_PHASE2_KILLS,
+                             ids=["design", "bench"])
+    def test_recorded_refit_cadence_of_one_resumes_identically(
+            self, tmp_path, capsys, command, kill_at):
+        """Every default run of earlier versions recorded
+        ``gp_refit_every: 1``, the one GP path this version has."""
+        assert main(command) == 0
+        baseline = capsys.readouterr().out
+        run_dir = killed_with_refit_cadence(tmp_path, capsys, command,
+                                            kill_at, 1)
+        assert main([command[0], "--resume", str(run_dir)]) == 0
+        assert capsys.readouterr().out == baseline
+
+    @pytest.mark.parametrize("command, kill_at", MID_PHASE2_KILLS,
+                             ids=["design", "bench"])
+    def test_recorded_refit_cadence_above_one_is_refused(
+            self, tmp_path, capsys, command, kill_at):
+        run_dir = killed_with_refit_cadence(tmp_path, capsys, command,
+                                            kill_at, 8)
+        assert main([command[0], "--resume", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "records gp_refit_every=8" in captured.err
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_trainer_backend_resumes_to_identical_report(self, tmp_path,
                                                          capsys, workers):
@@ -316,7 +355,6 @@ INVALID_OPTIONS = [
     (["--budget", "0"], "budget must be positive, got 0"),
     (["--budget", "-3"], "budget must be positive, got -3"),
     (["--proposal-batch", "0"], "proposal_batch must be at least 1, got 0"),
-    (["--gp-refit-every", "0"], "gp_refit_every must be at least 1, got 0"),
     (["--promotion-eta", "0"], "promotion_eta must be in (0, 1], got 0.0"),
 ]
 
