@@ -1,25 +1,16 @@
 """Baseline onboard computers for the Fig. 5 / Table V comparisons."""
 
-from repro.baselines.computers import (
-    ALL_BASELINES,
-    FIG5_BASELINES,
-    INTEL_NCS,
-    JETSON_TX2,
-    PULP_DRONET,
-    TABLE5_BASELINES,
-    XAVIER_NX,
-    BaselineComputer,
-    baseline_by_name,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BaselineComputer",
-    "JETSON_TX2",
-    "XAVIER_NX",
-    "PULP_DRONET",
-    "INTEL_NCS",
-    "FIG5_BASELINES",
-    "TABLE5_BASELINES",
-    "ALL_BASELINES",
-    "baseline_by_name",
-]
+_EXPORTS = {
+    "BaselineComputer": "computers",
+    "JETSON_TX2": "computers",
+    "XAVIER_NX": "computers",
+    "PULP_DRONET": "computers",
+    "INTEL_NCS": "computers",
+    "FIG5_BASELINES": "computers",
+    "TABLE5_BASELINES": "computers",
+    "ALL_BASELINES": "computers",
+    "baseline_by_name": "computers",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

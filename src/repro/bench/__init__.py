@@ -7,19 +7,17 @@ cache-sharing run, and reports per-cell knee-point designs side by
 side.  Surfaced on the command line as ``autopilot bench``.
 """
 
-from repro.bench.metrics import CellMetrics, metrics_for
-from repro.bench.report import render_bench_report
-from repro.bench.runner import BenchManifest, BenchResult, BenchRunner
-from repro.bench.suite import BenchCell, BenchSuite, build_suite
+from repro import _lazy_exports
 
-__all__ = [
-    "BenchCell",
-    "BenchSuite",
-    "build_suite",
-    "BenchRunner",
-    "BenchResult",
-    "BenchManifest",
-    "CellMetrics",
-    "metrics_for",
-    "render_bench_report",
-]
+_EXPORTS = {
+    "BenchCell": "suite",
+    "BenchSuite": "suite",
+    "build_suite": "suite",
+    "BenchRunner": "runner",
+    "BenchResult": "runner",
+    "BenchManifest": "runner",
+    "CellMetrics": "metrics",
+    "metrics_for": "metrics",
+    "render_bench_report": "report",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

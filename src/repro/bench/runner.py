@@ -39,6 +39,7 @@ from repro.bench.suite import BenchCell, BenchSuite, build_suite
 from repro.core.checkpoint import MANIFEST_NAME, Manifest
 from repro.core.pipeline import AutoPilot, AutoPilotResult
 from repro.core.spec import RunConfig
+from repro.errors import ConfigError
 
 #: File name of the bench manifest inside a bench directory.
 BENCH_MANIFEST_NAME = "bench.json"
@@ -92,6 +93,10 @@ class BenchRunner:
     def __init__(self, autopilot: AutoPilot, sensor_fps: float = 60.0,
                  checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
                  resume: bool = False, profile: bool = False):
+        if sensor_fps <= 0:
+            # Each cell's TaskSpec would refuse it, after the sweep had
+            # written its manifest: refuse it before any work.
+            raise ConfigError("sensor_fps must be positive")
         self.autopilot = autopilot
         self.sensor_fps = sensor_fps
         self.checkpoint_dir = (Path(checkpoint_dir)

@@ -29,7 +29,6 @@ from repro.airlearning.scenarios import (
     resolve_scenario,
     scenario_ids,
 )
-from repro.baselines.computers import FIG5_BASELINES
 from repro.core.checkpoint import RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.report import render_report
@@ -46,8 +45,9 @@ from repro.uav.f1_model import F1Model
 from repro.uav.mission import evaluate_mission
 from repro.uav.platforms import UavClass, platform_by_class
 
-# The bench harness and the experiment drivers are imported inside the
-# subcommands that use them, so ``design`` loads neither.
+# The bench harness, the experiment drivers and the baselines are
+# imported inside the subcommands that use them, so ``design`` loads
+# none of them.
 
 _CLASS_BY_NAME = {c.value: c for c in UavClass}
 
@@ -219,6 +219,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.baselines.computers import FIG5_BASELINES
     from repro.experiments.runner import format_table
 
     try:
@@ -257,8 +258,11 @@ def cmd_f1(args: argparse.Namespace) -> int:
     from repro.experiments.runner import format_table
 
     platform = _platform(args.uav)
-    f1 = F1Model(platform=platform, compute_weight_g=args.payload,
-                 sensor_fps=args.sensor_fps)
+    try:
+        f1 = F1Model(platform=platform, compute_weight_g=args.payload,
+                     sensor_fps=args.sensor_fps)
+    except ConfigError as exc:
+        return _error(exc)
     print(f"platform:          {platform.name}")
     print(f"compute payload:   {args.payload:.1f} g")
     print(f"max acceleration:  {f1.max_accel:.2f} m/s^2")

@@ -26,8 +26,9 @@ resumable runtime is built on:
   through, so readers never observe a partially written file.
 
 All durable writes consult the active fault injector
-(:mod:`repro.testing.faults`) first, so the test suite can simulate a
-SIGKILL landing between any two checkpoint writes.
+(:mod:`repro.testing.faults`, loaded by the first write) first, so the
+test suite can simulate a SIGKILL landing between any two checkpoint
+writes.
 
 Resumption is *replay*, not state surgery: optimisers are deterministic
 functions of their seed and the observed objective values, so feeding
@@ -54,7 +55,6 @@ from typing import Any, ClassVar, Dict, List, Optional, Union
 from repro.airlearning.scenarios import resolve_scenario
 from repro.core.spec import RunConfig, TaskSpec
 from repro.errors import CheckpointError, ConfigError
-from repro.testing import faults
 from repro.uav.platforms import platform_by_name
 
 logger = logging.getLogger("repro.core.checkpoint")
@@ -72,9 +72,18 @@ MANIFEST_NAME = "manifest.json"
 RETIRED_FIELDS: Dict[str, Any] = {"gp_refit_every": 1}
 
 
+#: :mod:`repro.testing.faults`, imported by the first durable write, so
+#: a run that writes no checkpoint never loads fault injection and no
+#: later write runs an import statement.
+_faults = None
+
+
 def _trip_checkpoint_write() -> None:
     """Consult the fault injector before one durable write."""
-    injector = faults.current_injector()
+    global _faults
+    if _faults is None:
+        from repro.testing import faults as _faults
+    injector = _faults.current_injector()
     if injector is not None:
         injector.on_checkpoint_write()
 

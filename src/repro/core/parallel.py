@@ -32,8 +32,9 @@ does not depend on the multiprocessing start method.
 
 Parallelism is off by default (``workers=1``).  Opt in per call site or
 via the ``REPRO_WORKERS`` environment variable.  ``concurrent.futures``
-is imported only when a call actually spawns a pool, so a serial run
-never loads ``multiprocessing``.
+and the fault injector are imported only when a call actually spawns a
+pool, so a serial run loads neither ``multiprocessing`` nor
+:mod:`repro.testing`.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro.errors import ConfigError
-from repro.perf.counters import DeltaCounters
-from repro.testing import faults
+from repro.perf.counters import PoolStats, pool_stats  # re-exported
+
+if TYPE_CHECKING:
+    from repro.testing.faults import FaultInjector
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -113,34 +117,7 @@ class RetryPolicy:
 
 DEFAULT_RETRY = RetryPolicy()
 
-
-@dataclass
-class PoolStats(DeltaCounters):
-    """Counters for pool failures and recoveries (process-wide).
-
-    The profiler snapshots the module-wide instance per phase and
-    reports deltas (:class:`~repro.perf.counters.DeltaCounters`).
-    """
-
-    chunk_failures: int = 0      # chunk attempts that failed in a pool
-    chunk_retries: int = 0       # chunks re-queued to a (new) pool
-    pool_respawns: int = 0       # pools re-created after breaking
-    poisoned_chunks: int = 0     # chunks that exhausted the retry budget
-    serial_fallback_chunks: int = 0  # chunks executed serially in the parent
-    unpicklable_chunks: int = 0  # chunks whose payload could not be pickled
-
-    @property
-    def total_faults(self) -> int:
-        """Failures observed (not the recoveries)."""
-        return self.chunk_failures + self.unpicklable_chunks
-
-
-_pool_stats = PoolStats()
-
-
-def pool_stats() -> PoolStats:
-    """The process-wide pool failure/recovery counters."""
-    return _pool_stats
+_pool_stats = pool_stats()
 
 
 class _Chunk:
@@ -158,7 +135,7 @@ class _Chunk:
         self.index = index
         self.tasks = tasks
         self.attempt = 0
-        self.injector: Optional[faults.FaultInjector] = None
+        self.injector: Optional[FaultInjector] = None
 
     def __getstate__(self) -> dict:
         if self.injector is not None:
@@ -231,12 +208,14 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    from repro.testing.faults import SimulatedKill, current_injector
+
     chunksize = max(1, chunksize)
     indexed = list(enumerate(items))
     chunks = [_Chunk(chunk_index, indexed[start:start + chunksize])
               for chunk_index, start in enumerate(
                   range(0, len(items), chunksize))]
-    injector = faults.current_injector()
+    injector = current_injector()
     for chunk in chunks:
         chunk.injector = injector
 
@@ -283,7 +262,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
                         "process pool died while running chunk %d "
                         "(attempt %d): %s", chunk.index, chunk.attempt, exc)
                     _chunk_failed(chunk, retry, pending, serial)
-                except faults.SimulatedKill:
+                except SimulatedKill:
                     raise
                 except Exception as exc:
                     logger.warning(

@@ -23,21 +23,21 @@ task's scenario is neither trained nor validated again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.airlearning.database import AirLearningDatabase
-from repro.airlearning.dynamics import NUM_ACTIONS
-from repro.airlearning.policy import MlpPolicy
-from repro.airlearning.sensors import RaycastSensor
 from repro.airlearning.surrogate import SuccessRateSurrogate
-from repro.airlearning.trainer import CemTrainer, TrainingResult
-from repro.airlearning.evaluate import validate_policy
 from repro.airlearning.scenarios import Scenario
 from repro.core.checkpoint import RunCheckpoint
 from repro.core.parallel import parallel_map, resolve_workers
 from repro.core.spec import TaskSpec
 from repro.errors import ConfigError
 from repro.nn.template import PolicyHyperparams, enumerate_template_space
+
+# The trainer stack (simulator, sensors, policies, CEM) is imported only
+# where the trainer backend uses it, so a surrogate run never loads it.
+if TYPE_CHECKING:
+    from repro.airlearning.trainer import CemTrainer, TrainingResult
 
 
 @dataclass
@@ -74,7 +74,12 @@ class FrontEnd:
             raise ConfigError("backend must be 'surrogate' or 'trainer'")
         self.backend = backend
         self.seed = seed
-        self.trainer = trainer or CemTrainer(seed=seed)
+        if trainer is None and backend == "trainer":
+            from repro.airlearning.trainer import CemTrainer
+            trainer = CemTrainer(seed=seed)
+        #: The CEM trainer; ``None`` for a surrogate front end built
+        #: without one.
+        self.trainer = trainer
         self.validation_episodes = validation_episodes
         self.workers = resolve_workers(workers)
         # One surrogate for the whole front end: constructing it per
@@ -185,6 +190,11 @@ class FrontEnd:
         """
         if self.backend == "surrogate":
             return self._surrogate.success_rate(point, task.scenario), 0
+        from repro.airlearning.dynamics import NUM_ACTIONS
+        from repro.airlearning.evaluate import validate_policy
+        from repro.airlearning.policy import MlpPolicy
+        from repro.airlearning.sensors import RaycastSensor
+
         if training is None:
             cem_path = None
             if checkpoint is not None:

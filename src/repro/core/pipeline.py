@@ -21,7 +21,6 @@ from typing import Dict, Optional, Union
 
 from repro.airlearning.database import AirLearningDatabase
 from repro.airlearning.scenarios import Scenario
-from repro.airlearning.trainer import CemTrainer
 from repro.core.checkpoint import RunCheckpoint, RunManifest
 from repro.core.phase1 import FrontEnd, Phase1Result
 from repro.core.phase2 import MultiObjectiveDse, Phase2Result
@@ -64,8 +63,11 @@ class AutoPilot:
 
     def __init__(self, config: RunConfig, *, workers: Optional[int] = None):
         self.config = config
-        trainer = (CemTrainer.from_settings(config.trainer, seed=config.seed)
-                   if config.trainer is not None else None)
+        trainer = None
+        if config.trainer is not None:
+            from repro.airlearning.trainer import CemTrainer
+            trainer = CemTrainer.from_settings(config.trainer,
+                                               seed=config.seed)
         self.frontend = FrontEnd(backend=config.frontend_backend,
                                  seed=config.seed, trainer=trainer,
                                  workers=workers)

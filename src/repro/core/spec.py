@@ -15,7 +15,6 @@ from typing import Any, Dict, Optional
 from repro.errors import ConfigError
 from repro.nn.template import FILTER_CHOICES, LAYER_CHOICES, PolicyHyperparams
 from repro.airlearning.scenarios import Scenario
-from repro.airlearning.trainer import CemTrainer
 from repro.optim.space import Assignment, DesignSpace, Dimension
 from repro.scalesim.config import (
     PE_DIM_CHOICES,
@@ -76,9 +75,10 @@ class RunConfig:
         budget: Phase 2 evaluation budget.
         frontend_backend: Phase 1 backend, ``"surrogate"`` or
             ``"trainer"`` (the CEM trainer on the simulator).
-        trainer: The CEM trainer's :meth:`~CemTrainer.settings` for the
-            trainer backend, with settings left out filled in from
-            :class:`CemTrainer`'s defaults; ``None`` for the surrogate.
+        trainer: The CEM trainer's
+            :meth:`~repro.airlearning.trainer.CemTrainer.settings` for
+            the trainer backend, with settings left out filled in from
+            the trainer's defaults; ``None`` for the surrogate.
             The rollout engine is not among them: the engines are
             bit-equivalent, and an ``engine`` key that older manifests
             record is accepted and dropped.
@@ -110,6 +110,7 @@ class RunConfig:
             raise ConfigError(
                 f"fidelity must be 'off' or 'on', got {self.fidelity!r}")
         if self.frontend_backend == "trainer":
+            from repro.airlearning.trainer import CemTrainer
             trainer = CemTrainer.from_settings(self.trainer or {})
             object.__setattr__(self, "trainer", trainer.settings())
         elif self.frontend_backend != "surrogate":

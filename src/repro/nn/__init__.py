@@ -1,41 +1,25 @@
 """E2E policy-network templates and accelerator workload lowering."""
 
-from repro.nn.layers import ConvLayer, DenseLayer, GemmShape, PoolLayer
-from repro.nn.model_zoo import DRONET_REPORTED_PARAMS, build_dronet
-from repro.nn.template import (
-    FILTER_CHOICES,
-    LAYER_CHOICES,
-    NUM_ACTIONS,
-    STATE_DIM,
-    PolicyHyperparams,
-    PolicyNetwork,
-    build_policy_network,
-    enumerate_template_space,
-    template_space_size,
-)
-from repro.nn.workload import (
-    LayerWorkload,
-    NetworkWorkload,
-    lower_network,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ConvLayer",
-    "DenseLayer",
-    "PoolLayer",
-    "GemmShape",
-    "PolicyHyperparams",
-    "PolicyNetwork",
-    "build_policy_network",
-    "enumerate_template_space",
-    "template_space_size",
-    "LAYER_CHOICES",
-    "FILTER_CHOICES",
-    "NUM_ACTIONS",
-    "STATE_DIM",
-    "LayerWorkload",
-    "NetworkWorkload",
-    "lower_network",
-    "build_dronet",
-    "DRONET_REPORTED_PARAMS",
-]
+_EXPORTS = {
+    "ConvLayer": "layers",
+    "DenseLayer": "layers",
+    "PoolLayer": "layers",
+    "GemmShape": "layers",
+    "PolicyHyperparams": "template",
+    "PolicyNetwork": "template",
+    "build_policy_network": "template",
+    "enumerate_template_space": "template",
+    "template_space_size": "template",
+    "LAYER_CHOICES": "template",
+    "FILTER_CHOICES": "template",
+    "NUM_ACTIONS": "template",
+    "STATE_DIM": "template",
+    "LayerWorkload": "workload",
+    "NetworkWorkload": "workload",
+    "lower_network": "workload",
+    "build_dronet": "model_zoo",
+    "DRONET_REPORTED_PARAMS": "model_zoo",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.optim.base import CachingEvaluator, Optimizer
-from repro.optim.fidelity import MultiFidelityEvaluator
 from repro.optim.gp import MultiObjectiveGP, gp_stats
 from repro.optim.hypervolume import hypervolume_contributions
 from repro.optim.pareto import non_dominated_mask
@@ -105,7 +104,9 @@ class SmsEgoBayesOpt(Optimizer):
     def run(self, evaluator: CachingEvaluator,
             rng: np.random.Generator) -> None:
         self._initial_sampling(evaluator, rng)
-        screened = isinstance(evaluator, MultiFidelityEvaluator)
+        # Only a multi-fidelity evaluator screens; testing the capability
+        # keeps :mod:`repro.optim.fidelity` unloaded on exact runs.
+        screened = hasattr(evaluator, "evaluate_screened")
         barren_rounds = 0
         while not evaluator.exhausted:
             batch = self._propose(evaluator, rng)

@@ -28,7 +28,6 @@ gate (and verify them on resume).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +37,7 @@ from repro.optim.base import CachingEvaluator, ObjectiveFn
 from repro.optim.hypervolume import hypervolume_contributions
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
-from repro.perf.counters import DeltaCounters
+from repro.perf.counters import FidelityStats, fidelity_stats  # re-exported
 
 #: Tier-0 screen: a list of assignments -> an (n, d) matrix of
 #: component-wise *lower bounds* on the objective vectors (minimisation
@@ -51,54 +50,7 @@ ScreenFn = Callable[[List[Assignment]], Sequence[Sequence[float]]]
 #: any of the promoted evaluations are recorded.
 PromotionObserverFn = Callable[[List[Assignment], List[bool]], None]
 
-
-@dataclass
-class FidelityStats(DeltaCounters):
-    """Process-wide counters for the multi-fidelity screening path.
-
-    The profiler snapshots the module-wide instance per phase and
-    reports deltas (:class:`~repro.perf.counters.DeltaCounters`).
-    """
-
-    screen_calls: int = 0      # screened proposal groups
-    screened: int = 0          # fresh points scored at tier-0
-    promoted: int = 0          # points promoted to tier-1
-    rail_promotions: int = 0   # promotions owed to the safety rail alone
-    screen_wall_s: float = 0.0  # wall time inside the tier-0 screen
-    tier1_wall_s: float = 0.0   # wall time inside promoted tier-1 evals
-    tier1_points: int = 0       # points evaluated in those tier-1 calls
-
-    @property
-    def pruned(self) -> int:
-        """Screened points never promoted (simulator evals avoided)."""
-        return self.screened - self.promoted
-
-    @property
-    def promotion_rate(self) -> float:
-        """Fraction of screened points promoted to tier-1."""
-        if self.screened == 0:
-            return 0.0
-        return self.promoted / self.screened
-
-    @property
-    def mean_tier1_eval_s(self) -> float:
-        """Mean wall seconds per promoted tier-1 evaluation."""
-        if self.tier1_points == 0:
-            return 0.0
-        return self.tier1_wall_s / self.tier1_points
-
-    @property
-    def est_sim_seconds_saved(self) -> float:
-        """Pruned points priced at the measured tier-1 cost."""
-        return self.pruned * self.mean_tier1_eval_s
-
-
-_fidelity_stats = FidelityStats()
-
-
-def fidelity_stats() -> FidelityStats:
-    """The process-wide multi-fidelity screening counters."""
-    return _fidelity_stats
+_fidelity_stats = fidelity_stats()
 
 
 class MultiFidelityEvaluator(CachingEvaluator):

@@ -6,22 +6,17 @@ questions that matter for DSE cost (the paper's 3-7 day Phase 2 loop):
 where did the time go, how many designs per second were evaluated, and
 how much work did the content-addressed cache absorb?
 
-The profiler names are resolved on first access: the stat records it
-reads import :mod:`repro.perf.counters`, and loading
-:mod:`repro.perf.profiler` eagerly here would import them back while
-they are still initialising.
+The stat records' owners import :mod:`repro.perf.counters`, and the
+profiler imports them back, so the profiler names are resolved on first
+access like every package's exports.
 """
 
-__all__ = [
-    "Profiler",
-    "PhaseRecord",
-    "ProfileReport",
-    "render_profile",
-]
+from repro import _lazy_exports
 
-
-def __getattr__(name):
-    if name in __all__:
-        from repro.perf import profiler
-        return getattr(profiler, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_EXPORTS = {
+    "Profiler": "profiler",
+    "PhaseRecord": "profiler",
+    "ProfileReport": "profiler",
+    "render_profile": "profiler",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

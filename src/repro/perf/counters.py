@@ -6,12 +6,18 @@ instance.  The profiler measures a phase as the difference of two
 snapshots of that instance and sums the deltas per phase;
 :class:`DeltaCounters` gives every record that arithmetic once.
 
-This module imports nothing from ``repro``, so the four owners can use
-it without pulling in :mod:`repro.perf.profiler`, which imports them.
+``PoolStats`` and ``FidelityStats`` live here with their live
+instances, so the profiler can read them without loading the process
+pool or the multi-fidelity evaluator, which only some runs use;
+:mod:`repro.core.parallel` and :mod:`repro.optim.fidelity` count into
+them and re-export them.  This module imports nothing from ``repro``,
+so every owner can use it without pulling in
+:mod:`repro.perf.profiler`, which imports them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TypeVar
 
 _C = TypeVar("_C", bound="DeltaCounters")
@@ -33,3 +39,81 @@ class DeltaCounters:
         """Accumulate another stats record into this one."""
         for name, value in vars(delta).items():
             setattr(self, name, getattr(self, name) + value)
+
+
+@dataclass
+class PoolStats(DeltaCounters):
+    """Counters for pool failures and recoveries (process-wide).
+
+    The profiler snapshots the module-wide instance per phase and
+    reports deltas (:class:`DeltaCounters`).
+    """
+
+    chunk_failures: int = 0      # chunk attempts that failed in a pool
+    chunk_retries: int = 0       # chunks re-queued to a (new) pool
+    pool_respawns: int = 0       # pools re-created after breaking
+    poisoned_chunks: int = 0     # chunks that exhausted the retry budget
+    serial_fallback_chunks: int = 0  # chunks executed serially in the parent
+    unpicklable_chunks: int = 0  # chunks whose payload could not be pickled
+
+    @property
+    def total_faults(self) -> int:
+        """Failures observed (not the recoveries)."""
+        return self.chunk_failures + self.unpicklable_chunks
+
+
+_pool_stats = PoolStats()
+
+
+def pool_stats() -> PoolStats:
+    """The process-wide pool failure/recovery counters."""
+    return _pool_stats
+
+
+@dataclass
+class FidelityStats(DeltaCounters):
+    """Process-wide counters for the multi-fidelity screening path.
+
+    The profiler snapshots the module-wide instance per phase and
+    reports deltas (:class:`DeltaCounters`).
+    """
+
+    screen_calls: int = 0      # screened proposal groups
+    screened: int = 0          # fresh points scored at tier-0
+    promoted: int = 0          # points promoted to tier-1
+    rail_promotions: int = 0   # promotions owed to the safety rail alone
+    screen_wall_s: float = 0.0  # wall time inside the tier-0 screen
+    tier1_wall_s: float = 0.0   # wall time inside promoted tier-1 evals
+    tier1_points: int = 0       # points evaluated in those tier-1 calls
+
+    @property
+    def pruned(self) -> int:
+        """Screened points never promoted (simulator evals avoided)."""
+        return self.screened - self.promoted
+
+    @property
+    def promotion_rate(self) -> float:
+        """Fraction of screened points promoted to tier-1."""
+        if self.screened == 0:
+            return 0.0
+        return self.promoted / self.screened
+
+    @property
+    def mean_tier1_eval_s(self) -> float:
+        """Mean wall seconds per promoted tier-1 evaluation."""
+        if self.tier1_points == 0:
+            return 0.0
+        return self.tier1_wall_s / self.tier1_points
+
+    @property
+    def est_sim_seconds_saved(self) -> float:
+        """Pruned points priced at the measured tier-1 cost."""
+        return self.pruned * self.mean_tier1_eval_s
+
+
+_fidelity_stats = FidelityStats()
+
+
+def fidelity_stats() -> FidelityStats:
+    """The process-wide multi-fidelity screening counters."""
+    return _fidelity_stats

@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
 from repro.core.evalcache import CacheStats, shared_report_cache
-from repro.core.parallel import PoolStats, pool_stats
-from repro.optim.fidelity import FidelityStats, fidelity_stats
 from repro.optim.gp import GpStats, gp_stats
+from repro.perf.counters import (
+    FidelityStats,
+    PoolStats,
+    fidelity_stats,
+    pool_stats,
+)
 
 #: Every process-wide stat record a phase measures as a delta:
 #: (``PhaseRecord`` field, accessor of the live record).  The report

@@ -1,36 +1,22 @@
 """Power models: CACTI-like SRAM, Micron-like DRAM, PE array, scaling."""
 
-from repro.power.cacti import SramModel, sram_model
-from repro.power.dram import DramPowerReport, dram_power
-from repro.power.pe import (
-    IDLE_ENERGY_PJ,
-    MAC_ENERGY_PJ,
-    ArrayPowerReport,
-    array_power,
-)
-from repro.power.soc_power import AcceleratorPowerBreakdown, accelerator_power
-from repro.power.technology import (
-    REFERENCE_NODE_NM,
-    SUPPORTED_NODES_NM,
-    ScalingFactors,
-    frequency_power_factor,
-    node_scaling,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "SramModel",
-    "sram_model",
-    "DramPowerReport",
-    "dram_power",
-    "ArrayPowerReport",
-    "array_power",
-    "MAC_ENERGY_PJ",
-    "IDLE_ENERGY_PJ",
-    "AcceleratorPowerBreakdown",
-    "accelerator_power",
-    "ScalingFactors",
-    "node_scaling",
-    "frequency_power_factor",
-    "REFERENCE_NODE_NM",
-    "SUPPORTED_NODES_NM",
-]
+_EXPORTS = {
+    "SramModel": "cacti",
+    "sram_model": "cacti",
+    "DramPowerReport": "dram",
+    "dram_power": "dram",
+    "ArrayPowerReport": "pe",
+    "array_power": "pe",
+    "MAC_ENERGY_PJ": "pe",
+    "IDLE_ENERGY_PJ": "pe",
+    "AcceleratorPowerBreakdown": "soc_power",
+    "accelerator_power": "soc_power",
+    "ScalingFactors": "technology",
+    "node_scaling": "technology",
+    "frequency_power_factor": "technology",
+    "REFERENCE_NODE_NM": "technology",
+    "SUPPORTED_NODES_NM": "technology",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

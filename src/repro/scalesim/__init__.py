@@ -1,39 +1,24 @@
 """SCALE-Sim-style systolic-array accelerator simulator."""
 
-from repro.scalesim.config import (
-    PE_DIM_CHOICES,
-    SRAM_KB_CHOICES,
-    AcceleratorConfig,
-    Dataflow,
-    hardware_space_size,
-)
-from repro.scalesim.dataflow import MappingStats, map_gemm
-from repro.scalesim.estimate import (
-    BoundEstimate,
-    WorkloadAggregates,
-    estimate_batch,
-    lower_workload_aggregates,
-)
-from repro.scalesim.memory import TrafficStats, analyze_traffic
-from repro.scalesim.report import LayerReport, RunReport
-from repro.scalesim.simulator import SystolicArraySimulator, simulate
+from repro import _lazy_exports
 
-__all__ = [
-    "AcceleratorConfig",
-    "Dataflow",
-    "PE_DIM_CHOICES",
-    "SRAM_KB_CHOICES",
-    "hardware_space_size",
-    "MappingStats",
-    "map_gemm",
-    "TrafficStats",
-    "analyze_traffic",
-    "BoundEstimate",
-    "WorkloadAggregates",
-    "estimate_batch",
-    "lower_workload_aggregates",
-    "LayerReport",
-    "RunReport",
-    "SystolicArraySimulator",
-    "simulate",
-]
+_EXPORTS = {
+    "AcceleratorConfig": "config",
+    "Dataflow": "config",
+    "PE_DIM_CHOICES": "config",
+    "SRAM_KB_CHOICES": "config",
+    "hardware_space_size": "config",
+    "MappingStats": "dataflow",
+    "map_gemm": "dataflow",
+    "TrafficStats": "memory",
+    "analyze_traffic": "memory",
+    "BoundEstimate": "estimate",
+    "WorkloadAggregates": "estimate",
+    "estimate_batch": "estimate",
+    "lower_workload_aggregates": "estimate",
+    "LayerReport": "report",
+    "RunReport": "report",
+    "SystolicArraySimulator": "simulator",
+    "simulate": "simulator",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,47 +1,26 @@
 """DSSoC assembly: fixed components, weight model and design evaluation."""
 
-from repro.soc.components import (
-    CAMERA_SENSOR,
-    MCU_CORE,
-    NUM_MCU_CORES,
-    SENSOR_FRAMERATE_CHOICES,
-    SENSOR_INTERFACE,
-    FixedComponent,
-    fixed_components,
-    fixed_components_power_w,
-)
-from repro.soc.estimate import DesignBounds, Tier0Estimator, power_weight_floor
-from repro.soc.dssoc import (
-    DssocDesign,
-    DssocEvaluation,
-    DssocEvaluator,
-    evaluate_dssoc,
-)
-from repro.soc.weight import (
-    MOTHERBOARD_WEIGHT_G,
-    ComputeWeight,
-    compute_weight,
-    heatsink_volume_cm3,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FixedComponent",
-    "MCU_CORE",
-    "NUM_MCU_CORES",
-    "CAMERA_SENSOR",
-    "SENSOR_INTERFACE",
-    "SENSOR_FRAMERATE_CHOICES",
-    "fixed_components",
-    "fixed_components_power_w",
-    "DesignBounds",
-    "Tier0Estimator",
-    "power_weight_floor",
-    "DssocDesign",
-    "DssocEvaluation",
-    "DssocEvaluator",
-    "evaluate_dssoc",
-    "ComputeWeight",
-    "compute_weight",
-    "heatsink_volume_cm3",
-    "MOTHERBOARD_WEIGHT_G",
-]
+_EXPORTS = {
+    "FixedComponent": "components",
+    "MCU_CORE": "components",
+    "NUM_MCU_CORES": "components",
+    "CAMERA_SENSOR": "components",
+    "SENSOR_INTERFACE": "components",
+    "SENSOR_FRAMERATE_CHOICES": "components",
+    "fixed_components": "components",
+    "fixed_components_power_w": "components",
+    "DesignBounds": "estimate",
+    "Tier0Estimator": "estimate",
+    "power_weight_floor": "estimate",
+    "DssocDesign": "dssoc",
+    "DssocEvaluation": "dssoc",
+    "DssocEvaluator": "dssoc",
+    "evaluate_dssoc": "dssoc",
+    "ComputeWeight": "weight",
+    "compute_weight": "weight",
+    "heatsink_volume_cm3": "weight",
+    "MOTHERBOARD_WEIGHT_G": "weight",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

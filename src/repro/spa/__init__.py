@@ -1,26 +1,18 @@
 """Sense-Plan-Act autonomy pipeline (Section VII extension)."""
 
-from repro.spa.agent import (
-    SpaAgent,
-    SpaComputeModel,
-    SpaWorkloadStats,
-    run_spa_episode,
-    spa_success_rate,
-)
-from repro.spa.control import ControlCommand, PurePursuitController
-from repro.spa.mapping import MappingStats, OccupancyGrid
-from repro.spa.planning import AStarPlanner, PlanResult
+from repro import _lazy_exports
 
-__all__ = [
-    "OccupancyGrid",
-    "MappingStats",
-    "AStarPlanner",
-    "PlanResult",
-    "PurePursuitController",
-    "ControlCommand",
-    "SpaAgent",
-    "SpaWorkloadStats",
-    "SpaComputeModel",
-    "run_spa_episode",
-    "spa_success_rate",
-]
+_EXPORTS = {
+    "OccupancyGrid": "mapping",
+    "MappingStats": "mapping",
+    "AStarPlanner": "planning",
+    "PlanResult": "planning",
+    "PurePursuitController": "control",
+    "ControlCommand": "control",
+    "SpaAgent": "agent",
+    "SpaWorkloadStats": "agent",
+    "SpaComputeModel": "agent",
+    "run_spa_episode": "agent",
+    "spa_success_rate": "agent",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

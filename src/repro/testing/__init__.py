@@ -7,28 +7,18 @@ writes.  It is used by the fault-tolerance test suites and by the
 opt-in ``REPRO_FAULTS`` environment hook.
 """
 
-from repro.testing.faults import (
-    FAULTS_ENV,
-    FaultInjector,
-    FaultRule,
-    SimulatedKill,
-    TransientFault,
-    active_faults,
-    current_injector,
-    install_injector,
-    parse_faults,
-    uninstall_injector,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FAULTS_ENV",
-    "FaultInjector",
-    "FaultRule",
-    "SimulatedKill",
-    "TransientFault",
-    "active_faults",
-    "current_injector",
-    "install_injector",
-    "parse_faults",
-    "uninstall_injector",
-]
+_EXPORTS = {
+    "FAULTS_ENV": "faults",
+    "FaultInjector": "faults",
+    "FaultRule": "faults",
+    "SimulatedKill": "faults",
+    "TransientFault": "faults",
+    "active_faults": "faults",
+    "current_injector": "faults",
+    "install_injector": "faults",
+    "parse_faults": "faults",
+    "uninstall_injector": "faults",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,66 +1,34 @@
 """UAV platforms, flight physics, F-1 roofline and mission model."""
 
-from repro.uav.f1_model import (
-    BALANCE_TOLERANCE,
-    F1Model,
-    ProvisioningVerdict,
-)
-from repro.uav.mission import MissionReport, evaluate_mission
-from repro.uav.physics import (
-    FIGURE_OF_MERIT,
-    FLIGHT_POWER_FACTOR,
-    can_lift,
-    hover_power_w,
-    max_acceleration,
-    rotor_power_w,
-    thrust_to_weight,
-    total_mass_kg,
-)
-from repro.uav.platforms import (
-    ALL_PLATFORMS,
-    ASCTEC_PELICAN,
-    DJI_SPARK,
-    NANO_ZHANG,
-    UavClass,
-    UavPlatform,
-    platform_by_class,
-    platform_by_name,
-)
-from repro.uav.safety import (
-    BLIND_FRACTION,
-    KNEE_FRACTION,
-    knee_throughput_hz,
-    safe_velocity,
-    safe_velocity_smooth,
-    velocity_ceiling,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "UavPlatform",
-    "UavClass",
-    "ASCTEC_PELICAN",
-    "DJI_SPARK",
-    "NANO_ZHANG",
-    "ALL_PLATFORMS",
-    "platform_by_name",
-    "platform_by_class",
-    "total_mass_kg",
-    "thrust_to_weight",
-    "max_acceleration",
-    "can_lift",
-    "hover_power_w",
-    "rotor_power_w",
-    "FIGURE_OF_MERIT",
-    "FLIGHT_POWER_FACTOR",
-    "safe_velocity",
-    "safe_velocity_smooth",
-    "velocity_ceiling",
-    "knee_throughput_hz",
-    "KNEE_FRACTION",
-    "BLIND_FRACTION",
-    "F1Model",
-    "ProvisioningVerdict",
-    "BALANCE_TOLERANCE",
-    "evaluate_mission",
-    "MissionReport",
-]
+_EXPORTS = {
+    "UavPlatform": "platforms",
+    "UavClass": "platforms",
+    "ASCTEC_PELICAN": "platforms",
+    "DJI_SPARK": "platforms",
+    "NANO_ZHANG": "platforms",
+    "ALL_PLATFORMS": "platforms",
+    "platform_by_name": "platforms",
+    "platform_by_class": "platforms",
+    "total_mass_kg": "physics",
+    "thrust_to_weight": "physics",
+    "max_acceleration": "physics",
+    "can_lift": "physics",
+    "hover_power_w": "physics",
+    "rotor_power_w": "physics",
+    "FIGURE_OF_MERIT": "physics",
+    "FLIGHT_POWER_FACTOR": "physics",
+    "safe_velocity": "safety",
+    "safe_velocity_smooth": "safety",
+    "velocity_ceiling": "safety",
+    "knee_throughput_hz": "safety",
+    "KNEE_FRACTION": "safety",
+    "BLIND_FRACTION": "safety",
+    "F1Model": "f1_model",
+    "ProvisioningVerdict": "f1_model",
+    "BALANCE_TOLERANCE": "f1_model",
+    "evaluate_mission": "mission",
+    "MissionReport": "mission",
+}
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -70,6 +70,16 @@ class TestCommands:
         assert "knee-point" in out
         assert "46" in out  # the calibrated nano knee
 
+    @pytest.mark.parametrize("option, message", [
+        (["--payload", "-5"], "compute_weight_g must be non-negative"),
+        (["--sensor-fps", "0"], "sensor_fps must be positive"),
+    ], ids=["payload", "sensor-fps"])
+    def test_f1_rejects_invalid_values(self, capsys, option, message):
+        assert main(["f1", "--uav", "nano"] + option) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_sweep_command(self, capsys):
         assert main(["sweep", "--layers", "4", "--filters", "32"]) == 0
         out = capsys.readouterr().out
@@ -107,39 +117,88 @@ class TestCommands:
                 "NumPy oracle)]") in lines
 
 
-#: Runs ``design`` in a fresh interpreter and prints the modules it
-#: loaded that the design path has no use for: SciPy, the bench and
-#: experiment drivers, and ``multiprocessing``/``concurrent.futures``,
-#: which only Phase 1's training pool imports, on first use.
-STARTUP_PROBE = """
+#: Runs the CLI with ``sys.argv[1:]`` in a fresh interpreter and prints,
+#: as JSON, every module loaded by the time the command has returned.
+LOADED_PROBE = """
+import json
 import sys
 import repro.cli
-status = repro.cli.main(["design", "--uav", "nano", "--scenario", "low",
-                         "--budget", "20", "--seed", "3",
-                         "--proposal-batch", "4",
-                         "--output", sys.argv[1]])
-print(sorted(name for name in sys.modules if name in ("scipy", "numpy.ma")
-             or name.startswith(("scipy.", "numpy.ma.", "repro.bench",
-                                 "repro.experiments", "multiprocessing",
-                                 "concurrent"))))
+status = repro.cli.main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
 sys.exit(status)
 """
+
+#: Modules a default ``design`` run has no use for, each checked after
+#: the whole run: SciPy and ``numpy.ma``; the bench and experiment
+#: drivers; ``multiprocessing``/``concurrent.futures``, which only
+#: Phase 1's training pool imports; the Air Learning simulator and
+#: trainer stack, which only the trainer backend calls; baselines,
+#: exporters, the paper's tables, the alternate optimisers, the
+#: multi-fidelity screen and its tier-0 estimators; fault injection.
+#: A name covers the module and everything below it.
+DESIGN_UNUSED = (
+    "scipy", "numpy.ma", "multiprocessing", "concurrent",
+    "repro.bench", "repro.experiments", "repro.baselines", "repro.testing",
+    *(f"repro.airlearning.{name}" for name in (
+        "arena", "dynamics", "env", "evaluate", "policy", "render",
+        "sensors", "trainer", "vecenv")),
+    "repro.core.export", "repro.core.prior_work", "repro.core.taxonomy",
+    "repro.nn.model_zoo",
+    *(f"repro.optim.{name}" for name in (
+        "annealing", "exhaustive", "fidelity", "genetic", "random_search",
+        "rl")),
+    "repro.scalesim.estimate", "repro.soc.estimate",
+)
+
+
+def loaded_modules(*argv, code=LOADED_PROBE):
+    """The modules loaded by running ``code`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def under(modules, prefixes):
+    """The modules that are, or lie below, any of ``prefixes``."""
+    return [name for name in modules
+            if any(name == prefix or name.startswith(prefix + ".")
+                   for prefix in prefixes)]
 
 
 class TestStartup:
     def test_design_loads_no_scipy_bench_or_experiments(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {key: value for key, value in os.environ.items()
-               if not key.startswith("REPRO_")}
-        env["PYTHONPATH"] = src
-        done = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE,
-             str(tmp_path / "report.md")],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
-        assert "AutoPilot design report" in (
-            tmp_path / "report.md").read_text()
+        report = tmp_path / "report.md"
+        loaded = loaded_modules(
+            "design", "--uav", "nano", "--scenario", "low", "--budget",
+            "20", "--seed", "3", "--proposal-batch", "4",
+            "--output", str(report))
+        assert "AutoPilot design report" in report.read_text()
+        assert under(loaded, DESIGN_UNUSED) == []
+        assert len(under(loaded, ["repro"])) <= 55
+
+    def test_bench_loads_only_the_table_formatter(self, tmp_path):
+        report = tmp_path / "report.md"
+        loaded = loaded_modules(
+            "bench", "--tags", "smoke", "--platforms", "nano", "--budget",
+            "12", "--checkpoint-dir", str(tmp_path / "run"),
+            "--output", str(report))
+        assert "Bench sweep" in report.read_text()
+        assert under(loaded, ["repro.experiments"]) == [
+            "repro.experiments", "repro.experiments.runner"]
+        assert under(loaded, ["repro.spa"]) == []
+        assert len(under(loaded, ["repro"])) <= 66
+
+    def test_import_repro_loads_no_submodule(self):
+        loaded = loaded_modules(code="import json, sys, repro; "
+                                     "print(json.dumps(sorted(sys.modules)))")
+        assert under(loaded, ["repro"]) == ["repro"]
+        assert under(loaded, ["numpy"]) == []
 
 
 DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
@@ -356,6 +415,7 @@ INVALID_OPTIONS = [
     (["--budget", "-3"], "budget must be positive, got -3"),
     (["--proposal-batch", "0"], "proposal_batch must be at least 1, got 0"),
     (["--promotion-eta", "0"], "promotion_eta must be in (0, 1], got 0.0"),
+    (["--sensor-fps", "0"], "sensor_fps must be positive"),
 ]
 
 
