@@ -43,6 +43,7 @@ from repro.nn.template import (
 from repro.perf import Profiler, render_profile
 from repro.uav.f1_model import F1Model
 from repro.uav.mission import evaluate_mission
+from repro.uav.physics import can_lift
 from repro.uav.platforms import UavClass, platform_by_class
 
 # The bench harness, the experiment drivers and the baselines are
@@ -263,6 +264,11 @@ def cmd_f1(args: argparse.Namespace) -> int:
                      sensor_fps=args.sensor_fps)
     except ConfigError as exc:
         return _error(exc)
+    # The model itself accepts any payload: Phase 3 prices heavy
+    # candidates with it, and the mission model rules them out.
+    if not can_lift(platform, args.payload):
+        return _error(ConfigError(f"{platform.name} cannot lift a "
+                                  f"{args.payload:g} g compute payload"))
     print(f"platform:          {platform.name}")
     print(f"compute payload:   {args.payload:.1f} g")
     print(f"max acceleration:  {f1.max_accel:.2f} m/s^2")

@@ -12,9 +12,9 @@ Two backends are available:
   27 template points instantly and reproduces Fig. 2b's shape;
 * ``trainer``: the real CEM trainer on the navigation simulator,
   exercising the full train -> validate -> database path on the
-  vectorised rollout engine.  With ``workers > 1`` the template points
-  train on a process pool and validate in-process; this is the only
-  process pool in a run: Phase 2 evaluates in-process.
+  vectorised rollout engine.  Each template point's train -> validate
+  is one task; with ``workers > 1`` the tasks run on a process pool,
+  the only one in a run: Phase 2 evaluates in-process.
 
 Either way the database is the only memo: a point already in it for the
 task's scenario is neither trained nor validated again.
@@ -23,7 +23,8 @@ task's scenario is neither trained nor validated again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.airlearning.database import AirLearningDatabase
 from repro.airlearning.surrogate import SuccessRateSurrogate
@@ -37,7 +38,7 @@ from repro.nn.template import PolicyHyperparams, enumerate_template_space
 # The trainer stack (simulator, sensors, policies, CEM) is imported only
 # where the trainer backend uses it, so a surrogate run never loads it.
 if TYPE_CHECKING:
-    from repro.airlearning.trainer import CemTrainer, TrainingResult
+    from repro.airlearning.trainer import CemTrainer
 
 
 @dataclass
@@ -56,11 +57,28 @@ class Phase1Result:
         return self.database.best(task.scenario).success_rate
 
 
-def _train_point(item: Tuple[CemTrainer, PolicyHyperparams, Scenario]
-                 ) -> TrainingResult:
-    """Pool worker: train one template point."""
-    trainer, point, scenario = item
-    return trainer.train(point, scenario)
+def _train_and_validate(task: tuple) -> Tuple[float, int]:
+    """Train one template point and validate its best policy.
+
+    ``task`` is ``(trainer, point, scenario, validation episodes,
+    validation seed, CEM snapshot path or None)``.  Returns the
+    validated success rate and the rollout steps of both.  Module-level
+    so the process pool can pickle it.
+    """
+    from repro.airlearning.dynamics import NUM_ACTIONS
+    from repro.airlearning.evaluate import validate_policy
+    from repro.airlearning.policy import MlpPolicy
+    from repro.airlearning.sensors import RaycastSensor
+
+    trainer, point, scenario, episodes, seed, cem_path = task
+    training = trainer.train(point, scenario, checkpoint_path=cem_path)
+    sensor = RaycastSensor()
+    policy = MlpPolicy(point, sensor.num_rays + 4, NUM_ACTIONS)
+    policy.set_params(training.best_params)
+    validation = validate_policy(policy, scenario, episodes=episodes,
+                                 seed=seed, engine=trainer.engine)
+    return (validation.success_rate,
+            training.env_steps + validation.env_steps)
 
 
 class FrontEnd:
@@ -104,9 +122,10 @@ class FrontEnd:
                 steps are credited to its ``phase1`` phase.
             checkpoint: Optional run-checkpoint layout.  Every validated
                 template point is journalled, and (with the trainer
-                backend) each point's CEM state is snapshotted per
-                generation, so an interrupted sweep resumes at the last
-                completed generation of the point it died in.
+                backend, in-process) each point's CEM state is
+                snapshotted per generation, so an interrupted sweep
+                resumes at the last completed generation of the point
+                it died in.
             resume: Replay the checkpoint's journal into the database
                 instead of discarding it.  The trainer backend's replay
                 serves the journalled success rates; the surrogate's
@@ -140,12 +159,9 @@ class FrontEnd:
 
         todo = [p for p in points
                 if db.get(p, task.scenario) is None]  # reuse prior runs
-        trainings = (self._train_on_pool(todo, task.scenario)
-                     if self.backend == "trainer" else {})
         try:
-            for point in todo:
-                success, steps = self._train_and_validate(
-                    point, task, checkpoint, trainings.get(point))
+            for point, (success, steps) in zip(
+                    todo, self._outcomes(todo, task.scenario, checkpoint)):
                 result.env_steps += steps
                 db.add(point, task.scenario, success)
                 result.trained.append(point)
@@ -161,53 +177,26 @@ class FrontEnd:
             profiler.add_steps("phase1", result.env_steps)
         return result
 
-    def _train_on_pool(self, points: Sequence[PolicyHyperparams],
-                       scenario: Scenario
-                       ) -> Dict[PolicyHyperparams, TrainingResult]:
-        """Train template points in parallel, for in-process validation.
+    def _outcomes(self, points: Sequence[PolicyHyperparams],
+                  scenario: Scenario,
+                  checkpoint: Optional[RunCheckpoint]
+                  ) -> Iterable[Tuple[float, int]]:
+        """Each point's success rate and rollout steps, in order.
 
-        Only the training rollouts (the pure, expensive part) run in the
-        pool; validation and database assembly stay in-process.  With
-        one worker or a single point this is a no-op and the serial loop
-        trains each point itself.
-        """
-        if self.workers <= 1 or len(points) <= 1:
-            return {}
-        items = [(self.trainer, point, scenario) for point in points]
-        return dict(zip(points, parallel_map(
-            _train_point, items, workers=self.workers, chunksize=1)))
-
-    def _train_and_validate(self, point: PolicyHyperparams,
-                            task: TaskSpec,
-                            checkpoint: Optional[RunCheckpoint] = None,
-                            training: Optional[TrainingResult] = None
-                            ) -> Tuple[float, int]:
-        """The point's validated success rate and its rollout steps.
-
-        ``training`` is the point's result from the pool, if it trained
-        there; otherwise the point trains here, snapshotting its CEM
-        state into ``checkpoint``.
+        In-process the outcomes are produced lazily, so a point's CEM
+        snapshots are written before its journal record and the next
+        point's training.  On the pool, points write no CEM snapshots.
         """
         if self.backend == "surrogate":
-            return self._surrogate.success_rate(point, task.scenario), 0
-        from repro.airlearning.dynamics import NUM_ACTIONS
-        from repro.airlearning.evaluate import validate_policy
-        from repro.airlearning.policy import MlpPolicy
-        from repro.airlearning.sensors import RaycastSensor
-
-        if training is None:
-            cem_path = None
-            if checkpoint is not None:
-                cem_path = checkpoint.cem_checkpoint_path(point,
-                                                          task.scenario)
-            training = self.trainer.train(point, task.scenario,
-                                          checkpoint_path=cem_path)
-        sensor = RaycastSensor()
-        policy = MlpPolicy(point, sensor.num_rays + 4, NUM_ACTIONS)
-        policy.set_params(training.best_params)
-        validation = validate_policy(policy, task.scenario,
-                                     episodes=self.validation_episodes,
-                                     seed=self.seed,
-                                     engine=self.trainer.engine)
-        return (validation.success_rate,
-                training.env_steps + validation.env_steps)
+            return ((self._surrogate.success_rate(point, scenario), 0)
+                    for point in points)
+        on_pool = self.workers > 1 and len(points) > 1
+        tasks = [(self.trainer, point, scenario, self.validation_episodes,
+                  self.seed,
+                  None if on_pool or checkpoint is None
+                  else checkpoint.cem_checkpoint_path(point, scenario))
+                 for point in points]
+        if on_pool:
+            return parallel_map(_train_and_validate, tasks,
+                                workers=self.workers)
+        return map(_train_and_validate, tasks)

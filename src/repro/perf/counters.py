@@ -43,23 +43,14 @@ class DeltaCounters:
 
 @dataclass
 class PoolStats(DeltaCounters):
-    """Counters for pool failures and recoveries (process-wide).
+    """Counters for the process pool's serial fallback (process-wide).
 
     The profiler snapshots the module-wide instance per phase and
     reports deltas (:class:`DeltaCounters`).
     """
 
-    chunk_failures: int = 0      # chunk attempts that failed in a pool
-    chunk_retries: int = 0       # chunks re-queued to a (new) pool
-    pool_respawns: int = 0       # pools re-created after breaking
-    poisoned_chunks: int = 0     # chunks that exhausted the retry budget
-    serial_fallback_chunks: int = 0  # chunks executed serially in the parent
-    unpicklable_chunks: int = 0  # chunks whose payload could not be pickled
-
-    @property
-    def total_faults(self) -> int:
-        """Failures observed (not the recoveries)."""
-        return self.chunk_failures + self.unpicklable_chunks
+    fallbacks: int = 0    # pool runs that reran some tasks serially
+    rerun_tasks: int = 0  # tasks rerun serially in the parent
 
 
 _pool_stats = PoolStats()

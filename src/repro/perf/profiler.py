@@ -46,7 +46,7 @@ class PhaseRecord:
     #: Phase 1 rollout transitions), for throughput reporting.
     steps: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
-    #: Worker-pool fault/retry activity within the phase.
+    #: Worker-pool serial fallbacks within the phase.
     pool: PoolStats = field(default_factory=PoolStats)
     #: GP surrogate fitting activity (full refits vs incremental
     #: factor updates) within the phase.
@@ -97,7 +97,7 @@ class ProfileReport:
 
     @property
     def overall_pool(self) -> PoolStats:
-        """Worker-pool fault/retry activity summed over all phases."""
+        """Worker-pool serial fallbacks summed over all phases."""
         total = PoolStats()
         for phase in self.phases:
             total.merge(phase.pool)
@@ -202,11 +202,8 @@ def render_profile(report: ProfileReport) -> str:
                 f"{fid.pruned} simulator evals avoided "
                 f"(~{fid.est_sim_seconds_saved:.2f} s saved)")
     pool = report.overall_pool
-    if pool.total_faults:
+    if pool.fallbacks:
         lines.append(
-            f"pool faults: {pool.chunk_failures} chunk failures, "
-            f"{pool.chunk_retries} retries, {pool.pool_respawns} respawns, "
-            f"{pool.poisoned_chunks} poisoned, "
-            f"{pool.unpicklable_chunks} unpicklable, "
-            f"{pool.serial_fallback_chunks} serial-fallback chunks")
+            f"pool faults: {pool.fallbacks} serial fallbacks, "
+            f"{pool.rerun_tasks} tasks rerun in the parent")
     return "\n".join(lines)

@@ -1,10 +1,9 @@
 """Test-support utilities shipped with the library.
 
 ``repro.testing.faults`` provides deterministic, seed-free fault
-injection for the sweep runtime: worker crashes, transient evaluator
-exceptions, pickling failures and simulated kills between checkpoint
-writes.  It is used by the fault-tolerance test suites and by the
-opt-in ``REPRO_FAULTS`` environment hook.
+injection for the sweep runtime: pool worker crashes and simulated
+kills between checkpoint writes.  It is used by the fault-tolerance
+test suites and by the opt-in ``REPRO_FAULTS`` environment hook.
 """
 
 from repro import _lazy_exports
@@ -14,7 +13,6 @@ _EXPORTS = {
     "FaultInjector": "faults",
     "FaultRule": "faults",
     "SimulatedKill": "faults",
-    "TransientFault": "faults",
     "active_faults": "faults",
     "current_injector": "faults",
     "install_injector": "faults",

@@ -1,43 +1,31 @@
 """Deterministic fault injection for the sweep runtime.
 
-Long co-design sweeps are batch jobs: workers die, payloads fail to
-pickle, evaluators hiccup and processes get killed between checkpoint
-writes.  This module lets the test suite (and an opt-in environment
-hook) inject exactly those faults at exactly reproducible points, so
-the retry/resume machinery in :mod:`repro.core.parallel` and
-:mod:`repro.core.checkpoint` is testable without sleeping, racing or
-killing real processes.
+Long co-design sweeps are batch jobs: workers die and processes get
+killed between checkpoint writes.  This module lets the test suite (and
+an opt-in environment hook) inject exactly those faults at exactly
+reproducible points, so the pool fallback in :mod:`repro.core.parallel`
+and the resume machinery in :mod:`repro.core.checkpoint` are testable
+without sleeping, racing or killing real processes.
 
 Faults are declared as :class:`FaultRule` records -- *kind* at *site*
 when the site's deterministic index reaches *index* -- and grouped in a
-:class:`FaultInjector`.  The runtime consults the injector at three
+:class:`FaultInjector`.  The runtime consults the injector at two
 instrumented sites:
 
 * ``pool-task``: before a pool worker executes the task with the given
-  global item index.  Kinds: ``crash`` (the worker dies via
-  ``os._exit``, breaking the pool) and ``transient`` (the task raises
-  :class:`TransientFault`).
-* ``chunk-pickle``: while a work chunk with the given chunk index is
-  serialised for the pool.  Kind ``pickle`` raises
-  :class:`pickle.PicklingError`, exercising the unpicklable-payload
-  fallback.
+  item index.  Kind ``crash`` makes the worker die via ``os._exit``,
+  breaking the pool.
 * ``checkpoint-write``: before the Nth checkpoint write of the process
   (a monotone per-injector counter).  Kind ``kill`` raises
   :class:`SimulatedKill`, modelling a SIGKILL that lands between two
   checkpoint writes.
 
-Pool-site rules additionally carry an *attempts* bound: by default a
-fault fires only on a chunk's first attempt (``attempts=1``), so a
-retry succeeds; ``attempts=None`` fires on every attempt, modelling a
-persistent failure that must exhaust the retry budget.
-
 Injectors install either programmatically (:func:`install_injector`,
 or the :func:`active_faults` context manager) or through the
 ``REPRO_FAULTS`` environment variable, whose value is a comma-separated
-list of ``kind@site:index`` rules with an optional ``xN`` / ``x*``
-attempts suffix::
+list of ``kind@site:index`` rules::
 
-    REPRO_FAULTS="crash@pool-task:3,transient@pool-task:5x2,kill@checkpoint-write:4"
+    REPRO_FAULTS="crash@pool-task:3,kill@checkpoint-write:4"
 
 The injector is plain data (picklable), so the parallel runtime ships
 it to pool workers explicitly -- fault behaviour does not depend on
@@ -47,7 +35,6 @@ the multiprocessing start method.
 from __future__ import annotations
 
 import os
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
@@ -59,11 +46,10 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 #: Instrumented sites.
 SITE_POOL_TASK = "pool-task"
-SITE_CHUNK_PICKLE = "chunk-pickle"
 SITE_CHECKPOINT_WRITE = "checkpoint-write"
 
-SITES = (SITE_POOL_TASK, SITE_CHUNK_PICKLE, SITE_CHECKPOINT_WRITE)
-KINDS = ("crash", "transient", "pickle", "kill")
+SITES = (SITE_POOL_TASK, SITE_CHECKPOINT_WRITE)
+KINDS = ("crash", "kill")
 
 #: Exit status used by injected worker crashes (mirrors BSD's EX_SOFTWARE).
 CRASH_EXIT_CODE = 70
@@ -78,10 +64,6 @@ class SimulatedKill(BaseException):
     """
 
 
-class TransientFault(RuntimeError):
-    """An injected transient evaluator failure (succeeds when retried)."""
-
-
 @dataclass(frozen=True)
 class FaultRule:
     """One fault: *kind* fires at *site* when its index reaches *index*.
@@ -89,18 +71,14 @@ class FaultRule:
     Args:
         kind: One of :data:`KINDS`.
         site: One of :data:`SITES`.
-        index: Deterministic site index the fault fires at (the global
-            task index for ``pool-task``, the chunk index for
-            ``chunk-pickle``, the write counter for
+        index: Deterministic site index the fault fires at (the task
+            index for ``pool-task``, the write counter for
             ``checkpoint-write``).
-        attempts: Fire only while the chunk attempt number is below
-            this bound; ``None`` fires on every attempt.
     """
 
     kind: str
     site: str
     index: int
-    attempts: Optional[int] = 1
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -111,13 +89,6 @@ class FaultRule:
                               f"expected one of {SITES}")
         if self.index < 0:
             raise ConfigError("fault index must be non-negative")
-        if self.attempts is not None and self.attempts < 1:
-            raise ConfigError("fault attempts must be positive or None")
-
-    def matches(self, site: str, index: int, attempt: int) -> bool:
-        """Whether this rule fires for one (site, index, attempt) event."""
-        return (self.site == site and self.index == index
-                and (self.attempts is None or attempt < self.attempts))
 
 
 class FaultInjector:
@@ -136,11 +107,10 @@ class FaultInjector:
     def __bool__(self) -> bool:
         return bool(self.rules)
 
-    def find(self, site: str, index: int,
-             attempt: int = 0) -> Optional[FaultRule]:
+    def find(self, site: str, index: int) -> Optional[FaultRule]:
         """First rule firing for the event, or ``None``."""
         for rule in self.rules:
-            if rule.matches(site, index, attempt):
+            if rule.site == site and rule.index == index:
                 return rule
         return None
 
@@ -151,31 +121,18 @@ class FaultInjector:
         return index
 
     # -- instrumented sites -------------------------------------------
-    def on_pool_task(self, index: int, attempt: int) -> None:
+    def on_pool_task(self, index: int) -> None:
         """Consulted by a pool worker before executing task ``index``."""
-        rule = self.find(SITE_POOL_TASK, index, attempt)
-        if rule is None:
-            return
-        if rule.kind == "crash":
+        rule = self.find(SITE_POOL_TASK, index)
+        if rule is not None and rule.kind == "crash":
             # A hard worker death: no exception, no cleanup -- the pool
             # observes it as BrokenProcessPool.
             os._exit(CRASH_EXIT_CODE)
-        if rule.kind == "transient":
-            raise TransientFault(
-                f"injected transient fault at task {index} "
-                f"(attempt {attempt})")
-
-    def on_chunk_pickle(self, chunk_index: int, attempt: int) -> None:
-        """Consulted while a work chunk is serialised for the pool."""
-        rule = self.find(SITE_CHUNK_PICKLE, chunk_index, attempt)
-        if rule is not None and rule.kind == "pickle":
-            raise pickle.PicklingError(
-                f"injected pickling failure for chunk {chunk_index}")
 
     def on_checkpoint_write(self) -> None:
         """Consulted before every checkpoint write of this process."""
         index = self.next_index(SITE_CHECKPOINT_WRITE)
-        rule = self.find(SITE_CHECKPOINT_WRITE, index, 0)
+        rule = self.find(SITE_CHECKPOINT_WRITE, index)
         if rule is not None and rule.kind == "kill":
             raise SimulatedKill(
                 f"injected kill before checkpoint write {index}")
@@ -192,9 +149,8 @@ class FaultInjector:
 def parse_faults(spec: str) -> FaultInjector:
     """Parse a ``REPRO_FAULTS``-style specification string.
 
-    Format: comma-separated ``kind@site:index`` rules, each optionally
-    suffixed ``xN`` (fire on the first N attempts) or ``x*`` (fire on
-    every attempt).  Whitespace around rules is ignored.
+    Format: comma-separated ``kind@site:index`` rules.  Whitespace
+    around rules is ignored.
     """
     rules = []
     for raw in spec.split(","):
@@ -207,17 +163,13 @@ def parse_faults(spec: str) -> FaultInjector:
         except ValueError as exc:
             raise ConfigError(
                 f"bad fault rule {part!r}; expected kind@site:index") from exc
-        attempts: Optional[int] = 1
-        if "x" in tail:
-            tail, suffix = tail.split("x", 1)
-            attempts = None if suffix.strip() == "*" else int(suffix)
         try:
             index = int(tail)
         except ValueError as exc:
             raise ConfigError(
                 f"bad fault index in rule {part!r}") from exc
         rules.append(FaultRule(kind=kind.strip(), site=site.strip(),
-                               index=index, attempts=attempts))
+                               index=index))
     return FaultInjector(rules)
 
 

@@ -1005,3 +1005,31 @@ class TestPhase1TrainerResume:
         for point in points:
             assert resumed.database.get(point, task.scenario).success_rate \
                 == baseline.database.get(point, task.scenario).success_rate
+
+    def test_pool_sweep_killed_at_a_journal_append_resumes(self, tmp_path,
+                                                           task):
+        points = [PolicyHyperparams(num_layers=4, num_filters=32),
+                  PolicyHyperparams(num_layers=4, num_filters=48),
+                  PolicyHyperparams(num_layers=2, num_filters=32)]
+
+        def frontend(workers):
+            return FrontEnd(backend="trainer", seed=3,
+                            trainer=CemTrainer(**dict(SMALL_CEM,
+                                                      iterations=1)),
+                            validation_episodes=4, workers=workers)
+
+        baseline = frontend(1).run(task, hyperparams=points)
+        checkpoint = RunCheckpoint(tmp_path / "run")
+        # Points trained on the pool write no CEM snapshots, so the
+        # writes are the three journal appends: die at the second.
+        with faults.active_faults("kill@checkpoint-write:1"):
+            with pytest.raises(faults.SimulatedKill):
+                frontend(2).run(task, hyperparams=points,
+                                checkpoint=checkpoint)
+        assert len(checkpoint.phase1_journal().load()) == 1
+        # The two points left train on the pool again.
+        resumed = frontend(2).run(task, hyperparams=points,
+                                  checkpoint=checkpoint, resume=True)
+        assert resumed.trained == baseline.trained
+        assert resumed.env_steps == baseline.env_steps
+        assert list(resumed.database) == list(baseline.database)

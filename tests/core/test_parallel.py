@@ -41,7 +41,7 @@ class TestParallelMap:
 
     def test_parallel_path_preserves_order(self):
         items = list(range(23))
-        assert parallel_map(_square, items, workers=2, chunksize=4) == \
+        assert parallel_map(_square, items, workers=2) == \
             [x * x for x in items]
 
     def test_single_item_runs_serially(self):

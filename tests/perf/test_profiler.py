@@ -145,20 +145,16 @@ phase2 gp: 39 full fits (0.016 s), 65 factorisations
 phase2 proposals: 4 groups, 13 points, mean group size 3.2
 phase2 fidelity: 32 screened in 4 groups (0.004 s), 13 promoted \
 (41%, 2 via safety rail), 19 simulator evals avoided (~0.04 s saved)
-pool faults: 2 chunk failures, 2 retries, 1 respawns, 1 poisoned, \
-1 unpicklable, 1 serial-fallback chunks"""
+pool faults: 2 serial fallbacks, 3 tasks rerun in the parent"""
 
 
 def _golden_report() -> ProfileReport:
     phases = [
         PhaseRecord(name="phase1", wall_s=0.619, calls=1, steps=20059,
                     cache=CacheStats(hits=3, misses=3),
-                    pool=PoolStats(chunk_failures=2, chunk_retries=2,
-                                   pool_respawns=1,
-                                   serial_fallback_chunks=1)),
+                    pool=PoolStats(fallbacks=2, rerun_tasks=3)),
         PhaseRecord(name="phase2", wall_s=0.167, calls=1, evaluations=25,
                     cache=CacheStats(hits=11, misses=23, evictions=1),
-                    pool=PoolStats(unpicklable_chunks=1, poisoned_chunks=1),
                     gp=GpStats(full_fits=39, factorisations=65,
                                fit_wall_s=0.016, proposal_groups=4,
                                proposed_points=13),

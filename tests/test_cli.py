@@ -73,7 +73,9 @@ class TestCommands:
     @pytest.mark.parametrize("option, message", [
         (["--payload", "-5"], "compute_weight_g must be non-negative"),
         (["--sensor-fps", "0"], "sensor_fps must be positive"),
-    ], ids=["payload", "sensor-fps"])
+        (["--payload", "200"],
+         "Zhang et al. nano-UAV cannot lift a 200 g compute payload"),
+    ], ids=["payload", "sensor-fps", "payload-too-heavy"])
     def test_f1_rejects_invalid_values(self, capsys, option, message):
         assert main(["f1", "--uav", "nano"] + option) == 2
         captured = capsys.readouterr()
