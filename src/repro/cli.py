@@ -40,7 +40,7 @@ from repro.nn.template import (
     PolicyHyperparams,
     build_policy_network,
 )
-from repro.perf import Profiler, render_profile
+from repro.perf import count, render_profile, span
 from repro.uav.f1_model import F1Model
 from repro.uav.mission import evaluate_mission
 from repro.uav.physics import can_lift
@@ -287,10 +287,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     policy = PolicyHyperparams(num_layers=args.layers,
                                num_filters=args.filters)
-    profiler = Profiler()
-    with profiler.phase("sweep") as record:
+    with span("run") as run, span("sweep"):
         results = accelerator_frontier(policy=policy)
-        record.evaluations += len(results)
+        count("evals", len(results))
     rows = [[f"{r.pe_rows}x{r.pe_cols}", r.sram_kb,
              f"{r.frames_per_second:.1f}", f"{r.soc_power_w:.2f}",
              f"{r.pe_utilization:.0%}", "*" if r.is_pareto else ""]
@@ -300,7 +299,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                    f"{policy.identifier}"))
     if args.profile:
         print()
-        print(render_profile(profiler.report()))
+        print(render_profile(run))
     return 0
 
 

@@ -34,9 +34,10 @@ Phase 1 training results are not cached here: the Air Learning database
 already trains each (template point, scenario) once per pipeline, so a
 training cache on top of it would never hit.
 
-The module is dependency-light on purpose: it only imports the standard
-library and :mod:`repro.errors`, so the leaf modules of the package
-(``scalesim``, ``soc``) can use it without import cycles.
+The module is dependency-light on purpose: besides the standard library
+it imports only :mod:`repro.errors` and :mod:`repro.perf.profiler`
+(itself stdlib-only), so the leaf modules of the package (``scalesim``,
+``soc``) can use it without import cycles.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.perf.counters import DeltaCounters
+from repro.perf.profiler import count
 
 #: Default in-memory capacity of the shared cache.  The full
 #: Table II space has ~1.8M hardware points but any realistic DSE run
@@ -116,8 +117,13 @@ def estimate_key(workload: Any, config: Any, *,
 
 
 @dataclass
-class CacheStats(DeltaCounters):
-    """Hit/miss counters for one cache (or one observation window)."""
+class CacheStats:
+    """One cache's own hit, miss and eviction counts since it was cleared.
+
+    A lookup also counts ``cache.hits`` or ``cache.misses`` on the open
+    span (:func:`repro.perf.count`), which is how a profile attributes
+    lookups to a run and its phases.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -175,7 +181,8 @@ class EvalCache:
             else:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-            return value
+        count("cache.misses" if value is None else "cache.hits")
+        return value
 
     def put(self, key: Tuple[Hashable, ...], value: Any) -> None:
         """Insert ``key`` -> ``value``."""
@@ -185,8 +192,8 @@ class EvalCache:
                  ) -> None:
         """Insert many ``(key, value)`` pairs under one lock acquisition.
 
-        The batched evaluation path uses it to amortise locking and LRU
-        bookkeeping over whole design pools.
+        ``Tier0Estimator.estimate_designs`` stores a screened group's
+        estimates with it in one call.
         """
         items = list(items)
         with self._lock:

@@ -10,11 +10,11 @@ results in input order.
 It has one recovery rule: every task the pool does not return a result
 for -- its worker died, its payload did not pickle, or it raised --
 reruns serially in the parent.  Results the pool did return are kept.
-The fallback is logged once per call and counted in the module-wide
-:func:`pool_stats` (snapshotted per phase by
-:class:`repro.perf.Profiler`), so an environmental failure recovers and
-a persistent error raises from the rerun as its own type.  The tasks
-are deterministic, so a rerun returns what the pool would have.
+The fallback is logged once per call and counted on the open span
+(``pool.fallbacks`` and ``pool.rerun_tasks``, :func:`repro.perf.count`),
+so an environmental failure recovers and a persistent error raises from
+the rerun as its own type.  The tasks are deterministic, so a rerun
+returns what the pool would have.
 
 Deterministic fault injection lives in :mod:`repro.testing.faults`;
 each task carries its index and the active injector (programmatic or
@@ -36,7 +36,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     TypeVar)
 
 from repro.errors import ConfigError
-from repro.perf.counters import PoolStats, pool_stats  # re-exported
+from repro.perf.profiler import count
 
 if TYPE_CHECKING:
     from repro.testing.faults import FaultInjector
@@ -48,8 +48,6 @@ logger = logging.getLogger("repro.core.parallel")
 
 #: Environment variable enabling parallel Phase 1 training process-wide.
 WORKERS_ENV = "REPRO_WORKERS"
-
-_pool_stats = pool_stats()
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -118,8 +116,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
         executor.shutdown(cancel_futures=True)
 
     if failures:
-        _pool_stats.fallbacks += 1
-        _pool_stats.rerun_tasks += len(failures)
+        count("pool.fallbacks")
+        count("pool.rerun_tasks", len(failures))
         first = min(failures)
         logger.warning(
             "process pool returned no result for %d of %d tasks "

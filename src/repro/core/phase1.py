@@ -34,6 +34,7 @@ from repro.core.parallel import parallel_map, resolve_workers
 from repro.core.spec import TaskSpec
 from repro.errors import ConfigError
 from repro.nn.template import PolicyHyperparams, enumerate_template_space
+from repro.perf.profiler import count
 
 # The trainer stack (simulator, sensors, policies, CEM) is imported only
 # where the trainer backend uses it, so a surrogate run never loads it.
@@ -107,10 +108,12 @@ class FrontEnd:
     def run(self, task: TaskSpec,
             hyperparams: Optional[Sequence[PolicyHyperparams]] = None,
             database: Optional[AirLearningDatabase] = None,
-            profiler: Optional[object] = None,
             checkpoint: Optional[RunCheckpoint] = None,
             resume: bool = False) -> Phase1Result:
         """Populate the database for the task's scenario.
+
+        The rollout steps of the run, replayed ones included, are
+        counted as ``steps`` on the open span.
 
         Args:
             task: The task specification.
@@ -118,8 +121,6 @@ class FrontEnd:
                 Table II NN sub-space.
             database: An existing database to extend (policies are reused
                 across UAVs, per the paper's phase-reuse argument).
-            profiler: Optional :class:`repro.perf.Profiler`; rollout
-                steps are credited to its ``phase1`` phase.
             checkpoint: Optional run-checkpoint layout.  Every validated
                 template point is journalled, and (with the trainer
                 backend, in-process) each point's CEM state is
@@ -173,8 +174,7 @@ class FrontEnd:
         finally:
             if journal is not None:
                 journal.close()
-        if profiler is not None and result.env_steps:
-            profiler.add_steps("phase1", result.env_steps)
+        count("steps", result.env_steps)
         return result
 
     def _outcomes(self, points: Sequence[PolicyHyperparams],

@@ -26,6 +26,7 @@ from repro.optim.base import Optimizer, OptimizationResult
 from repro.optim.bayesopt import SmsEgoBayesOpt
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
+from repro.perf.profiler import count
 from repro.soc.dssoc import DssocDesign, DssocEvaluation, DssocEvaluator
 
 #: Fractional safety margin applied to the design-space extreme
@@ -174,19 +175,19 @@ class MultiObjectiveDse:
 
     def run(self, task: TaskSpec, budget: int = 120,
             reference: Optional[Sequence[float]] = None,
-            profiler=None, journal: Optional[EvaluationJournal] = None,
+            journal: Optional[EvaluationJournal] = None,
             resume: bool = False,
             promotion_journal: Optional[EvaluationJournal] = None
             ) -> Phase2Result:
         """Spend ``budget`` unique evaluations and collect candidates.
+
+        The evaluation count is added as ``evals`` to the open span.
 
         Args:
             task: The task specification (platform + scenario).
             budget: Unique design evaluations to spend.
             reference: Optional hypervolume reference override; derived
                 from the design-space extremes when omitted.
-            profiler: Optional :class:`repro.perf.Profiler` credited
-                with the evaluation count of this run.
             journal: Optional evaluation journal.  Every live
                 evaluation's assignment is durably appended to it -- the
                 decision, not the result.  With ``resume`` the journalled
@@ -311,8 +312,7 @@ class MultiObjectiveDse:
                 journal.close()
             if promotion_journal is not None:
                 promotion_journal.close()
-        if profiler is not None:
-            profiler.add_evaluations("phase2", len(record.evaluations))
+        count("evals", len(record.evaluations))
         return Phase2Result(candidates=candidates, optimization=record,
                             reference=np.asarray(reference, dtype=float))
 

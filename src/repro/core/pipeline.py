@@ -27,7 +27,7 @@ from repro.core.phase2 import MultiObjectiveDse, Phase2Result
 from repro.core.phase3 import BackEnd, Phase3Result, RankedDesign
 from repro.core.spec import RunConfig, TaskSpec
 from repro.errors import ConfigError
-from repro.perf import ProfileReport, Profiler
+from repro.perf import Span, span
 
 
 @dataclass
@@ -38,8 +38,8 @@ class AutoPilotResult:
     phase1: Phase1Result
     phase2: Phase2Result
     phase3: Phase3Result
-    #: Per-phase wall time, throughput and cache activity for this run.
-    profile: Optional[ProfileReport] = None
+    #: The run's span (one child per phase run) when profiled.
+    profile: Optional[Span] = None
 
     @property
     def selected(self) -> RankedDesign:
@@ -84,9 +84,12 @@ class AutoPilot:
             resume: bool = False) -> AutoPilotResult:
         """Run the three phases for one task specification.
 
-        With ``profile=True``, the result carries a
-        :class:`~repro.perf.ProfileReport` of per-phase wall time,
-        evaluation throughput and evaluation-cache activity.
+        The run is timed as a ``run`` span (:func:`repro.perf.span`)
+        with a ``phase1``, ``phase2`` and ``phase3`` child, nested under
+        whatever span the caller has open; a Phase 2 served from this
+        pilot's earlier run has no ``phase2`` span.  With
+        ``profile=True`` the result carries that span, holding only this
+        run's wall time and counts.
 
         With ``checkpoint_dir`` set, the run writes an atomic manifest
         plus per-phase progress journals into the directory; a later
@@ -112,44 +115,45 @@ class AutoPilot:
             manifest.status["phase1"] = "running"
             manifest.save(checkpoint.run_dir)
 
-        profiler = Profiler()
-        with profiler.phase("phase1"):
-            phase1 = self.frontend.run(task, database=self.database,
-                                       profiler=profiler,
-                                       checkpoint=checkpoint,
-                                       resume=resume)
+        with span("run") as run:
+            with span("phase1"):
+                phase1 = self.frontend.run(task, database=self.database,
+                                           checkpoint=checkpoint,
+                                           resume=resume)
 
-        phase2 = (self._phase2_cache.get(task.scenario)
-                  if reuse_phase2 else None)
-        if phase2 is None:
-            dse = MultiObjectiveDse(
-                database=self.database, seed=config.seed,
-                optimizer_kwargs={"proposal_batch": config.proposal_batch},
-                fidelity=config.fidelity,
-                promotion_eta=config.promotion_eta)
-            journal = (checkpoint.phase2_journal()
-                       if checkpoint is not None else None)
-            promotion_journal = (checkpoint.phase2_promotions_journal()
-                                 if checkpoint is not None else None)
+            phase2 = (self._phase2_cache.get(task.scenario)
+                      if reuse_phase2 else None)
+            if phase2 is None:
+                dse = MultiObjectiveDse(
+                    database=self.database, seed=config.seed,
+                    optimizer_kwargs={
+                        "proposal_batch": config.proposal_batch},
+                    fidelity=config.fidelity,
+                    promotion_eta=config.promotion_eta)
+                journal = (checkpoint.phase2_journal()
+                           if checkpoint is not None else None)
+                promotion_journal = (checkpoint.phase2_promotions_journal()
+                                     if checkpoint is not None else None)
+                if manifest is not None:
+                    manifest.status.update(phase1="complete",
+                                           phase2="running")
+                    manifest.save(checkpoint.run_dir)
+                with span("phase2"):
+                    phase2 = dse.run(task, budget=config.budget,
+                                     journal=journal,
+                                     promotion_journal=promotion_journal,
+                                     resume=resume)
+                self._phase2_cache[task.scenario] = phase2
+
+            with span("phase3"):
+                phase3 = self.backend.run(phase2.candidates, task)
             if manifest is not None:
-                manifest.status.update(phase1="complete", phase2="running")
+                manifest.status.update(phase1="complete", phase2="complete",
+                                       phase3="complete")
+                manifest.phase2_evaluations = len(
+                    phase2.optimization.evaluations)
                 manifest.save(checkpoint.run_dir)
-            with profiler.phase("phase2"):
-                phase2 = dse.run(task, budget=config.budget,
-                                 profiler=profiler, journal=journal,
-                                 promotion_journal=promotion_journal,
-                                 resume=resume)
-            self._phase2_cache[task.scenario] = phase2
-
-        with profiler.phase("phase3"):
-            phase3 = self.backend.run(phase2.candidates, task)
-        if manifest is not None:
-            manifest.status.update(phase1="complete", phase2="complete",
-                                   phase3="complete")
-            manifest.phase2_evaluations = len(
-                phase2.optimization.evaluations)
-            manifest.save(checkpoint.run_dir)
 
         return AutoPilotResult(
             task=task, phase1=phase1, phase2=phase2, phase3=phase3,
-            profile=profiler.report() if profile else None)
+            profile=run if profile else None)

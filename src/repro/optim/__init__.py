@@ -12,8 +12,6 @@ _EXPORTS = {
     "ObjectiveFn": "base",
     "CachingEvaluator": "base",
     "MultiFidelityEvaluator": "fidelity",
-    "FidelityStats": "fidelity",
-    "fidelity_stats": "fidelity",
     "SmsEgoBayesOpt": "bayesopt",
     "NsgaII": "genetic",
     "SimulatedAnnealing": "annealing",
@@ -21,9 +19,7 @@ _EXPORTS = {
     "ReinforceSearch": "rl",
     "ExhaustiveSearch": "exhaustive",
     "GaussianProcess": "gp",
-    "GpStats": "gp",
     "MultiObjectiveGP": "gp",
-    "gp_stats": "gp",
     "kernel_from_sq": "gp",
     "pairwise_sq": "gp",
     "se_kernel": "gp",

@@ -37,10 +37,11 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.optim.base import CachingEvaluator, Optimizer
-from repro.optim.gp import MultiObjectiveGP, gp_stats
+from repro.optim.gp import MultiObjectiveGP
 from repro.optim.hypervolume import hypervolume_contributions
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
+from repro.perf.profiler import count
 
 #: Absolute floor on the per-objective observed span when deriving the
 #: internal hypervolume reference point.  With a purely relative floor,
@@ -228,9 +229,8 @@ class SmsEgoBayesOpt(Optimizer):
             # Penalties are finite, so already-picked candidates must be
             # masked out explicitly or the argmax could repeat them.
             scores[np.asarray(picks)] = -np.inf
-        stats = gp_stats()
-        stats.proposal_groups += 1
-        stats.proposed_points += len(picks)
+        count("proposal.groups")
+        count("proposal.points", len(picks))
         return [pool[i] for i in picks]
 
     def _reference_point(self, objectives: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ gate (and verify them on resume).
 
 from __future__ import annotations
 
-import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.optim.base import CachingEvaluator, ObjectiveFn
 from repro.optim.hypervolume import hypervolume_contributions
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
-from repro.perf.counters import FidelityStats, fidelity_stats  # re-exported
+from repro.perf.profiler import count, span
 
 #: Tier-0 screen: a list of assignments -> an (n, d) matrix of
 #: component-wise *lower bounds* on the objective vectors (minimisation
@@ -49,8 +48,6 @@ ScreenFn = Callable[[List[Assignment]], Sequence[Sequence[float]]]
 #: uncached) assignments and the per-point promotion decisions, before
 #: any of the promoted evaluations are recorded.
 PromotionObserverFn = Callable[[List[Assignment], List[bool]], None]
-
-_fidelity_stats = fidelity_stats()
 
 
 class MultiFidelityEvaluator(CachingEvaluator):
@@ -108,11 +105,9 @@ class MultiFidelityEvaluator(CachingEvaluator):
 
         if fresh_indices:
             fresh = [assignments[i] for i in fresh_indices]
-            start = time.perf_counter()
-            bounds = np.asarray(self.screen_fn(fresh), dtype=float)
-            _fidelity_stats.screen_calls += 1
-            _fidelity_stats.screened += len(fresh)
-            _fidelity_stats.screen_wall_s += time.perf_counter() - start
+            with span("fidelity.screen"):
+                bounds = np.asarray(self.screen_fn(fresh), dtype=float)
+            count("fidelity.screened", len(fresh))
             if bounds.shape != (len(fresh), self.reference.shape[0]):
                 raise ConfigError(
                     f"screen function returned shape {bounds.shape}, "
@@ -125,12 +120,10 @@ class MultiFidelityEvaluator(CachingEvaluator):
             for key_index, keep in zip(fresh_indices, mask):
                 if not keep:
                     self._pruned_keys.add(keys[key_index])
-            _fidelity_stats.promoted += len(promoted)
+            count("fidelity.promoted", len(promoted))
             if promoted:
-                start = time.perf_counter()
-                super().evaluate_batch(promoted)
-                _fidelity_stats.tier1_wall_s += time.perf_counter() - start
-                _fidelity_stats.tier1_points += len(promoted)
+                with span("fidelity.tier1"):
+                    super().evaluate_batch(promoted)
         return [self._cache.get(key) for key in keys]
 
     def _promotion_mask(self, bounds: np.ndarray) -> np.ndarray:
@@ -145,19 +138,19 @@ class MultiFidelityEvaluator(CachingEvaluator):
         given the evaluator history -- stable argsort, no RNG -- which
         is what makes resume-by-replay exact.
         """
-        count = bounds.shape[0]
+        size = bounds.shape[0]
         history = self.result.evaluations
         if not history:
-            return np.ones(count, dtype=bool)
+            return np.ones(size, dtype=bool)
         objectives = np.vstack([e.objectives for e in history])
         front = objectives[non_dominated_mask(objectives)]
 
-        quota = min(count, max(1, int(np.ceil(
-            self.promotion_eta * count))))
+        quota = min(size, max(1, int(np.ceil(
+            self.promotion_eta * size))))
         clipped = np.minimum(bounds, self.reference[None, :] - 1e-12)
         scores = hypervolume_contributions(front, clipped, self.reference)
         order = np.argsort(-scores, kind="stable")
-        mask = np.zeros(count, dtype=bool)
+        mask = np.zeros(size, dtype=bool)
         mask[order[:quota]] = True
 
         # Safety rail: bound(p) <= front point f means p's true
@@ -166,5 +159,5 @@ class MultiFidelityEvaluator(CachingEvaluator):
             np.all(bounds[:, None, :] <= front[None, :, :], axis=2),
             axis=1)
         rail = potential_dominator & ~mask
-        _fidelity_stats.rail_promotions += int(np.count_nonzero(rail))
+        count("fidelity.rail_promotions", int(np.count_nonzero(rail)))
         return mask | potential_dominator

@@ -24,14 +24,13 @@ installed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.perf.counters import DeltaCounters
+from repro.perf.profiler import count, span
 
 
 def pairwise_sq(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -120,36 +119,6 @@ def _log_marginal(y_std: np.ndarray, alpha: np.ndarray,
     return float(-0.5 * y_std @ alpha
                  - half_log_det
                  - 0.5 * n * np.log(2 * np.pi))
-
-
-@dataclass
-class GpStats(DeltaCounters):
-    """Process-wide GP fitting counters (profiler-snapshot friendly).
-
-    The profiler snapshots the module-wide instance per phase and
-    reports deltas (:class:`~repro.perf.counters.DeltaCounters`).
-    """
-
-    full_fits: int = 0          # per-objective fits via the grid search
-    factorisations: int = 0     # Cholesky factorisations performed
-    fit_wall_s: float = 0.0     # time spent fitting
-    proposal_groups: int = 0    # acquisition rounds (one per GP fit)
-    proposed_points: int = 0    # candidates proposed across all groups
-
-    @property
-    def mean_proposal_group(self) -> float:
-        """Average candidates proposed per acquisition round."""
-        if self.proposal_groups == 0:
-            return 0.0
-        return self.proposed_points / self.proposal_groups
-
-
-_gp_stats = GpStats()
-
-
-def gp_stats() -> GpStats:
-    """The process-wide GP fitting counters."""
-    return _gp_stats
 
 
 @dataclass
@@ -307,44 +276,45 @@ class MultiObjectiveGP:
         if x.shape[0] == 0 or y.shape[1] == 0:
             raise ConfigError("cannot fit a GP to zero observations")
 
-        start = time.perf_counter()
-        sq = pairwise_sq(x, x)
-        base = (self.lengthscale if self.lengthscale is not None
-                else _median_heuristic(x, sq=sq))
-        candidates = [base]
-        if self.tune_lengthscale and self.lengthscale is None:
-            candidates = [base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        with span("gp.fit"):
+            sq = pairwise_sq(x, x)
+            base = (self.lengthscale if self.lengthscale is not None
+                    else _median_heuristic(x, sq=sq))
+            candidates = [base]
+            if self.tune_lengthscale and self.lengthscale is None:
+                candidates = [base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
 
-        jitter = self.noise ** 2 + 1e-8
-        factors: List[Tuple[float, np.ndarray, np.floating]] = []
-        for ls in candidates:
-            k = kernel_from_sq(sq, ls, self._variance)
-            k[np.diag_indices_from(k)] += jitter
-            try:
-                chol = np.linalg.cholesky(k)
-            except np.linalg.LinAlgError:
-                continue
-            _gp_stats.factorisations += 1
-            factors.append((ls, chol, _half_log_det(chol)))
-        if not factors:
-            raise ConfigError("GP factorisation failed for all lengthscales")
+            jitter = self.noise ** 2 + 1e-8
+            factors: List[Tuple[float, np.ndarray, np.floating]] = []
+            for ls in candidates:
+                k = kernel_from_sq(sq, ls, self._variance)
+                k[np.diag_indices_from(k)] += jitter
+                try:
+                    chol = np.linalg.cholesky(k)
+                except np.linalg.LinAlgError:
+                    continue
+                factors.append((ls, chol, _half_log_det(chol)))
+            count("gp.factorisations", len(factors))
+            if not factors:
+                raise ConfigError(
+                    "GP factorisation failed for all lengthscales")
 
-        models: List[_ObjectiveModel] = []
-        for j in range(y.shape[1]):
-            y_mean, y_scale, y_std = _standardise(y[:, j])
-            best: Tuple[float, float, np.ndarray, np.ndarray] | None = None
-            for ls, chol, half_log_det in factors:
-                alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_std))
-                lml = _log_marginal(y_std, alpha, half_log_det)
-                if best is None or lml > best[0]:
-                    best = (lml, ls, chol, alpha)
-            models.append(_ObjectiveModel(
-                lengthscale=best[1], chol=best[2], alpha=best[3],
-                y_mean=y_mean, y_std=y_scale))
-        self._x = x
-        self._models = models
-        _gp_stats.full_fits += len(models)
-        _gp_stats.fit_wall_s += time.perf_counter() - start
+            models: List[_ObjectiveModel] = []
+            for j in range(y.shape[1]):
+                y_mean, y_scale, y_std = _standardise(y[:, j])
+                best: Tuple[float, float, np.ndarray, np.ndarray] | None = None
+                for ls, chol, half_log_det in factors:
+                    alpha = np.linalg.solve(chol.T,
+                                            np.linalg.solve(chol, y_std))
+                    lml = _log_marginal(y_std, alpha, half_log_det)
+                    if best is None or lml > best[0]:
+                        best = (lml, ls, chol, alpha)
+                models.append(_ObjectiveModel(
+                    lengthscale=best[1], chol=best[2], alpha=best[3],
+                    y_mean=y_mean, y_std=y_scale))
+            self._x = x
+            self._models = models
+            count("gp.full_fits", len(models))
         return self
 
     # ------------------------------------------------------------------

@@ -1,209 +1,161 @@
-"""Wall-time, throughput and cache-hit-rate profiling primitives.
+"""The span tree: where a run's time and work went, scoped per context.
 
-The profiler is deliberately dependency-free (stdlib only): phases are
-timed with ``time.perf_counter`` context managers, and the process-wide
-cache, pool, GP and fidelity counters are measured as deltas
-across each phase, so activity outside the profiled window does not
-pollute the numbers.
+``with span(name):`` times one execution of a block as a :class:`Span`
+node, a child of the span open when it started, or a root when none
+was; ``count(key, n)`` adds ``n`` to ``key`` on the innermost open
+span.  The open span lives in a :class:`contextvars.ContextVar`, and a
+new thread starts with an empty context, so a second thread's cache
+lookups never reach the span the main thread has open.  A count with no
+span open is dropped, so code running outside any run -- a pool worker,
+a unit test -- records nothing.
+
+A pool task's counts are made in the parent from the task's result, as
+Phase 1 does with each template point's rollout steps.
+
+The module imports only the standard library, so every layer can count
+into it without an import cycle.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
-
-from repro.core.evalcache import CacheStats, shared_report_cache
-from repro.optim.gp import GpStats, gp_stats
-from repro.perf.counters import (
-    FidelityStats,
-    PoolStats,
-    fidelity_stats,
-    pool_stats,
-)
-
-#: Every process-wide stat record a phase measures as a delta:
-#: (``PhaseRecord`` field, accessor of the live record).  The report
-#: cache is looked up on each call because it can be replaced.
-_STAT_SOURCES = (
-    ("cache", lambda: shared_report_cache().stats),
-    ("pool", pool_stats),
-    ("gp", gp_stats),
-    ("fidelity", fidelity_stats),
-)
+from typing import Dict, Iterator, List, Optional
 
 
-@dataclass
-class PhaseRecord:
-    """Aggregated measurements for one named phase."""
+@dataclass(eq=False)
+class Span:
+    """One timed execution of a block, its counts and its child spans."""
 
     name: str
     wall_s: float = 0.0
-    calls: int = 0
-    evaluations: int = 0
-    #: Simulator/environment steps executed within the phase (e.g.
-    #: Phase 1 rollout transitions), for throughput reporting.
-    steps: int = 0
-    cache: CacheStats = field(default_factory=CacheStats)
-    #: Worker-pool serial fallbacks within the phase.
-    pool: PoolStats = field(default_factory=PoolStats)
-    #: GP surrogate fitting activity (full refits vs incremental
-    #: factor updates) within the phase.
-    gp: GpStats = field(default_factory=GpStats)
-    #: Multi-fidelity screening activity (tier-0 screens, promotions,
-    #: pruned simulator evaluations) within the phase.
-    fidelity: FidelityStats = field(default_factory=FidelityStats)
+    counts: Dict[str, float] = field(default_factory=dict)
+    children: List["Span"] = field(default_factory=list)
 
-    @property
-    def evaluations_per_second(self) -> float:
-        """Evaluation throughput within the phase (0 when untimed)."""
-        if self.wall_s <= 0:
-            return 0.0
-        return self.evaluations / self.wall_s
+    def total(self, key: str) -> float:
+        """``key``'s count summed over this span and its descendants."""
+        return self.counts.get(key, 0) + sum(
+            child.total(key) for child in self.children)
 
-    @property
-    def steps_per_second(self) -> float:
-        """Step throughput within the phase (0 when untimed)."""
-        if self.wall_s <= 0:
-            return 0.0
-        return self.steps / self.wall_s
+    def find(self, name: str) -> List["Span"]:
+        """Every descendant span called ``name``, in the order opened."""
+        found = []
+        for child in self.children:
+            if child.name == name:
+                found.append(child)
+            found.extend(child.find(name))
+        return found
 
 
-@dataclass
-class ProfileReport:
-    """Everything one profiled run measured."""
-
-    phases: List[PhaseRecord]
-    total_wall_s: float
-
-    @property
-    def total_evaluations(self) -> int:
-        """Design evaluations across all phases."""
-        return sum(p.evaluations for p in self.phases)
-
-    @property
-    def total_steps(self) -> int:
-        """Environment/simulator steps across all phases."""
-        return sum(p.steps for p in self.phases)
-
-    @property
-    def overall_cache(self) -> CacheStats:
-        """Cache activity summed over all phases."""
-        total = CacheStats()
-        for phase in self.phases:
-            total.merge(phase.cache)
-        return total
-
-    @property
-    def overall_pool(self) -> PoolStats:
-        """Worker-pool serial fallbacks summed over all phases."""
-        total = PoolStats()
-        for phase in self.phases:
-            total.merge(phase.pool)
-        return total
+_open_span: ContextVar[Optional[Span]] = ContextVar("repro_open_span",
+                                                     default=None)
 
 
-class Profiler:
-    """Collects phase timings and stat deltas for one run."""
+@contextmanager
+def span(name: str) -> Iterator[Span]:
+    """Time the block as a new span under the open one (or as a root).
 
-    def __init__(self):
-        self._phases: "Dict[str, PhaseRecord]" = {}
-        self._order: List[str] = []
-        self._started = time.perf_counter()
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[PhaseRecord]:
-        """Time one phase; the stat records are measured as deltas.
-
-        The yielded record can be annotated mid-phase (e.g. setting
-        ``evaluations`` once the DSE budget is known).
-        """
-        record = self._record(name)
-        before = [live().snapshot() for _, live in _STAT_SOURCES]
-        start = time.perf_counter()
-        try:
-            yield record
-        finally:
-            record.wall_s += time.perf_counter() - start
-            record.calls += 1
-            for (kind, live), snapshot in zip(_STAT_SOURCES, before):
-                getattr(record, kind).merge(live().since(snapshot))
-
-    def add_evaluations(self, phase_name: str, count: int) -> None:
-        """Credit ``count`` design evaluations to a phase."""
-        self._record(phase_name).evaluations += count
-
-    def add_steps(self, phase_name: str, count: int) -> None:
-        """Credit ``count`` environment/simulator steps to a phase."""
-        self._record(phase_name).steps += count
-
-    def _record(self, phase_name: str) -> PhaseRecord:
-        record = self._phases.get(phase_name)
-        if record is None:
-            record = PhaseRecord(name=phase_name)
-            self._phases[phase_name] = record
-            self._order.append(phase_name)
-        return record
-
-    def report(self) -> ProfileReport:
-        """Snapshot the measurements collected so far."""
-        return ProfileReport(
-            phases=[self._phases[name] for name in self._order],
-            total_wall_s=time.perf_counter() - self._started,
-        )
+    The span records its wall time even when the block raises.
+    """
+    node = Span(name)
+    parent = _open_span.get()
+    if parent is not None:
+        parent.children.append(node)
+    token = _open_span.set(node)
+    start = time.perf_counter()
+    try:
+        yield node
+    finally:
+        node.wall_s = time.perf_counter() - start
+        _open_span.reset(token)
 
 
-def render_profile(report: ProfileReport) -> str:
-    """Render a profile as a compact fixed-width table."""
+def count(key: str, n: float = 1) -> None:
+    """Add ``n`` to ``key`` on the innermost open span, if one is open."""
+    node = _open_span.get()
+    if node is not None:
+        node.counts[key] = node.counts.get(key, 0) + n
+
+
+def _hit_rate(node: Span) -> str:
+    hits, misses = node.total("cache.hits"), node.total("cache.misses")
+    return f"{hits / (hits + misses):.1%}" if hits + misses else "-"
+
+
+def _seconds(spans: List[Span]) -> float:
+    return sum(node.wall_s for node in spans)
+
+
+def _rate(amount: float, wall_s: float) -> float:
+    return amount / wall_s if wall_s > 0 else 0.0
+
+
+def render_profile(run: Span) -> str:
+    """Render a run's span as the ``--profile`` table.
+
+    Each child of ``run`` is one row (a phase) and every figure is a
+    total over the row's subtree: ``evals`` and ``steps``,
+    ``cache.hits``/``cache.misses``, and below the table the
+    ``gp.fit`` spans with ``gp.full_fits``/``gp.factorisations``,
+    ``proposal.groups``/``proposal.points``, the ``fidelity.screen`` and
+    ``fidelity.tier1`` spans with ``fidelity.screened``,
+    ``fidelity.promoted`` and ``fidelity.rail_promotions``, and the
+    run's ``pool.fallbacks``/``pool.rerun_tasks``.  A counter line is
+    printed only for a phase that saw that activity.
+    """
     lines: List[str] = []
     lines.append("## Profile")
     header = (f"{'phase':<18} {'wall s':>8} {'evals':>7} "
               f"{'evals/s':>9} {'steps':>9} {'steps/s':>9} {'hit rate':>9}")
     lines.append(header)
     lines.append("-" * len(header))
-    for phase in report.phases:
-        hit_rate = (f"{phase.cache.hit_rate:.1%}"
-                    if phase.cache.lookups else "-")
-        evals_s = (f"{phase.evaluations_per_second:.1f}"
-                   if phase.evaluations else "-")
-        evals = str(phase.evaluations) if phase.evaluations else "-"
-        steps = str(phase.steps) if phase.steps else "-"
-        steps_s = (f"{phase.steps_per_second:.0f}"
-                   if phase.steps else "-")
-        lines.append(f"{phase.name:<18} {phase.wall_s:>8.3f} {evals:>7} "
-                     f"{evals_s:>9} {steps:>9} {steps_s:>9} {hit_rate:>9}")
-    overall = report.overall_cache
+    for phase in run.children:
+        evaluations, steps = phase.total("evals"), phase.total("steps")
+        evals_s = (f"{_rate(evaluations, phase.wall_s):.1f}"
+                   if evaluations else "-")
+        steps_s = f"{_rate(steps, phase.wall_s):.0f}" if steps else "-"
+        lines.append(f"{phase.name:<18} {phase.wall_s:>8.3f} "
+                     f"{evaluations or '-':>7} {evals_s:>9} "
+                     f"{steps or '-':>9} {steps_s:>9} {_hit_rate(phase):>9}")
     lines.append("-" * len(header))
-    lines.append(f"{'total':<18} {report.total_wall_s:>8.3f} "
-                 f"{report.total_evaluations or '-':>7} "
+    lines.append(f"{'total':<18} {run.wall_s:>8.3f} "
+                 f"{run.total('evals') or '-':>7} "
                  f"{'':>9} "
-                 f"{report.total_steps or '-':>9} "
+                 f"{run.total('steps') or '-':>9} "
                  f"{'':>9} "
-                 f"{(f'{overall.hit_rate:.1%}' if overall.lookups else '-'):>9}")
-    for phase in report.phases:
-        if phase.gp.full_fits:
+                 f"{_hit_rate(run):>9}")
+    for phase in run.children:
+        full_fits = phase.total("gp.full_fits")
+        if full_fits:
             lines.append(
-                f"{phase.name} gp: {phase.gp.full_fits} full fits "
-                f"({phase.gp.fit_wall_s:.3f} s), "
-                f"{phase.gp.factorisations} factorisations")
-        if phase.gp.proposal_groups:
+                f"{phase.name} gp: {full_fits} full fits "
+                f"({_seconds(phase.find('gp.fit')):.3f} s), "
+                f"{phase.total('gp.factorisations')} factorisations")
+        groups = phase.total("proposal.groups")
+        if groups:
+            points = phase.total("proposal.points")
             lines.append(
-                f"{phase.name} proposals: {phase.gp.proposal_groups} "
-                f"groups, {phase.gp.proposed_points} points, "
-                f"mean group size {phase.gp.mean_proposal_group:.1f}")
-        if phase.fidelity.screen_calls:
-            fid = phase.fidelity
+                f"{phase.name} proposals: {groups} groups, {points} points, "
+                f"mean group size {points / groups:.1f}")
+        screened = phase.total("fidelity.screened")
+        if screened:
+            screens = phase.find("fidelity.screen")
+            promoted = phase.total("fidelity.promoted")
+            pruned = screened - promoted
+            tier1_s = _seconds(phase.find("fidelity.tier1"))
+            saved_s = pruned * (tier1_s / promoted) if promoted else 0.0
             lines.append(
-                f"{phase.name} fidelity: {fid.screened} screened in "
-                f"{fid.screen_calls} groups ({fid.screen_wall_s:.3f} s), "
-                f"{fid.promoted} promoted ({fid.promotion_rate:.0%}, "
-                f"{fid.rail_promotions} via safety rail), "
-                f"{fid.pruned} simulator evals avoided "
-                f"(~{fid.est_sim_seconds_saved:.2f} s saved)")
-    pool = report.overall_pool
-    if pool.fallbacks:
+                f"{phase.name} fidelity: {screened} screened in "
+                f"{len(screens)} groups ({_seconds(screens):.3f} s), "
+                f"{promoted} promoted ({promoted / screened:.0%}, "
+                f"{phase.total('fidelity.rail_promotions')} via safety "
+                f"rail), {pruned} simulator evals avoided "
+                f"(~{saved_s:.2f} s saved)")
+    fallbacks = run.total("pool.fallbacks")
+    if fallbacks:
         lines.append(
-            f"pool faults: {pool.fallbacks} serial fallbacks, "
-            f"{pool.rerun_tasks} tasks rerun in the parent")
+            f"pool faults: {fallbacks} serial fallbacks, "
+            f"{run.total('pool.rerun_tasks')} tasks rerun in the parent")
     return "\n".join(lines)

@@ -116,39 +116,8 @@ class TestEvalCache:
 
 
 class TestCacheStats:
-    def test_snapshot_is_independent_copy(self):
-        stats = CacheStats(hits=2, misses=1)
-        snap = stats.snapshot()
-        stats.hits += 5
-        assert snap.hits == 2
-
-    def test_since_returns_deltas(self):
-        stats = CacheStats(hits=2, misses=1)
-        snap = stats.snapshot()
-        stats.hits += 3
-        stats.misses += 1
-        delta = stats.since(snap)
-        assert delta.hits == 3
-        assert delta.misses == 1
-        assert delta.hit_rate == pytest.approx(0.75)
-
     def test_hit_rate_zero_when_unused(self):
         assert CacheStats().hit_rate == 0.0
-
-
-class TestCacheStatsGenerics:
-    def test_snapshot_since_merge_cover_all_fields(self):
-        stats = CacheStats(hits=2, misses=1, evictions=3)
-        snap = stats.snapshot()
-        assert vars(snap) == vars(stats)
-        stats.evictions += 4
-        delta = stats.since(snap)
-        assert delta.evictions == 4
-        assert delta.hits == 0
-        total = CacheStats()
-        total.merge(snap)
-        total.merge(delta)
-        assert vars(total) == vars(stats)
 
 
 class TestSharedCache:

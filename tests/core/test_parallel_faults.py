@@ -15,8 +15,9 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core.parallel import PoolStats, parallel_map, pool_stats
+from repro.core.parallel import parallel_map
 from repro.errors import ConfigError
+from repro.perf import span
 from repro.testing import faults
 
 ITEMS = list(range(23))
@@ -53,30 +54,32 @@ def _clean_injector():
     faults.uninstall_injector()
 
 
-def stats_delta(before):
-    return pool_stats().since(before)
+def pool_counts(node):
+    """``(fallbacks, rerun tasks)`` counted in a span's subtree."""
+    return node.total("pool.fallbacks"), node.total("pool.rerun_tasks")
 
 
-def assert_one_fallback(delta):
-    assert delta.fallbacks == 1
-    assert 1 <= delta.rerun_tasks <= len(ITEMS)
+def assert_one_fallback(node):
+    fallbacks, rerun_tasks = pool_counts(node)
+    assert fallbacks == 1
+    assert 1 <= rerun_tasks <= len(ITEMS)
 
 
 class TestWorkerCrashRecovery:
     @pytest.mark.parametrize("crash_index", [0, 11, 22])
     def test_crash_reruns_serially(self, crash_index):
-        before = pool_stats().snapshot()
-        with faults.active_faults(f"crash@pool-task:{crash_index}"):
+        with span("run") as run, \
+                faults.active_faults(f"crash@pool-task:{crash_index}"):
             result = parallel_map(_square, ITEMS, workers=2)
         assert result == EXPECTED
-        assert_one_fallback(stats_delta(before))
+        assert_one_fallback(run)
 
     def test_two_crashes_in_one_batch(self):
-        before = pool_stats().snapshot()
-        with faults.active_faults("crash@pool-task:2,crash@pool-task:17"):
+        with span("run") as run, \
+                faults.active_faults("crash@pool-task:2,crash@pool-task:17"):
             result = parallel_map(_square, ITEMS, workers=2)
         assert result == EXPECTED
-        assert_one_fallback(stats_delta(before))
+        assert_one_fallback(run)
 
     def test_pool_broken_during_submission(self, monkeypatch):
         # A worker that dies while tasks are still being submitted
@@ -91,10 +94,9 @@ class TestWorkerCrashRecovery:
             return submit(executor, *args)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_five)
-        before = pool_stats().snapshot()
-        assert parallel_map(_square, ITEMS, workers=2) == EXPECTED
-        assert stats_delta(before) == PoolStats(fallbacks=1,
-                                                rerun_tasks=len(ITEMS) - 5)
+        with span("run") as run:
+            assert parallel_map(_square, ITEMS, workers=2) == EXPECTED
+        assert pool_counts(run) == (1, len(ITEMS) - 5)
 
     def test_fallback_is_logged_once(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
@@ -110,29 +112,28 @@ class TestTransientFaults:
         # Task 7 raises in a pool worker only, so its serial rerun in
         # the parent succeeds; every other result the pool returned is
         # kept.
-        before = pool_stats().snapshot()
-        result = parallel_map(_square_fails_in_worker_on_7, ITEMS, workers=2)
+        with span("run") as run:
+            result = parallel_map(_square_fails_in_worker_on_7, ITEMS,
+                                  workers=2)
         assert result == EXPECTED
-        assert stats_delta(before) == PoolStats(fallbacks=1, rerun_tasks=1)
+        assert pool_counts(run) == (1, 1)
 
     def test_persistent_application_error_surfaces_from_fallback(self):
         # A real bug fails in the pool and again in the serial rerun,
         # where it raises as its own type -- not BrokenProcessPool.
-        before = pool_stats().snapshot()
-        with pytest.raises(ValueError, match="application error on 0$"):
+        with span("run") as run, \
+                pytest.raises(ValueError, match="application error on 0$"):
             parallel_map(_boom, ITEMS, workers=2)
-        assert stats_delta(before) == PoolStats(fallbacks=1,
-                                                rerun_tasks=len(ITEMS))
+        assert pool_counts(run) == (1, len(ITEMS))
 
 
 class TestUnpicklablePayloads:
     def test_unpicklable_fn_goes_straight_to_serial(self):
         offset = 10
-        before = pool_stats().snapshot()
-        result = parallel_map(lambda x: x + offset, ITEMS, workers=2)
+        with span("run") as run:
+            result = parallel_map(lambda x: x + offset, ITEMS, workers=2)
         assert result == [x + offset for x in ITEMS]
-        assert stats_delta(before) == PoolStats(fallbacks=1,
-                                                rerun_tasks=len(ITEMS))
+        assert pool_counts(run) == (1, len(ITEMS))
 
 
 class TestUnpicklableNarrowing:
@@ -147,20 +148,19 @@ class TestUnpicklableNarrowing:
                                         (_attr_boom, AttributeError)],
                              ids=["TypeError", "AttributeError"])
     def test_task_error_is_retried(self, fn, exc):
-        before = pool_stats().snapshot()
-        with pytest.raises(exc, match="worker-raised .* on 0$"):
+        with span("run") as run, \
+                pytest.raises(exc, match="worker-raised .* on 0$"):
             parallel_map(fn, ITEMS, workers=2)
-        assert stats_delta(before) == PoolStats(fallbacks=1,
-                                                rerun_tasks=len(ITEMS))
+        assert pool_counts(run) == (1, len(ITEMS))
 
 
 class TestEnvHook:
     def test_repro_faults_env_is_honoured(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "crash@pool-task:3")
-        before = pool_stats().snapshot()
-        result = parallel_map(_square, ITEMS, workers=2)
+        with span("run") as run:
+            result = parallel_map(_square, ITEMS, workers=2)
         assert result == EXPECTED
-        assert_one_fallback(stats_delta(before))
+        assert_one_fallback(run)
 
     def test_installed_injector_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "crash@pool-task:0")
@@ -213,15 +213,22 @@ class TestFaultPrimitives:
 
 
 class TestPoolStatsAccounting:
+    """The fallback counts land in the span open around the call."""
+
     def test_snapshot_and_since_are_deltas(self):
-        stats = PoolStats(fallbacks=3, rerun_tasks=2)
-        base = stats.snapshot()
-        stats.fallbacks += 1
-        delta = stats.since(base)
-        assert delta == PoolStats(fallbacks=1, rerun_tasks=0)
+        # A span holds only the fallbacks made while it was open.
+        with span("earlier") as earlier:
+            parallel_map(lambda x: x, [1, 2], workers=2)
+        with span("later") as later:
+            parallel_map(lambda x: x, [1, 2, 3], workers=2)
+        assert pool_counts(earlier) == (1, 2)
+        assert pool_counts(later) == (1, 3)
 
     def test_merge_accumulates(self):
-        total = PoolStats()
-        total.merge(PoolStats(fallbacks=1, rerun_tasks=4))
-        total.merge(PoolStats(fallbacks=2, rerun_tasks=3))
-        assert total == PoolStats(fallbacks=3, rerun_tasks=7)
+        # Fallbacks in two phases sum in their run's total.
+        with span("run") as run:
+            with span("a"):
+                parallel_map(lambda x: x, [1, 2, 3, 4], workers=2)
+            with span("b"):
+                parallel_map(lambda x: x, [1, 2, 3], workers=2)
+        assert pool_counts(run) == (2, 7)

@@ -106,16 +106,13 @@ class TestTrainerBackendScaling:
         assert serial.env_steps == parallel.env_steps
 
     def test_profiler_credited_with_steps(self):
-        from repro.perf import Profiler
-        profiler = Profiler()
-        with profiler.phase("phase1"):
-            self.make_frontend().run(
-                make_task(), hyperparams=[PolicyHyperparams(2, 32)],
-                profiler=profiler)
-        record = profiler.report().phases[0]
-        assert record.name == "phase1"
-        assert record.steps > 0
-        assert record.steps_per_second > 0
+        from repro.perf import span
+        with span("phase1") as phase1:
+            result = self.make_frontend().run(
+                make_task(), hyperparams=[PolicyHyperparams(2, 32)])
+        assert phase1.counts == {"steps": result.env_steps}
+        assert result.env_steps > 0
+        assert phase1.wall_s > 0
 
     def test_surrogate_is_constructed_once(self):
         frontend = FrontEnd(backend="surrogate", seed=0)

@@ -10,10 +10,10 @@ from repro.core.phase2 import CandidateDesign, MultiObjectiveDse
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import ConfigError
 from repro.optim.bayesopt import SmsEgoBayesOpt
-from repro.optim.fidelity import fidelity_stats
-from repro.optim.gp import MultiObjectiveGP, gp_stats
+from repro.optim.gp import MultiObjectiveGP
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.random_search import RandomSearch
+from repro.perf import span
 from repro.uav.platforms import NANO_ZHANG
 
 
@@ -240,11 +240,11 @@ def assert_histories_identical(a, b):
 
 @pytest.fixture(scope="module")
 def q8_run(database, task, full_reference):
-    """The q=8 single-fidelity run and its GP-counter delta."""
-    before = gp_stats().snapshot()
-    result = run_full_space(database, task, full_reference,
-                            proposal_batch=8)
-    return result, gp_stats().since(before)
+    """The q=8 single-fidelity run and its span."""
+    with span("phase2") as phase:
+        result = run_full_space(database, task, full_reference,
+                                proposal_batch=8)
+    return result, phase
 
 
 class TestProposalBatch:
@@ -258,19 +258,20 @@ class TestProposalBatch:
         assert_histories_identical(oracle.optimization, q1.optimization)
 
     def test_q8_mean_mid_run_batch_at_least_four(self, q8_run):
-        _, gp = q8_run
-        assert gp.mean_proposal_group >= 4.0
+        _, phase = q8_run
+        assert (phase.total("proposal.points")
+                / phase.total("proposal.groups")) >= 4.0
 
 
 class TestMultiFidelityRun:
     @pytest.fixture(scope="class")
     def screened(self, database, task, full_reference):
-        """The fidelity-on run and its screening-counter delta."""
-        before = fidelity_stats().snapshot()
-        result = run_full_space(database, task, full_reference,
-                                proposal_batch=8, budget=SCREENED_BUDGET,
-                                fidelity="on", promotion_eta=0.5)
-        return result, fidelity_stats().since(before)
+        """The fidelity-on run and its span."""
+        with span("phase2") as phase:
+            result = run_full_space(database, task, full_reference,
+                                    proposal_batch=8, budget=SCREENED_BUDGET,
+                                    fidelity="on", promotion_eta=0.5)
+        return result, phase
 
     def test_fidelity_off_matches_the_plain_optimiser(
             self, database, task, full_reference, q8_run):
@@ -286,6 +287,7 @@ class TestMultiFidelityRun:
         assert mf / plain >= 0.98
 
     def test_screen_prunes_points(self, screened):
-        _, counters = screened
-        assert counters.screened > 0
-        assert counters.pruned > 0
+        _, phase = screened
+        points = phase.total("fidelity.screened")
+        assert points > 0
+        assert points - phase.total("fidelity.promoted") > 0  # pruned

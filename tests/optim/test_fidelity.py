@@ -7,12 +7,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.optim.bayesopt import SmsEgoBayesOpt
-from repro.optim.fidelity import (
-    FidelityStats,
-    MultiFidelityEvaluator,
-    fidelity_stats,
-)
+from repro.optim.fidelity import MultiFidelityEvaluator
 from repro.optim.space import DesignSpace, Dimension
+from repro.perf import Span, render_profile, span
 
 REFERENCE = [2.0, 2.0, 2.0]
 
@@ -86,11 +83,10 @@ class TestPromotion:
         # it on every axis, so every screened point is a potential
         # dominator: none may be pruned, whatever the quota says.
         evaluator.evaluate(max(points, key=lambda p: objective(p)))
-        before = fidelity_stats().snapshot()
-        results = evaluator.evaluate_screened(points[8:16])
-        delta = fidelity_stats().since(before)
+        with span("screen") as screen:
+            results = evaluator.evaluate_screened(points[8:16])
         assert all(r is not None for r in results)
-        assert delta.rail_promotions > 0
+        assert screen.total("fidelity.rail_promotions") > 0
 
     def test_pruned_points_are_seen_and_not_reproposed(self):
         evaluator = make_evaluator(screen=exact_screen, eta=0.25)
@@ -161,33 +157,41 @@ class TestPromotion:
 
 class TestStats:
     def test_counters_accumulate(self):
-        before = fidelity_stats().snapshot()
         evaluator = make_evaluator(screen=exact_screen, eta=0.25)
         points = list(make_space().all_points())
         evaluator.evaluate(points[0])
-        evaluator.evaluate_screened(points[8:16])
-        delta = fidelity_stats().since(before)
-        assert delta.screen_calls == 1
-        assert delta.screened == 8
-        assert delta.promoted == delta.screened - delta.pruned
-        assert delta.pruned > 0
-        assert 0.0 < delta.promotion_rate < 1.0
-        assert delta.tier1_points == delta.promoted
+        with span("phase2") as phase:
+            evaluator.evaluate_screened(points[8:16])
+        screened = phase.total("fidelity.screened")
+        promoted = phase.total("fidelity.promoted")
+        assert len(phase.find("fidelity.screen")) == 1
+        assert screened == 8
+        assert 0 < promoted < screened  # some pruned, some promoted
+        assert len(phase.find("fidelity.tier1")) == 1
+        assert evaluator.evaluations_used == 1 + promoted
 
     def test_est_sim_seconds_saved_prices_pruned_points(self):
-        stats = FidelityStats(screened=10, promoted=6, tier1_points=6,
-                              tier1_wall_s=3.0)
-        assert stats.pruned == 4
-        assert stats.mean_tier1_eval_s == pytest.approx(0.5)
-        assert stats.est_sim_seconds_saved == pytest.approx(2.0)
+        # 4 pruned points at the measured 0.5 s per tier-1 evaluation.
+        phase = Span("phase2", counts={"fidelity.screened": 10,
+                                       "fidelity.promoted": 6},
+                     children=[Span("fidelity.screen"),
+                               Span("fidelity.tier1", wall_s=3.0)])
+        text = render_profile(Span("run", children=[phase]))
+        assert "4 simulator evals avoided (~2.00 s saved)" in text
 
     def test_snapshot_and_merge_round_trip(self):
-        stats = FidelityStats(screen_calls=2, screened=12, promoted=7)
-        copy = stats.snapshot()
-        copy.merge(FidelityStats(screened=3, promoted=1))
-        assert copy.screened == 15
-        assert stats.screened == 12
-        assert copy.since(stats).screened == 3
+        # Each span holds only its own group; their parent sums both.
+        evaluator = make_evaluator(screen=exact_screen, eta=0.25)
+        points = list(make_space().all_points())
+        evaluator.evaluate(points[0])
+        with span("run") as run:
+            with span("first") as first:
+                evaluator.evaluate_screened(points[8:16])
+            with span("second") as second:
+                evaluator.evaluate_screened(points[16:19])
+        assert first.total("fidelity.screened") == 8
+        assert second.total("fidelity.screened") == 3
+        assert run.total("fidelity.screened") == 11
 
 
 class _PruneEverything(MultiFidelityEvaluator):

@@ -1,104 +1,153 @@
-"""Tests for the performance profiling layer."""
+"""Tests for the span tree and the ``--profile`` table rendered from it."""
 
+import threading
 import time
 
 import pytest
 
-from repro.core.evalcache import CacheStats, shared_report_cache
-from repro.core.parallel import PoolStats
-from repro.optim.fidelity import FidelityStats
-from repro.optim.gp import GpStats
-from repro.perf import PhaseRecord, Profiler, ProfileReport, render_profile
+from repro.airlearning.scenarios import Scenario
+from repro.core.evalcache import shared_report_cache
+from repro.core.pipeline import AutoPilot
+from repro.core.spec import RunConfig, TaskSpec
+from repro.perf import Span, count, render_profile, span
+from repro.uav.platforms import NANO_ZHANG
+
+
+def row(text: str, name: str) -> list:
+    """The whitespace-split table row of phase ``name``."""
+    return next(line.split() for line in text.splitlines()
+                if line.startswith(name + " "))
+
+
+def cache_counts(node: Span) -> tuple:
+    return node.total("cache.hits"), node.total("cache.misses")
 
 
 class TestProfiler:
     def test_phase_records_wall_time(self):
-        profiler = Profiler()
-        with profiler.phase("work"):
-            time.sleep(0.01)
-        report = profiler.report()
-        assert report.phases[0].name == "work"
-        assert report.phases[0].wall_s >= 0.01
-        assert report.total_wall_s >= report.phases[0].wall_s
+        with span("run") as run:
+            with span("work"):
+                time.sleep(0.01)
+        assert run.children[0].name == "work"
+        assert run.children[0].wall_s >= 0.01
+        assert run.wall_s >= run.children[0].wall_s
 
     def test_repeated_phase_accumulates(self):
-        profiler = Profiler()
-        for _ in range(3):
-            with profiler.phase("work"):
-                pass
-        report = profiler.report()
-        assert len(report.phases) == 1
-        assert report.phases[0].calls == 3
+        with span("run") as run:
+            for _ in range(3):
+                with span("work"):
+                    count("evals")
+        assert len(run.find("work")) == 3
+        assert run.total("evals") == 3
 
     def test_phase_order_preserved(self):
-        profiler = Profiler()
-        for name in ("phase1", "phase2", "phase3"):
-            with profiler.phase(name):
-                pass
-        assert [p.name for p in profiler.report().phases] == \
+        with span("run") as run:
+            for name in ("phase1", "phase2", "phase3"):
+                with span(name):
+                    pass
+        assert [p.name for p in run.children] == \
             ["phase1", "phase2", "phase3"]
 
     def test_evaluations_credit_and_throughput(self):
-        profiler = Profiler()
-        with profiler.phase("dse"):
-            time.sleep(0.005)
-        profiler.add_evaluations("dse", 50)
-        record = profiler.report().phases[0]
-        assert record.evaluations == 50
-        assert record.evaluations_per_second > 0
+        with span("run") as run:
+            with span("dse") as dse:
+                time.sleep(0.005)
+                count("evals", 50)
+        assert dse.counts == {"evals": 50}
+        _, _, evals, evals_s, *_ = row(render_profile(run), "dse")
+        assert evals == "50"
+        assert float(evals_s) > 0
 
     def test_mid_phase_annotation(self):
-        profiler = Profiler()
-        with profiler.phase("dse") as record:
-            record.evaluations += 7
-        assert profiler.report().phases[0].evaluations == 7
+        with span("dse") as dse:
+            with span("gp.fit"):
+                count("evals", 7)
+        assert dse.counts == {}
+        assert dse.total("evals") == 7
 
     def test_cache_delta_accounting(self):
-        profiler = Profiler()
         cache = shared_report_cache()
-        cache.get(("profiler-test-outside",))  # miss outside any phase
-        with profiler.phase("work"):
+        cache.get(("profiler-test-outside",))  # miss outside any span
+        with span("work") as work:
             cache.put(("profiler-test-key",), 1)
             cache.get(("profiler-test-key",))
             cache.get(("profiler-test-absent",))
-        record = profiler.report().phases[0]
-        assert record.cache.hits == 1
-        assert record.cache.misses == 1
+        assert cache_counts(work) == (1, 1)
 
     def test_exception_inside_phase_still_recorded(self):
-        profiler = Profiler()
-        with pytest.raises(RuntimeError):
-            with profiler.phase("broken"):
-                raise RuntimeError("boom")
-        assert profiler.report().phases[0].calls == 1
+        with span("run") as run:
+            with pytest.raises(RuntimeError):
+                with span("broken"):
+                    raise RuntimeError("boom")
+        assert [p.name for p in run.children] == ["broken"]
+        assert run.children[0].wall_s > 0
+
+
+class TestSpanScoping:
+    def test_count_without_an_open_span_is_dropped(self):
+        count("evals", 5)
+        with span("run") as run:
+            pass
+        count("evals", 5)
+        assert run.counts == {}
+        assert run.children == []
+
+    def test_second_thread_lookups_stay_out_of_the_open_span(self):
+        cache = shared_report_cache()
+        before = cache.stats.misses
+        with span("phase") as phase:
+            worker = threading.Thread(target=lambda: [
+                cache.get(("profiler-thread-absent", i)) for i in range(5)])
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert cache.stats.misses - before == 5
+        assert cache_counts(phase) == (0, 0)
+
+    def test_profiled_runs_in_one_open_span_report_only_their_own(self):
+        config = RunConfig(seed=3, budget=12)
+        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
+        stats = shared_report_cache().stats
+        lookups = []
+        with span("sweep") as sweep:
+            profiles = []
+            for _ in range(2):
+                hits, misses = stats.hits, stats.misses
+                profiles.append(AutoPilot(config).run(task,
+                                                      profile=True).profile)
+                lookups.append((stats.hits - hits, stats.misses - misses))
+        assert sweep.children == profiles
+        for profile, own_lookups in zip(profiles, lookups):
+            assert profile.total("evals") == config.budget
+            assert cache_counts(profile) == own_lookups
+        assert sweep.total("evals") == 2 * config.budget
 
 
 class TestProfileReport:
     def test_total_evaluations_sums_phases(self):
-        profiler = Profiler()
-        profiler.add_evaluations("a", 3)
-        profiler.add_evaluations("b", 4)
-        assert profiler.report().total_evaluations == 7
+        with span("run") as run:
+            with span("a"):
+                count("evals", 3)
+            with span("b"):
+                count("evals", 4)
+        assert run.total("evals") == 7
 
     def test_overall_cache_sums_phases(self):
-        profiler = Profiler()
         cache = shared_report_cache()
-        with profiler.phase("a"):
-            cache.put(("report-test-key",), 1)
-            cache.get(("report-test-key",))
-        with profiler.phase("b"):
-            cache.get(("report-test-key",))
-            cache.get(("report-test-absent",))
-        overall = profiler.report().overall_cache
-        assert overall.hits == 2
-        assert overall.misses == 1
+        with span("run") as run:
+            with span("a"):
+                cache.put(("report-test-key",), 1)
+                cache.get(("report-test-key",))
+            with span("b"):
+                cache.get(("report-test-key",))
+                cache.get(("report-test-absent",))
+        assert cache_counts(run) == (2, 1)
 
     def test_render_contains_phases_and_totals(self):
-        profiler = Profiler()
-        with profiler.phase("phase2"):
-            pass
-        profiler.add_evaluations("phase2", 12)
-        text = render_profile(profiler.report())
+        with span("run") as run:
+            with span("phase2"):
+                count("evals", 12)
+        text = render_profile(run)
         assert "## Profile" in text
         assert "phase2" in text
         assert "12" in text
@@ -106,31 +155,27 @@ class TestProfileReport:
 
 class TestStepCounters:
     def test_add_steps_and_throughput(self):
-        profiler = Profiler()
-        with profiler.phase("phase1"):
-            pass
-        profiler.add_steps("phase1", 1000)
-        record = profiler.report().phases[0]
-        assert record.steps == 1000
-        assert record.steps_per_second > 0
-        assert profiler.report().total_steps == 1000
+        with span("run") as run:
+            with span("phase1") as phase1:
+                count("steps", 1000)
+        assert phase1.counts == {"steps": 1000}
+        assert float(row(render_profile(run), "phase1")[5]) > 0
+        assert run.total("steps") == 1000
 
     def test_render_includes_steps_column(self):
-        profiler = Profiler()
-        with profiler.phase("phase1"):
-            pass
-        profiler.add_steps("phase1", 4321)
-        text = render_profile(profiler.report())
+        with span("run") as run:
+            with span("phase1"):
+                count("steps", 4321)
+        text = render_profile(run)
         assert "steps/s" in text
         assert "4321" in text
 
     def test_untimed_phase_has_zero_step_rate(self):
-        profiler = Profiler()
-        profiler.add_steps("phase1", 10)
-        assert profiler.report().phases[0].steps_per_second == 0.0
+        run = Span("run", children=[Span("phase1", counts={"steps": 10})])
+        assert row(render_profile(run), "phase1")[4:6] == ["10", "0"]
 
 
-#: ``render_profile`` of :func:`_golden_report`, pinned byte for byte:
+#: ``render_profile`` of :func:`_golden_run`, pinned byte for byte:
 #: every per-phase counter line the table can print, in order.
 GOLDEN_PROFILE = """\
 ## Profile
@@ -148,46 +193,26 @@ phase2 fidelity: 32 screened in 4 groups (0.004 s), 13 promoted \
 pool faults: 2 serial fallbacks, 3 tasks rerun in the parent"""
 
 
-def _golden_report() -> ProfileReport:
-    phases = [
-        PhaseRecord(name="phase1", wall_s=0.619, calls=1, steps=20059,
-                    cache=CacheStats(hits=3, misses=3),
-                    pool=PoolStats(fallbacks=2, rerun_tasks=3)),
-        PhaseRecord(name="phase2", wall_s=0.167, calls=1, evaluations=25,
-                    cache=CacheStats(hits=11, misses=23, evictions=1),
-                    gp=GpStats(full_fits=39, factorisations=65,
-                               fit_wall_s=0.016, proposal_groups=4,
-                               proposed_points=13),
-                    fidelity=FidelityStats(screen_calls=4, screened=32,
-                                           promoted=13, rail_promotions=2,
-                                           screen_wall_s=0.004,
-                                           tier1_wall_s=0.026,
-                                           tier1_points=13)),
-        PhaseRecord(name="phase3", wall_s=0.002, calls=1),
-    ]
-    return ProfileReport(phases=phases, total_wall_s=0.788)
+def _golden_run() -> Span:
+    phase1 = Span("phase1", wall_s=0.619, counts={
+        "steps": 20059, "cache.hits": 3, "cache.misses": 3,
+        "pool.fallbacks": 2, "pool.rerun_tasks": 3})
+    phase2 = Span("phase2", wall_s=0.167, counts={
+        "evals": 25, "cache.hits": 6, "cache.misses": 18,
+        "proposal.groups": 4, "proposal.points": 13,
+        "fidelity.screened": 32, "fidelity.promoted": 13,
+        "fidelity.rail_promotions": 2}, children=[
+        Span("gp.fit", wall_s=0.016,
+             counts={"gp.full_fits": 39, "gp.factorisations": 65}),
+        Span("fidelity.screen", wall_s=0.004,
+             counts={"cache.hits": 1, "cache.misses": 5}),
+        *(Span("fidelity.screen") for _ in range(3)),
+        Span("fidelity.tier1", wall_s=0.026, counts={"cache.hits": 4}),
+    ])
+    phase3 = Span("phase3", wall_s=0.002)
+    return Span("run", wall_s=0.788, children=[phase1, phase2, phase3])
 
 
 class TestRenderGolden:
     def test_render_is_byte_stable(self):
-        assert render_profile(_golden_report()) == GOLDEN_PROFILE
-
-
-@pytest.mark.parametrize("stats_cls", [CacheStats, PoolStats, GpStats,
-                                       FidelityStats])
-def test_stat_records_share_the_delta_arithmetic(stats_cls):
-    live = stats_cls()
-    names = list(vars(live))
-    before = live.snapshot()
-    for offset, name in enumerate(names, start=1):
-        setattr(live, name, getattr(live, name) + offset)
-    delta = live.since(before)
-    assert type(delta) is stats_cls
-    assert [getattr(delta, n) for n in names] == \
-        list(range(1, len(names) + 1))
-    assert before == stats_cls()  # the snapshot is an independent copy
-    total = stats_cls()
-    total.merge(delta)
-    total.merge(delta)
-    assert [getattr(total, n) for n in names] == \
-        [2 * i for i in range(1, len(names) + 1)]
+        assert render_profile(_golden_run()) == GOLDEN_PROFILE

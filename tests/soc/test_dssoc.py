@@ -15,6 +15,7 @@ from repro.core.evalcache import (
 )
 from repro.errors import ConfigError
 from repro.nn.template import PolicyHyperparams
+from repro.perf import span
 from repro.scalesim.config import AcceleratorConfig
 from repro.scalesim.simulator import SystolicArraySimulator
 from repro.soc import dssoc
@@ -200,11 +201,10 @@ class TestEvaluationCache:
         evaluator = DssocEvaluator(operating_fps=operating_fps)
         first = evaluator.evaluate(design)
         assert len(power_calls) == first_calls
-        before = fresh_cache.stats.snapshot()
-        again = DssocEvaluator(operating_fps=operating_fps).evaluate(
-            dataclasses.replace(design))
-        delta = fresh_cache.stats.since(before)
-        assert (delta.hits, delta.misses) == (1, 0)
+        with span("again") as lookup:
+            again = DssocEvaluator(operating_fps=operating_fps).evaluate(
+                dataclasses.replace(design))
+        assert lookup.counts == {"cache.hits": 1}
         assert len(power_calls) == first_calls
         assert again is first
         assert again.design is design

@@ -15,6 +15,7 @@ from repro.core.evalcache import (
 )
 from repro.nn.template import PolicyHyperparams
 from repro.nn.workload import lower_network
+from repro.perf import span
 from repro.soc.dssoc import DssocDesign, DssocEvaluator
 from repro.soc.estimate import Tier0Estimator, power_weight_floor
 from tests.scalesim.zoo import ZOO, random_configs
@@ -57,10 +58,10 @@ class TestEstimatorCaching:
         designs = random_designs(seed=3, count=12)
         estimator = Tier0Estimator()
         first = estimator.estimate_designs(designs)
-        before = shared_report_cache().stats.snapshot()
-        second = Tier0Estimator().estimate_designs(designs)
-        delta = shared_report_cache().stats.since(before)
-        assert delta.hits >= len(designs) - delta.misses
+        with span("second") as lookups:
+            second = Tier0Estimator().estimate_designs(designs)
+        assert lookups.total("cache.hits") >= (
+            len(designs) - lookups.total("cache.misses"))
         assert np.array_equal(first.total_cycles, second.total_cycles)
         assert np.array_equal(first.soc_power_w, second.soc_power_w)
         reset_shared_cache()

@@ -182,7 +182,7 @@ class TestStartup:
             "--output", str(report))
         assert "AutoPilot design report" in report.read_text()
         assert under(loaded, DESIGN_UNUSED) == []
-        assert len(under(loaded, ["repro"])) <= 55
+        assert len(under(loaded, ["repro"])) <= 54
 
     def test_bench_loads_only_the_table_formatter(self, tmp_path):
         report = tmp_path / "report.md"
@@ -194,7 +194,7 @@ class TestStartup:
         assert under(loaded, ["repro.experiments"]) == [
             "repro.experiments", "repro.experiments.runner"]
         assert under(loaded, ["repro.spa"]) == []
-        assert len(under(loaded, ["repro"])) <= 66
+        assert len(under(loaded, ["repro"])) <= 65
 
     def test_import_repro_loads_no_submodule(self):
         loaded = loaded_modules(code="import json, sys, repro; "
