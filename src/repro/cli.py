@@ -29,7 +29,6 @@ from repro.airlearning.scenarios import (
     resolve_scenario,
     scenario_ids,
 )
-from repro.core.checkpoint import RunManifest
 from repro.core.pipeline import AutoPilot
 from repro.core.report import render_report
 from repro.core.spec import RunConfig, TaskSpec
@@ -46,9 +45,9 @@ from repro.uav.mission import evaluate_mission
 from repro.uav.physics import can_lift
 from repro.uav.platforms import UavClass, platform_by_class
 
-# The bench harness, the experiment drivers and the baselines are
-# imported inside the subcommands that use them, so ``design`` loads
-# none of them.
+# The bench harness, the experiment drivers, the baselines and the
+# checkpoint layer are imported inside the subcommands and branches that
+# use them, so a ``design`` without a checkpoint loads none of them.
 
 _CLASS_BY_NAME = {c.value: c for c in UavClass}
 
@@ -138,6 +137,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     checkpoint_dir = args.resume if resume else args.checkpoint_dir
     try:
         if resume:
+            from repro.core.checkpoint import RunManifest
             manifest = RunManifest.load(checkpoint_dir)
             task, config = manifest.task(), manifest.config
         else:

@@ -22,20 +22,20 @@ the ``REPRO_FAULTS`` env hook), so worker-side faults do not depend on
 the multiprocessing start method.
 
 Parallelism is off by default (``workers=1``).  Opt in per call site or
-via the ``REPRO_WORKERS`` environment variable.  ``concurrent.futures``
-and the fault injector are imported only when a call actually spawns a
-pool, so a serial run loads neither ``multiprocessing`` nor
+via the ``REPRO_WORKERS`` environment variable
+(:func:`repro.core.phase1.resolve_workers`).  Phase 1 imports this
+module only when it spawns a pool, and ``concurrent.futures`` and the
+fault injector load only when a call actually does, so a serial run
+loads none of this module, ``logging``, ``multiprocessing`` or
 :mod:`repro.testing`.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     TypeVar)
 
-from repro.errors import ConfigError
 from repro.perf.profiler import count
 
 if TYPE_CHECKING:
@@ -45,27 +45,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 logger = logging.getLogger("repro.core.parallel")
-
-#: Environment variable enabling parallel Phase 1 training process-wide.
-WORKERS_ENV = "REPRO_WORKERS"
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit arg > ``REPRO_WORKERS`` env > 1."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        else:
-            workers = 1
-    if workers <= 0:
-        raise ConfigError("workers must be positive")
-    return workers
-
 
 def _run_task(fn: Callable[[T], R], index: int, item: T,
               injector: Optional[FaultInjector]) -> R:

@@ -22,6 +22,7 @@ task's scenario is neither trained nor validated again.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
                     Tuple)
@@ -29,17 +30,37 @@ from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
 from repro.airlearning.database import AirLearningDatabase
 from repro.airlearning.surrogate import SuccessRateSurrogate
 from repro.airlearning.scenarios import Scenario
-from repro.core.checkpoint import RunCheckpoint
-from repro.core.parallel import parallel_map, resolve_workers
 from repro.core.spec import TaskSpec
 from repro.errors import ConfigError
 from repro.nn.template import PolicyHyperparams, enumerate_template_space
 from repro.perf.profiler import count
 
-# The trainer stack (simulator, sensors, policies, CEM) is imported only
-# where the trainer backend uses it, so a surrogate run never loads it.
+# The trainer stack (simulator, sensors, policies, CEM), the checkpoint
+# layer and the process pool are imported only where a run uses them, so
+# a surrogate run without a checkpoint never loads them.
 if TYPE_CHECKING:
     from repro.airlearning.trainer import CemTrainer
+    from repro.core.checkpoint import RunCheckpoint
+
+#: Environment variable enabling parallel Phase 1 training process-wide.
+WORKERS_ENV = "REPRO_WORKERS"
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Resolve a worker count: explicit arg > ``REPRO_WORKERS`` env > 1."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV, "").strip()
+        if env:
+            try:
+                workers = int(env)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
+        else:
+            workers = 1
+    if workers <= 0:
+        raise ConfigError("workers must be positive")
+    return workers
 
 
 @dataclass
@@ -112,8 +133,10 @@ class FrontEnd:
             resume: bool = False) -> Phase1Result:
         """Populate the database for the task's scenario.
 
-        The rollout steps of the run, replayed ones included, are
-        counted as ``steps`` on the open span.
+        The rollout steps this call executes are counted as ``steps``
+        on the open span, and those of points replayed from the journal
+        as ``steps.replayed``, so a resumed run's steps/s reads only the
+        work it did.  ``env_steps`` of the result holds both.
 
         Args:
             task: The task specification.
@@ -137,6 +160,7 @@ class FrontEnd:
         result = Phase1Result(database=db, backend=self.backend)
 
         journal = None
+        replayed_steps = 0
         if checkpoint is not None:
             journal = checkpoint.phase1_journal()
             if resume:
@@ -154,7 +178,7 @@ class FrontEnd:
                             else record["success"])
                         db.add(point, task.scenario, success)
                         result.trained.append(point)
-                        result.env_steps += record["env_steps"]
+                        replayed_steps += record["env_steps"]
             else:
                 journal.reset()
 
@@ -175,6 +199,9 @@ class FrontEnd:
             if journal is not None:
                 journal.close()
         count("steps", result.env_steps)
+        if replayed_steps:
+            count("steps.replayed", replayed_steps)
+        result.env_steps += replayed_steps
         return result
 
     def _outcomes(self, points: Sequence[PolicyHyperparams],
@@ -197,6 +224,7 @@ class FrontEnd:
                   else checkpoint.cem_checkpoint_path(point, scenario))
                  for point in points]
         if on_pool:
+            from repro.core.parallel import parallel_map
             return parallel_map(_train_and_validate, tasks,
                                 workers=self.workers)
         return map(_train_and_validate, tasks)

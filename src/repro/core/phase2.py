@@ -14,12 +14,11 @@ full evaluated history -- that Phase 3 lowers onto the target UAV.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, List, Optional, Sequence, Type
 
 import numpy as np
 
 from repro.airlearning.database import AirLearningDatabase
-from repro.core.checkpoint import EvaluationJournal, JournalReplayer
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import CheckpointError, ConfigError
 from repro.optim.base import Optimizer, OptimizationResult
@@ -28,6 +27,10 @@ from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
 from repro.perf.profiler import count
 from repro.soc.dssoc import DssocDesign, DssocEvaluation, DssocEvaluator
+
+# Only a checkpointing run, handed journals, loads the checkpoint layer.
+if TYPE_CHECKING:
+    from repro.core.checkpoint import EvaluationJournal
 
 #: Fractional safety margin applied to the design-space extreme
 #: objectives when deriving the hypervolume reference point.
@@ -214,9 +217,10 @@ class MultiObjectiveDse:
             raise ConfigError("budget must be positive")
         candidates: List[CandidateDesign] = []
 
-        replayer = JournalReplayer([])
+        replayer = None
         if journal is not None:
             if resume:
+                from repro.core.checkpoint import JournalReplayer
                 replayer = JournalReplayer(journal.load())
             else:
                 journal.reset()
@@ -229,7 +233,7 @@ class MultiObjectiveDse:
             # group interrupted mid-group: the journal records per
             # evaluation, and the optimiser reconstructs the identical
             # group from the replayed history.
-            replaying = replayer.pending
+            replaying = replayer is not None and replayer.pending
             if replaying:
                 recorded = replayer.take()["assignment"]
                 if self.space.key(recorded) != self.space.key(assignment):
@@ -269,9 +273,10 @@ class MultiObjectiveDse:
                 return np.stack(
                     [failure, bounds.latency_s, bounds.soc_power_w], axis=1)
 
-            promotion_replayer = JournalReplayer([])
+            promotion_replayer = None
             if promotion_journal is not None:
                 if resume:
+                    from repro.core.checkpoint import JournalReplayer
                     promotion_replayer = JournalReplayer(
                         promotion_journal.load())
                 else:
@@ -284,7 +289,8 @@ class MultiObjectiveDse:
                                   for a in assignments),
                     "promoted": tuple(bool(d) for d in decisions),
                 }
-                if promotion_replayer.pending:
+                if (promotion_replayer is not None
+                        and promotion_replayer.pending):
                     expected = promotion_replayer.take()
                     if expected != record:
                         raise CheckpointError(

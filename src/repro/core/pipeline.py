@@ -17,17 +17,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.airlearning.database import AirLearningDatabase
 from repro.airlearning.scenarios import Scenario
-from repro.core.checkpoint import RunCheckpoint, RunManifest
 from repro.core.phase1 import FrontEnd, Phase1Result
 from repro.core.phase2 import MultiObjectiveDse, Phase2Result
 from repro.core.phase3 import BackEnd, Phase3Result, RankedDesign
 from repro.core.spec import RunConfig, TaskSpec
 from repro.errors import ConfigError
 from repro.perf import Span, span
+
+# Only a checkpointing run loads the checkpoint layer (and ``logging``).
+if TYPE_CHECKING:
+    from repro.core.checkpoint import RunCheckpoint, RunManifest
 
 
 @dataclass
@@ -108,6 +111,7 @@ class AutoPilot:
         checkpoint: Optional[RunCheckpoint] = None
         manifest: Optional[RunManifest] = None
         if checkpoint_dir is not None:
+            from repro.core.checkpoint import RunCheckpoint, RunManifest
             checkpoint = RunCheckpoint(checkpoint_dir)
             manifest = RunManifest.for_task(task, config)
             if resume:

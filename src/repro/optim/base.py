@@ -85,6 +85,11 @@ class CachingEvaluator:
         # O(front) instead of recomputing over the whole history.
         self._front: Optional[np.ndarray] = None
         self._hv = 0.0
+        # The whole history as arrays (:meth:`observed`), and how many
+        # evaluations they cover.
+        self._observed: Optional[Tuple[np.ndarray, np.ndarray,
+                                       np.ndarray]] = None
+        self._observed_size = 0
 
     @property
     def evaluations_used(self) -> int:
@@ -103,7 +108,7 @@ class CachingEvaluator:
     def seen_key(self, key: Tuple[object, ...]) -> bool:
         """:meth:`seen` for a point's :meth:`DesignSpace.key`.
 
-        Callers holding keys from :meth:`DesignSpace.sample_block` use
+        Callers holding keys from :meth:`DesignSpace.sample_rows` use
         this to skip re-validating points they just drew.
         """
         return key in self._cache
@@ -138,6 +143,36 @@ class CachingEvaluator:
                                         dtype=float)
                 self._record(key, assignment, objectives)
         return [self._cache.get(key) for key in keys]
+
+    def observed(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The history's encoded inputs, objective matrix and front.
+
+        The SMS-EGO proposal and the multi-fidelity screen read these.
+        Each read extends them with only the evaluations recorded since
+        the last one, so an optimiser that never reads them pays
+        nothing.  The front of the old front plus the new points is the
+        whole history's front, row for row and in history order: a
+        point that any history point dominates is dominated by a front
+        point.  Unlike the hypervolume front it also holds points
+        outside the reference box.  Needs a non-empty history.
+        """
+        new = self.result.evaluations[self._observed_size:]
+        if new:
+            x = self.space.encode_many([e.assignment for e in new])
+            objectives = np.vstack([e.objectives for e in new])
+            front = objectives
+            if self._observed is not None:
+                old_x, old_objectives, old_front = self._observed
+                x = np.vstack([old_x, x])
+                front = np.vstack([old_front, objectives])
+                objectives = np.vstack([old_objectives, objectives])
+            self._observed = (x, objectives, front[non_dominated_mask(front)])
+            self._observed_size = len(objectives)
+            # Every later read extends these arrays, so a caller must not
+            # write into them (as in :meth:`_record`).
+            for array in self._observed:
+                array.flags.writeable = False
+        return self._observed
 
     def _record(self, key: Tuple[object, ...], assignment: Assignment,
                 objectives: np.ndarray) -> np.ndarray:

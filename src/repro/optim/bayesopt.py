@@ -27,11 +27,16 @@ pre-loading the evaluator cache, which would let "future" observations
 divert earlier proposals.  Because the q picks within a group depend
 only on that frozen history, replay reconstructs the exact same
 q-groups bit-identically, including a group interrupted mid-batch.
+
+No proposal step runs once per old history point or builds an assignment
+per pool candidate: the evaluator keeps the history encoded as it grows
+(:meth:`CachingEvaluator.observed`), and the pool is drawn as value-index
+rows, so only the q picks become assignments.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -161,8 +166,9 @@ class SmsEgoBayesOpt(Optimizer):
             evaluator.evaluate_batch(queued)
 
     def _candidate_pool(self, evaluator: CachingEvaluator,
-                        rng: np.random.Generator) -> List[Assignment]:
-        """Draw up to ``pool_size`` unseen points in vectorised blocks.
+                        rng: np.random.Generator
+                        ) -> Tuple[np.ndarray, List[Tuple[object, ...]]]:
+        """Up to ``pool_size`` unseen points: index rows plus keys.
 
         Each block is sized to the still-needed count and capped at the
         remaining attempt budget, which reproduces the seed's
@@ -170,20 +176,24 @@ class SmsEgoBayesOpt(Optimizer):
         final draw, so no draw ever happens that the scalar loop would
         have skipped.
         """
-        pool: List[Assignment] = []
+        blocks: List[np.ndarray] = []
+        keys: List[Tuple[object, ...]] = []
         seen_keys = set()
         attempts = 0
         attempt_limit = 20 * self.pool_size
-        while len(pool) < self.pool_size and attempts < attempt_limit:
-            block = min(self.pool_size - len(pool), attempt_limit - attempts)
-            points, keys = evaluator.space.sample_block(rng, block)
+        while len(keys) < self.pool_size and attempts < attempt_limit:
+            block = min(self.pool_size - len(keys), attempt_limit - attempts)
+            rows, block_keys = evaluator.space.sample_rows(rng, block)
             attempts += block
-            for point, key in zip(points, keys):
+            kept = []
+            for i, key in enumerate(block_keys):
                 if key in seen_keys or evaluator.seen_key(key):
                     continue
                 seen_keys.add(key)
-                pool.append(point)
-        return pool
+                kept.append(i)
+                keys.append(key)
+            blocks.append(rows[kept])
+        return np.concatenate(blocks), keys
 
     def _propose(self, evaluator: CachingEvaluator,
                  rng: np.random.Generator) -> List[Assignment]:
@@ -198,24 +208,20 @@ class SmsEgoBayesOpt(Optimizer):
         budget, so a group never spills into ``evaluate_batch``'s
         budget-skip path.
         """
-        pool = self._candidate_pool(evaluator, rng)
-        if not pool:
+        rows, keys = self._candidate_pool(evaluator, rng)
+        if not keys:
             return []
 
-        history = evaluator.result.evaluations
-        x_train = evaluator.space.encode_many([e.assignment for e in history])
-        objectives = np.vstack([e.objectives for e in history])
-
-        x_pool = evaluator.space.encode_many(pool)
+        x_train, objectives, front = evaluator.observed()
+        x_pool = evaluator.space.encode_indices(rows)
         gp = MultiObjectiveGP().fit(x_train, objectives)
         means, stds = gp.predict(x_pool)
 
         lcb = means - self.kappa * stds
-        front = objectives[non_dominated_mask(objectives)]
         reference = self._reference_point(objectives)
 
         budget_left = evaluator.budget - evaluator.evaluations_used
-        group_size = min(self.proposal_batch, len(pool), budget_left)
+        group_size = min(self.proposal_batch, len(keys), budget_left)
         picks: List[int] = []
         virtual_front = front
         scores = self._sms_ego_scores(lcb, virtual_front, reference)
@@ -231,7 +237,7 @@ class SmsEgoBayesOpt(Optimizer):
             scores[np.asarray(picks)] = -np.inf
         count("proposal.groups")
         count("proposal.points", len(picks))
-        return [pool[i] for i in picks]
+        return [evaluator.space.from_key(keys[i]) for i in picks]
 
     def _reference_point(self, objectives: np.ndarray) -> np.ndarray:
         worst = objectives.max(axis=0)

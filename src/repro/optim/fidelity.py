@@ -34,7 +34,6 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.optim.base import CachingEvaluator, ObjectiveFn
 from repro.optim.hypervolume import hypervolume_contributions
-from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
 from repro.perf.profiler import count, span
 
@@ -139,11 +138,9 @@ class MultiFidelityEvaluator(CachingEvaluator):
         is what makes resume-by-replay exact.
         """
         size = bounds.shape[0]
-        history = self.result.evaluations
-        if not history:
+        if not self.result.evaluations:
             return np.ones(size, dtype=bool)
-        objectives = np.vstack([e.objectives for e in history])
-        front = objectives[non_dominated_mask(objectives)]
+        front = self.observed()[2]
 
         quota = min(size, max(1, int(np.ceil(
             self.promotion_eta * size))))

@@ -72,6 +72,15 @@ class DesignSpace:
         # Encoding divides each value index by these; max(1, ...) keeps
         # a single-valued dimension at 0.
         self._denominators = np.maximum(self._value_counts - 1, 1)
+        # One fancy index maps a column of value indices to its values.
+        # Filled one element at a time: a slice assignment would unpack
+        # tuple values, and NumPy before 1.23 has no object ``fromiter``.
+        self._value_arrays = []
+        for dim in self.dimensions:
+            values = np.empty(len(dim.values), dtype=object)
+            for i, value in enumerate(dim.values):
+                values[i] = value
+            self._value_arrays.append(values)
 
     @property
     def num_dimensions(self) -> int:
@@ -121,6 +130,10 @@ class DesignSpace:
                 # A value outside the dimension: let index_of raise the
                 # DesignSpaceError naming it.
                 indices[:, i] = [dim.index_of(a[name]) for a in assignments]
+        return self.encode_indices(indices)
+
+    def encode_indices(self, indices: np.ndarray) -> np.ndarray:
+        """Encode rows of value indices to the bits of their assignments."""
         return indices / self._denominators
 
     def decode(self, vector: np.ndarray) -> Assignment:
@@ -141,25 +154,32 @@ class DesignSpace:
 
     def sample_block(self, rng: np.random.Generator, count: int
                      ) -> Tuple[List[Assignment], List[Tuple[object, ...]]]:
-        """Draw ``count`` uniform points in one vectorised block.
+        """Draw ``count`` uniform points as assignments plus their keys."""
+        _, keys = self.sample_rows(rng, count)
+        return [self.from_key(key) for key in keys], keys
 
-        Returns the assignments plus their dedup keys (:meth:`key`) so
-        batched callers skip one validate-and-index pass per point.  The
-        block draw consumes the generator stream bit-identically to
-        ``count`` sequential :meth:`sample` calls of the seed
-        implementation (one bounded draw per dimension, point-major),
-        so optimiser trajectories are unchanged.
+    def sample_rows(self, rng: np.random.Generator, count: int
+                    ) -> Tuple[np.ndarray, List[Tuple[object, ...]]]:
+        """Draw ``count`` uniform points as value-index rows plus keys.
+
+        Row ``i`` holds point ``i``'s value indices (:meth:`encode_indices`)
+        and ``keys[i]`` its :meth:`key`, so a caller builds assignments
+        (:meth:`from_key`) only for the points it keeps.  The draw
+        consumes the generator stream bit-identically to ``count``
+        sequential :meth:`sample` calls of the seed implementation, so
+        optimiser trajectories are unchanged.
         """
         if count <= 0:
-            return [], []
-        draws = rng.integers(self._value_counts,
-                             size=(count, self.num_dimensions))
-        columns = [[dim.values[index] for index in column]
-                   for dim, column in zip(self.dimensions, draws.T.tolist())]
-        keys: List[Tuple[object, ...]] = list(zip(*columns))
-        names = self._names
-        points: List[Assignment] = [dict(zip(names, key)) for key in keys]
-        return points, keys
+            return np.empty((0, self.num_dimensions), dtype=np.int64), []
+        rows = rng.integers(self._value_counts,
+                            size=(count, self.num_dimensions))
+        columns = [values[column].tolist()
+                   for values, column in zip(self._value_arrays, rows.T)]
+        return rows, list(zip(*columns))
+
+    def from_key(self, key: Tuple[object, ...]) -> Assignment:
+        """The assignment whose :meth:`key` is ``key``."""
+        return dict(zip(self._names, key))
 
     def neighbor(self, assignment: Assignment,
                  rng: np.random.Generator) -> Assignment:

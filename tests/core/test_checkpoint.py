@@ -38,6 +38,7 @@ from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig, TaskSpec, build_design_space
 from repro.errors import CheckpointError, ConfigError
 from repro.nn.template import PolicyHyperparams
+from repro.perf import span
 from repro.soc import dssoc
 from repro.testing import faults
 from repro.uav.platforms import NANO_ZHANG
@@ -1033,3 +1034,35 @@ class TestPhase1TrainerResume:
         assert resumed.trained == baseline.trained
         assert resumed.env_steps == baseline.env_steps
         assert list(resumed.database) == list(baseline.database)
+
+    def test_resume_counts_replayed_steps_apart(self, tmp_path, task):
+        """A resumed sweep counts the steps it executes as ``steps`` and
+        those of journalled points as ``steps.replayed``; together they
+        are the uninterrupted sweep's ``steps``."""
+        points = [PolicyHyperparams(num_layers=4, num_filters=32),
+                  PolicyHyperparams(num_layers=2, num_filters=32)]
+
+        def frontend():
+            return FrontEnd(backend="trainer", seed=3,
+                            trainer=CemTrainer(**dict(SMALL_CEM,
+                                                      iterations=1)),
+                            validation_episodes=4, workers=1)
+
+        with span("phase1") as uninterrupted:
+            baseline = frontend().run(task, hyperparams=points)
+        checkpoint = RunCheckpoint(tmp_path / "run")
+        # Per point: one CEM snapshot, then one journal append.  Dying at
+        # write 2 leaves point 0 journalled and point 1 untouched.
+        with faults.active_faults("kill@checkpoint-write:2"):
+            with pytest.raises(faults.SimulatedKill):
+                frontend().run(task, hyperparams=points,
+                               checkpoint=checkpoint)
+        with span("phase1") as resumed:
+            result = frontend().run(task, hyperparams=points,
+                                    checkpoint=checkpoint, resume=True)
+        replayed = checkpoint.phase1_journal().load()[0]["env_steps"]
+        assert resumed.counts == {
+            "steps": uninterrupted.counts["steps"] - replayed,
+            "steps.replayed": replayed}
+        assert 0 < replayed < uninterrupted.counts["steps"]
+        assert result.env_steps == baseline.env_steps

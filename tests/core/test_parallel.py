@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.parallel import parallel_map, resolve_workers
+from repro.core.parallel import parallel_map
+from repro.core.phase1 import resolve_workers
 from repro.errors import ConfigError
 
 

@@ -9,12 +9,10 @@ from repro.core.phase1 import FrontEnd
 from repro.core.phase2 import CandidateDesign, MultiObjectiveDse
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import ConfigError
-from repro.optim.bayesopt import SmsEgoBayesOpt
-from repro.optim.gp import MultiObjectiveGP
-from repro.optim.pareto import non_dominated_mask
 from repro.optim.random_search import RandomSearch
 from repro.perf import span
 from repro.uav.platforms import NANO_ZHANG
+from tests.optim.legacy_sms_ego import LegacySerialSmsEgo
 
 
 @pytest.fixture(scope="module")
@@ -183,34 +181,6 @@ RUN_BUDGET = 64
 SCREENED_BUDGET = 24
 
 
-class _LegacySerialSmsEgo(SmsEgoBayesOpt):
-    """The pre-batching proposal loop, frozen as a correctness oracle.
-
-    One candidate per GP fit via the plain SMS-EGO argmax -- exactly
-    the loop the optimiser ran before ``proposal_batch`` existed.  The
-    batched implementation with q=1 must match it bit for bit.
-    """
-
-    def run(self, evaluator, rng):
-        self._initial_sampling(evaluator, rng)
-        while not evaluator.exhausted:
-            pool = self._candidate_pool(evaluator, rng)
-            if not pool:
-                break
-            history = evaluator.result.evaluations
-            x_train = evaluator.space.encode_many(
-                [e.assignment for e in history])
-            objectives = np.vstack([e.objectives for e in history])
-            x_pool = evaluator.space.encode_many(pool)
-            gp = MultiObjectiveGP().fit(x_train, objectives)
-            means, stds = gp.predict(x_pool)
-            lcb = means - self.kappa * stds
-            front = objectives[non_dominated_mask(objectives)]
-            reference = self._reference_point(objectives)
-            scores = self._sms_ego_scores(lcb, front, reference)
-            evaluator.evaluate(pool[int(np.argmax(scores))])
-
-
 @pytest.fixture(scope="module")
 def full_reference(database):
     reset_shared_cache()
@@ -252,7 +222,7 @@ class TestProposalBatch:
                                                full_reference):
         oracle = run_full_space(database, task, full_reference,
                                 proposal_batch=1,
-                                optimizer_cls=_LegacySerialSmsEgo)
+                                optimizer_cls=LegacySerialSmsEgo)
         q1 = run_full_space(database, task, full_reference,
                             proposal_batch=1)
         assert_histories_identical(oracle.optimization, q1.optimization)

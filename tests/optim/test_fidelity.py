@@ -113,14 +113,15 @@ class TestPromotion:
                   if r is None}
         assert pruned
         assert all(evaluator.seen_key(key) for key in pruned)
-        # The pool filters sample_block's keys through seen_key; with
+        # The pool filters sample_rows' keys through seen_key; with
         # 20 draws per slot it finds every point neither evaluated nor
         # pruned, and nothing else.
         evaluated = {space.key(e.assignment)
                      for e in evaluator.result.evaluations}
-        pool = SmsEgoBayesOpt(space, pool_size=space.size())._candidate_pool(
-            evaluator, np.random.default_rng(0))
-        assert {space.key(p) for p in pool} == (
+        _, pool_keys = SmsEgoBayesOpt(
+            space, pool_size=space.size())._candidate_pool(
+                evaluator, np.random.default_rng(0))
+        assert set(pool_keys) == (
             {space.key(p) for p in points} - evaluated - pruned)
 
     def test_pruned_points_never_reach_the_gp_history(self):

@@ -153,14 +153,45 @@ class TestGpIncrementalEquivalence:
         xq = rng.integers(0, 8, size=(19, d)) / 7.0
         return x, y, xq
 
+    def assert_bit_identical(self, x, y, xq):
+        mo = MultiObjectiveGP().fit(x, y)
+        means, stds = mo.predict(xq)
+        for j in range(y.shape[1]):
+            gp = GaussianProcess().fit(x, y[:, j])
+            mean, std = gp.predict(xq)
+            assert gp.fitted_lengthscale == mo.fitted_lengthscales[j]
+            assert np.array_equal(mean, means[:, j])
+            assert np.array_equal(std, stds[:, j])
+
     def test_shared_factorisation_bit_identical_to_scalar(self):
         for seed in range(5):
-            x, y, xq = self._data(seed, n=12 + 3 * seed)
-            mo = MultiObjectiveGP().fit(x, y)
-            means, stds = mo.predict(xq)
-            for j in range(y.shape[1]):
-                gp = GaussianProcess().fit(x, y[:, j])
-                mean, std = gp.predict(xq)
-                assert gp.fitted_lengthscale == mo.fitted_lengthscales[j]
-                assert np.array_equal(mean, means[:, j])
-                assert np.array_equal(std, stds[:, j])
+            self.assert_bit_identical(*self._data(seed, n=12 + 3 * seed))
+
+    @pytest.mark.parametrize("n", [12, 25, 50, 75, 100])
+    def test_bit_identical_up_to_100_points(self, n):
+        for seed in range(3):
+            self.assert_bit_identical(*self._data(100 + seed, n=n))
+
+    @pytest.mark.parametrize("fails", ["flat", "peaked"])
+    @pytest.mark.parametrize("n", [15, 60, 100])
+    def test_bit_identical_when_some_lengthscales_fail(self, monkeypatch,
+                                                       fails, n):
+        """The factorisation of the longest (``flat``: Gram entries near
+        1) or shortest (``peaked``) lengthscales of the grid raises, as
+        a Cholesky does on a matrix that is not positive definite; the
+        shared fit skips the same factors a per-objective fit does."""
+        cholesky = np.linalg.cholesky
+        outcomes = []
+
+        def failing(k):
+            mean = k.mean()
+            failed = mean > 0.75 if fails == "flat" else mean < 0.15
+            outcomes.append(failed)
+            if failed:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(k)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        for seed in range(3):
+            self.assert_bit_identical(*self._data(200 + seed, n=n))
+        assert any(outcomes) and not all(outcomes)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -132,14 +133,17 @@ sys.exit(status)
 
 #: Modules a default ``design`` run has no use for, each checked after
 #: the whole run: SciPy and ``numpy.ma``; the bench and experiment
-#: drivers; ``multiprocessing``/``concurrent.futures``, which only
-#: Phase 1's training pool imports; the Air Learning simulator and
-#: trainer stack, which only the trainer backend calls; baselines,
-#: exporters, the paper's tables, the alternate optimisers, the
-#: multi-fidelity screen and its tier-0 estimators; fault injection.
-#: A name covers the module and everything below it.
+#: drivers; ``multiprocessing``/``concurrent.futures`` and the pool
+#: itself, which only Phase 1's training pool imports; the checkpoint
+#: layer, which only a checkpointing run imports, and ``logging``, which
+#: only those two import; the Air Learning simulator and trainer stack,
+#: which only the trainer backend calls; baselines, exporters, the
+#: paper's tables, the alternate optimisers, the multi-fidelity screen
+#: and its tier-0 estimators; fault injection.  A name covers the module
+#: and everything below it.
 DESIGN_UNUSED = (
-    "scipy", "numpy.ma", "multiprocessing", "concurrent",
+    "scipy", "numpy.ma", "multiprocessing", "concurrent", "logging",
+    "repro.core.parallel", "repro.core.checkpoint",
     "repro.bench", "repro.experiments", "repro.baselines", "repro.testing",
     *(f"repro.airlearning.{name}" for name in (
         "arena", "dynamics", "env", "evaluate", "policy", "render",
@@ -182,7 +186,7 @@ class TestStartup:
             "--output", str(report))
         assert "AutoPilot design report" in report.read_text()
         assert under(loaded, DESIGN_UNUSED) == []
-        assert len(under(loaded, ["repro"])) <= 54
+        assert len(under(loaded, ["repro"])) <= 52
 
     def test_bench_loads_only_the_table_formatter(self, tmp_path):
         report = tmp_path / "report.md"
@@ -194,13 +198,40 @@ class TestStartup:
         assert under(loaded, ["repro.experiments"]) == [
             "repro.experiments", "repro.experiments.runner"]
         assert under(loaded, ["repro.spa"]) == []
-        assert len(under(loaded, ["repro"])) <= 65
+        assert len(under(loaded, ["repro"])) <= 64
 
     def test_import_repro_loads_no_submodule(self):
         loaded = loaded_modules(code="import json, sys, repro; "
                                      "print(json.dumps(sorted(sys.modules)))")
         assert under(loaded, ["repro"]) == ["repro"]
         assert under(loaded, ["numpy"]) == []
+
+
+#: Fixed-seed ``design`` runs that no perfbench workload pins, with the
+#: sha256 of the report each writes: q=4 under the multi-fidelity
+#: screen, whose pool also skips pruned points, and q=4 on another
+#: platform and scenario.
+GOLDEN_REPORTS = [
+    pytest.param(
+        ["--uav", "nano", "--scenario", "dense", "--seed", "7", "--budget",
+         "40", "--proposal-batch", "4", "--fidelity", "on"],
+        "01ec402d499c86c894a5d4b2414efa689b63023095bb14fc06e6acb8dc459eff",
+        id="nano-dense-q4-fidelity"),
+    pytest.param(
+        ["--uav", "micro", "--scenario", "low", "--seed", "3", "--budget",
+         "60", "--proposal-batch", "4"],
+        "5d28ca2ae95500bed207dc91ec1e2b7e3b1680b494d6c0a99421f4f1ff6fba75",
+        id="micro-low-q4"),
+]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("options, digest", GOLDEN_REPORTS)
+    def test_report_is_byte_identical(self, tmp_path, capsys, options,
+                                      digest):
+        report = tmp_path / "report.md"
+        assert main(["design", *options, "--output", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
