@@ -44,6 +44,9 @@ class TrainingResult:
     success_rate_trace: List[float] = field(default_factory=list)
     #: Environment transitions executed during training.
     env_steps: int = 0
+    #: Of ``env_steps``, those restored from a CEM snapshot: executed by
+    #: an earlier, interrupted call, not by this one.
+    restored_steps: int = 0
 
     @property
     def final_success_rate(self) -> float:
@@ -115,8 +118,9 @@ class CemTrainer:
         (RNG, arena stream, distribution, traces) is snapshotted
         atomically after every CEM iteration; a later call with the
         same configuration and path resumes from the last completed
-        iteration and produces a bit-identical result.  A snapshot
-        written by a *different* configuration raises
+        iteration and produces a bit-identical result, whose
+        ``restored_steps`` counts the steps the snapshot carried.  A
+        snapshot written by a *different* configuration raises
         :class:`~repro.errors.CheckpointError`; an unreadable snapshot
         is quarantined and training restarts from scratch.
         """
@@ -151,6 +155,7 @@ class CemTrainer:
                 mean = snapshot["mean"]
                 std = snapshot["std"]
                 result = snapshot["result"]
+                result.restored_steps = result.env_steps
 
         for iteration in range(start_iteration, self.iterations):
             population = rng.normal(mean, std,

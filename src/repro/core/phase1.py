@@ -79,13 +79,14 @@ class Phase1Result:
         return self.database.best(task.scenario).success_rate
 
 
-def _train_and_validate(task: tuple) -> Tuple[float, int]:
+def _train_and_validate(task: tuple) -> Tuple[float, int, int]:
     """Train one template point and validate its best policy.
 
     ``task`` is ``(trainer, point, scenario, validation episodes,
     validation seed, CEM snapshot path or None)``.  Returns the
-    validated success rate and the rollout steps of both.  Module-level
-    so the process pool can pickle it.
+    validated success rate, the rollout steps of both, and how many of
+    those the CEM snapshot restored rather than this call executing
+    them.  Module-level so the process pool can pickle it.
     """
     from repro.airlearning.dynamics import NUM_ACTIONS
     from repro.airlearning.evaluate import validate_policy
@@ -100,7 +101,8 @@ def _train_and_validate(task: tuple) -> Tuple[float, int]:
     validation = validate_policy(policy, scenario, episodes=episodes,
                                  seed=seed, engine=trainer.engine)
     return (validation.success_rate,
-            training.env_steps + validation.env_steps)
+            training.env_steps + validation.env_steps,
+            training.restored_steps)
 
 
 class FrontEnd:
@@ -135,7 +137,8 @@ class FrontEnd:
 
         The rollout steps this call executes are counted as ``steps``
         on the open span, and those of points replayed from the journal
-        as ``steps.replayed``, so a resumed run's steps/s reads only the
+        or generations restored from a CEM snapshot as
+        ``steps.replayed``, so a resumed run's steps/s reads only the
         work it did.  ``env_steps`` of the result holds both.
 
         Args:
@@ -185,9 +188,10 @@ class FrontEnd:
         todo = [p for p in points
                 if db.get(p, task.scenario) is None]  # reuse prior runs
         try:
-            for point, (success, steps) in zip(
+            for point, (success, steps, restored) in zip(
                     todo, self._outcomes(todo, task.scenario, checkpoint)):
-                result.env_steps += steps
+                result.env_steps += steps - restored
+                replayed_steps += restored
                 db.add(point, task.scenario, success)
                 result.trained.append(point)
                 if journal is not None:
@@ -207,15 +211,16 @@ class FrontEnd:
     def _outcomes(self, points: Sequence[PolicyHyperparams],
                   scenario: Scenario,
                   checkpoint: Optional[RunCheckpoint]
-                  ) -> Iterable[Tuple[float, int]]:
-        """Each point's success rate and rollout steps, in order.
+                  ) -> Iterable[Tuple[float, int, int]]:
+        """Each point's success rate, rollout steps and the steps of
+        those restored from its CEM snapshot, in order.
 
         In-process the outcomes are produced lazily, so a point's CEM
         snapshots are written before its journal record and the next
         point's training.  On the pool, points write no CEM snapshots.
         """
         if self.backend == "surrogate":
-            return ((self._surrogate.success_rate(point, scenario), 0)
+            return ((self._surrogate.success_rate(point, scenario), 0, 0)
                     for point in points)
         on_pool = self.workers > 1 and len(points) > 1
         tasks = [(self.trainer, point, scenario, self.validation_episodes,

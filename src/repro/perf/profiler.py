@@ -98,7 +98,8 @@ def render_profile(run: Span) -> str:
     Each child of ``run`` is one row (a phase) and every figure is a
     total over the row's subtree: ``evals`` and ``steps``,
     ``cache.hits``/``cache.misses``, and below the table the
-    ``gp.fit`` spans with ``gp.full_fits``/``gp.factorisations``,
+    ``gp.fit`` spans with ``gp.full_fits``/``gp.factorisations`` and
+    the ``gp.predict`` spans,
     ``proposal.groups``/``proposal.points``, the ``fidelity.screen`` and
     ``fidelity.tier1`` spans with ``fidelity.screened``,
     ``fidelity.promoted`` and ``fidelity.rail_promotions``, and the
@@ -129,10 +130,12 @@ def render_profile(run: Span) -> str:
     for phase in run.children:
         full_fits = phase.total("gp.full_fits")
         if full_fits:
+            predicts = phase.find("gp.predict")
             lines.append(
                 f"{phase.name} gp: {full_fits} full fits "
                 f"({_seconds(phase.find('gp.fit')):.3f} s), "
-                f"{phase.total('gp.factorisations')} factorisations")
+                f"{phase.total('gp.factorisations')} factorisations, "
+                f"{len(predicts)} predict calls ({_seconds(predicts):.3f} s)")
         groups = phase.total("proposal.groups")
         if groups:
             points = phase.total("proposal.points")

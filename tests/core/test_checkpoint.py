@@ -307,6 +307,27 @@ class TestCemResume:
             POINT, Scenario.DENSE, checkpoint_path=path)
         assert_same_training(resumed, baseline)
 
+    def test_resume_reports_the_restored_steps(self, tmp_path):
+        """The resumed result counts the steps its snapshot carried as
+        ``restored_steps``; a snapshot written before that field
+        existed resumes the same way."""
+        baseline = CemTrainer(**SMALL_CEM).train(POINT, Scenario.DENSE)
+        path = tmp_path / "cem.pkl"
+        with faults.active_faults("kill@checkpoint-write:1"):
+            with pytest.raises(faults.SimulatedKill):
+                CemTrainer(**SMALL_CEM).train(POINT, Scenario.DENSE,
+                                              checkpoint_path=path)
+        snapshot = load_pickle(path)
+        del snapshot["result"].restored_steps  # as pickled before
+        atomic_write_pickle(path, snapshot)
+        resumed = CemTrainer(**SMALL_CEM).train(POINT, Scenario.DENSE,
+                                                checkpoint_path=path)
+        assert_same_training(resumed, baseline)
+        assert baseline.restored_steps == 0
+        restored = snapshot["result"].env_steps
+        assert resumed.restored_steps == restored
+        assert 0 < restored < resumed.env_steps
+
     def test_completed_checkpoint_short_circuits(self, tmp_path):
         path = tmp_path / "cem.pkl"
         trainer = CemTrainer(**SMALL_CEM)
@@ -1034,6 +1055,39 @@ class TestPhase1TrainerResume:
         assert resumed.trained == baseline.trained
         assert resumed.env_steps == baseline.env_steps
         assert list(resumed.database) == list(baseline.database)
+
+    def test_resume_counts_restored_generations_as_replayed(self, tmp_path,
+                                                            task):
+        """A point resumed from its CEM snapshot counts the restored
+        generation's rollout steps as ``steps.replayed``, beside those
+        of the journalled point, and only the rest as ``steps``."""
+        points = [PolicyHyperparams(num_layers=4, num_filters=32),
+                  PolicyHyperparams(num_layers=4, num_filters=48)]
+
+        def frontend():
+            return FrontEnd(backend="trainer", seed=3,
+                            trainer=CemTrainer(**SMALL_CEM), workers=1)
+
+        with span("phase1") as uninterrupted:
+            baseline = frontend().run(task, hyperparams=points)
+        checkpoint = RunCheckpoint(tmp_path / "run")
+        # Per point: 3 CEM snapshots + 1 journal append.  Kill at write
+        # 5: point 0 journalled, point 1 one generation snapshotted.
+        with faults.active_faults("kill@checkpoint-write:5"):
+            with pytest.raises(faults.SimulatedKill):
+                frontend().run(task, hyperparams=points,
+                               checkpoint=checkpoint)
+        journalled = checkpoint.phase1_journal().load()[0]["env_steps"]
+        restored = load_pickle(checkpoint.cem_checkpoint_path(
+            points[1], task.scenario))["result"].env_steps
+        with span("phase1") as resumed:
+            result = frontend().run(task, hyperparams=points,
+                                    checkpoint=checkpoint, resume=True)
+        assert restored > 0
+        assert resumed.counts == {
+            "steps": uninterrupted.counts["steps"] - journalled - restored,
+            "steps.replayed": journalled + restored}
+        assert result.env_steps == baseline.env_steps
 
     def test_resume_counts_replayed_steps_apart(self, tmp_path, task):
         """A resumed sweep counts the steps it executes as ``steps`` and

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.airlearning.scenarios import Scenario
+from repro.core.pipeline import AutoPilot
+from repro.core.spec import RunConfig, TaskSpec
 from repro.errors import ConfigError
 from repro.optim.gp import (
     GaussianProcess,
@@ -11,6 +14,8 @@ from repro.optim.gp import (
     pairwise_sq,
     se_kernel,
 )
+from repro.perf import span
+from repro.uav.platforms import NANO_ZHANG
 
 
 class TestSeKernel:
@@ -195,3 +200,87 @@ class TestGpIncrementalEquivalence:
         for seed in range(3):
             self.assert_bit_identical(*self._data(200 + seed, n=n))
         assert any(outcomes) and not all(outcomes)
+
+
+def adversarial_data(seed):
+    """Inputs on a 2- or 3-level grid with a third of the rows copied
+    from others, three objectives of which one is constant to 1e-9, and
+    16 query points.  Duplicated rows make the Gram matrices nearly
+    singular and lengthscales nearly tie."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 101))
+    d = int(rng.integers(1, 6))
+    top = int(rng.integers(1, 3))
+    x = rng.integers(0, top + 1, size=(n, d)) / top
+    copies = rng.integers(0, n, size=n // 3)
+    x[rng.permutation(n)[:copies.size]] = x[copies]
+    y = rng.normal(size=(n, 3))
+    y[:, int(rng.integers(3))] = 1.0 + 1e-9 * rng.normal(size=n)
+    return x, y, rng.integers(0, top + 1, size=(16, d)) / top
+
+
+class TestLengthscaleRanking:
+    """One solve per factor ranks the grid; near-ties and non-finite
+    scores fall back to the exact per-factor loop."""
+
+    @staticmethod
+    def rescored(x, y, xq):
+        """``gp.rescored`` of a fit checked bit-identical to
+        per-objective fits, predictions included."""
+        with span("fit") as fit:
+            TestGpIncrementalEquivalence().assert_bit_identical(x, y, xq)
+        return fit.total("gp.rescored")
+
+    def test_exact_tie_takes_the_first_lengthscale(self):
+        """Identical inputs give every lengthscale the same Gram matrix,
+        so all five factors tie and the first wins, as in the scalar
+        fit."""
+        x = np.full((9, 4), 0.5)
+        y = np.random.default_rng(0).normal(size=(9, 3))
+        assert self.rescored(x, y, x[:2]) == 3
+        # No positive distance: the median heuristic's base is 1.0.
+        assert MultiObjectiveGP().fit(x, y).fitted_lengthscales == [0.25] * 3
+
+    def test_non_finite_scores_are_rescored(self):
+        x, y, _ = adversarial_data(0)
+        y[0, 1] = np.nan
+        with span("fit") as fit:
+            gp = MultiObjectiveGP().fit(x, y)
+        assert fit.total("gp.rescored") == 1
+        assert gp.fitted_lengthscales == [
+            GaussianProcess().fit(x, y[:, j]).fitted_lengthscale
+            for j in range(3)]
+
+    def test_adversarial_data_matches_per_objective_fits(self):
+        rescored = sum(self.rescored(*adversarial_data(seed))
+                       for seed in range(200))
+        # Near-ties occur on such data, so the guard is exercised.
+        assert rescored > 0
+
+    def test_eleven_solves_per_fit(self, monkeypatch):
+        """5 ranking solves, then 2 per objective for its alpha."""
+        x, y, _ = TestGpIncrementalEquivalence()._data(0, n=40)
+        solve = np.linalg.solve
+        calls = []
+
+        def spy(a, b):
+            calls.append(b.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        with span("fit") as fit:
+            MultiObjectiveGP().fit(x, y)
+        assert fit.total("gp.factorisations") == 5
+        assert fit.total("gp.rescored") == 0
+        assert calls == [(40, 3)] * 5 + [(40,)] * 6
+
+    def test_default_design_run_never_rescores(self):
+        """The perfbench ``design-q1-b100`` command's fits all take the
+        ranking path."""
+        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
+        profile = AutoPilot(RunConfig(seed=7, budget=100)).run(
+            task, profile=True).profile
+        phase2, = (phase for phase in profile.children
+                   if phase.name == "phase2")
+        assert len(phase2.find("gp.fit")) == 88
+        assert phase2.total("gp.rescored") == 0

@@ -186,7 +186,8 @@ phase2                0.167      25     149.7         -         -     32.4%
 phase3                0.002       -         -         -         -         -
 ---------------------------------------------------------------------------
 total                 0.788      25               20059               35.0%
-phase2 gp: 39 full fits (0.016 s), 65 factorisations
+phase2 gp: 39 full fits (0.016 s), 65 factorisations, 4 predict calls \
+(0.007 s)
 phase2 proposals: 4 groups, 13 points, mean group size 3.2
 phase2 fidelity: 32 screened in 4 groups (0.004 s), 13 promoted \
 (41%, 2 via safety rail), 19 simulator evals avoided (~0.04 s saved)
@@ -204,6 +205,8 @@ def _golden_run() -> Span:
         "fidelity.rail_promotions": 2}, children=[
         Span("gp.fit", wall_s=0.016,
              counts={"gp.full_fits": 39, "gp.factorisations": 65}),
+        Span("gp.predict", wall_s=0.007),
+        *(Span("gp.predict") for _ in range(3)),
         Span("fidelity.screen", wall_s=0.004,
              counts={"cache.hits": 1, "cache.misses": 5}),
         *(Span("fidelity.screen") for _ in range(3)),
