@@ -168,8 +168,8 @@ def test_multifidelity_hypervolume_per_second_at_least_2x(phase2_run):
 # Checkpointing
 # ----------------------------------------------------------------------
 def test_checkpointing_overhead_within_5_percent(tmp_path):
-    """Journalling every evaluation and rewriting the manifest at phase
-    boundaries costs under 5% wall, or under 0.05 s absolute so a
+    """Writing the run manifest at the start, on entering Phase 2 and
+    at the end costs under 5% wall, or under 0.05 s absolute so a
     sub-second run does not flake on noise."""
     config = RunConfig(seed=7, budget=30)
     run_dirs = (tmp_path / f"run-{i}" for i in itertools.count())

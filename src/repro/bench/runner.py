@@ -19,12 +19,14 @@ progress::
       bench.json                    atomic bench manifest
       cells/<scenario>__<class>/    a normal AutoPilot run directory
         manifest.json
-        phase1/ phase2/ ...
+        phase1/                     trainer backend only
 
-Resume verifies ``bench.json`` without rewriting it, replays completed
-cells from their journals and picks the interrupted cell up mid-phase,
-so a killed-and-resumed bench run is bit-identical to an uninterrupted
-one -- the CI ``bench-smoke`` job diffs the two reports byte for byte.
+Resume verifies ``bench.json`` without rewriting it and re-runs every
+cell, each with ``resume=True`` once its own manifest exists: finished
+and interrupted cells alike recompute what the run directory does not
+hold, which also rebuilds the shared caches the later cells read.  So a
+killed-and-resumed bench run is bit-identical to an uninterrupted one
+-- the CI ``bench-smoke`` job diffs the two reports byte for byte.
 """
 
 from __future__ import annotations
@@ -133,9 +135,9 @@ class BenchRunner:
         for cell in suite.cells():
             cell_dir = self._cell_dir(cell)
             # A cell resumes iff its own run manifest exists -- a sweep
-            # killed before reaching a cell simply starts it fresh, and
-            # completed cells replay their journals bit-identically
-            # (repopulating the shared caches deterministically).
+            # killed before reaching a cell simply starts it fresh.
+            # Completed cells run again too, which repopulates the
+            # shared caches exactly as the uninterrupted sweep did.
             cell_resume = (self.resume and cell_dir is not None
                            and (cell_dir / MANIFEST_NAME).exists())
             result = self.autopilot.run(

@@ -323,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     checkpointing = design.add_mutually_exclusive_group()
     checkpointing.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
-        help="write a run manifest and per-phase progress journals "
-             "into DIR so an interrupted run can be resumed")
+        help="write a run manifest (and the trainer backend's Phase 1 "
+             "progress) into DIR so an interrupted run can be resumed")
     checkpointing.add_argument(
         "--resume", metavar="DIR", default=None,
         help="resume the checkpointed run in DIR (task, seed, budget "

@@ -2,8 +2,8 @@
 
 The paper's Phase 2 DSE and the trainer-backed Phase 1 are hours-long
 batch jobs at production scale; a killed process must not lose the
-whole run.  This module provides the three durable artefacts the
-resumable runtime is built on:
+whole run.  This module provides the durable artefacts the resumable
+runtime is built on:
 
 * :class:`RunManifest` -- one small, atomically replaced JSON document
   per run directory recording *what* the run is (its task and
@@ -11,16 +11,13 @@ resumable runtime is built on:
   status, completed Phase 2 evaluations).  ``autopilot design --resume``
   reads it back to reconstruct the exact run.
 * :class:`EvaluationJournal` -- an append-only, pickle-framed log of
-  completed work items.  A Phase 1 record keeps its template point's
-  validated success rate, which a trainer-backed resume serves because
-  training is costly to repeat (the surrogate backend re-derives it); a
-  Phase 2 record keeps only the evaluated assignment, since
-  re-evaluating a design costs well under a millisecond.  Appends are
-  flushed per record; a crash mid-write leaves a truncated tail that
-  :meth:`EvaluationJournal.load` detects and drops, so the journal
-  always recovers to the last *completed* iteration.  Pickle framing
-  (rather than JSON lines) preserves float bit patterns exactly -- the
-  foundation of the bit-identical-resume guarantee.
+  completed work items.  The trainer-backed Phase 1 journals each
+  template point's validated success rate, because training is costly
+  to repeat.  Appends are flushed per record; a crash mid-write leaves
+  a truncated tail that :meth:`EvaluationJournal.load` detects and
+  drops, so the journal always recovers to the last *completed* point.
+  Pickle framing (rather than JSON lines) preserves float bit patterns
+  exactly.
 * :func:`atomic_write_json` / :func:`atomic_write_pickle` -- the
   write-temp-then-``os.replace`` primitive every durable write goes
   through, so readers never observe a partially written file.
@@ -30,16 +27,14 @@ All durable writes consult the active fault injector
 test suite can simulate a SIGKILL landing between any two checkpoint
 writes.
 
-Resumption is *replay*, not state surgery: optimisers are deterministic
-functions of their seed and the observed objective values, so feeding
-the journalled assignments back in order, each re-evaluated through the
-shared evaluation cache, reconstructs the optimiser's exact internal
-state (GP posteriors included), after which the run continues live --
-bit-identically to an uninterrupted run.  Phase 2 stores no result for
-a later code revision to inherit: a resume after a change to the
-evaluation model yields the current model's run, or a
-:class:`~repro.errors.CheckpointError` once the new results steer the
-optimiser away from the journalled assignments.
+Resumption is *recomputation*: a resume checks the recorded
+:class:`~repro.core.spec.RunConfig` and runs again.  Optimisers are
+deterministic functions of their seed and the observed objective
+values, so the recomputed Phase 2 is bit-identical to an uninterrupted
+run, and at well under a millisecond a design it is not worth storing.
+Only the trainer's Phase 1 is served from disk (journalled success
+rates and per-generation CEM snapshots), so a resume after a change to
+the evaluation model yields the current model's run.
 """
 
 from __future__ import annotations
@@ -257,10 +252,11 @@ class RunManifest(Manifest):
 
     The pipeline rewrites it atomically only when it records progress
     no earlier write holds: at the start, on entering a live Phase 2
-    and at the end.  The fine-grained per-iteration progress lives in
-    the phase journals.  ``status`` maps phase name
+    and at the end.  ``status`` maps phase name
     (``phase1``/``phase2``/``phase3``) to ``pending`` / ``running`` /
-    ``complete``.
+    ``complete``.  A resume recomputes Phases 2 and 3, so a run killed
+    in either records only ``phase2: running``; finer progress is kept
+    for the trainer's Phase 1 alone.
     """
 
     FILE_NAME: ClassVar[str] = MANIFEST_NAME
@@ -403,32 +399,6 @@ class EvaluationJournal:
             self._handle.flush()
 
 
-class JournalReplayer:
-    """Cursor over journalled records consumed during a resume replay."""
-
-    def __init__(self, records: List[Any]):
-        self._records = list(records)
-        self._cursor = 0
-
-    @property
-    def pending(self) -> bool:
-        """Whether any recorded work remains to replay."""
-        return self._cursor < len(self._records)
-
-    @property
-    def remaining(self) -> int:
-        """Records not yet replayed."""
-        return len(self._records) - self._cursor
-
-    def take(self) -> Any:
-        """Consume and return the next record."""
-        if not self.pending:
-            raise CheckpointError("journal replay past the last record")
-        record = self._records[self._cursor]
-        self._cursor += 1
-        return record
-
-
 class RunCheckpoint:
     """Layout of one checkpointed AutoPilot run directory.
 
@@ -436,10 +406,13 @@ class RunCheckpoint:
 
         <run-dir>/
           manifest.json              atomic run manifest
-          phase1/trainings.jnl       journal of validated template points
+          phase1/trainings.jnl       journal of trained template points
           phase1/cem-L<l>-F<f>-<scenario>.pkl   per-point CEM snapshots
-          phase2/evaluations.jnl     journal of evaluated DSE assignments
-          phase2/promotions.jnl      journal of multi-fidelity promotions
+
+    Both ``phase1`` artefacts are the trainer backend's.  Directories
+    that earlier versions wrote may also hold ``phase2/evaluations.jnl``,
+    ``phase2/promotions.jnl`` and a surrogate run's
+    ``phase1/trainings.jnl``; a resume reads none of them.
     """
 
     def __init__(self, run_dir: Union[str, os.PathLike]):
@@ -451,19 +424,9 @@ class RunCheckpoint:
         return self.run_dir / MANIFEST_NAME
 
     def phase1_journal(self) -> EvaluationJournal:
-        """Journal of validated Phase 1 template points."""
+        """Journal of the trainer's validated Phase 1 template points."""
         return EvaluationJournal(self.run_dir / "phase1" / "trainings.jnl",
                                  kind="phase1-trainings")
-
-    def phase2_journal(self) -> EvaluationJournal:
-        """Journal of the assignments Phase 2 evaluated, in order."""
-        return EvaluationJournal(self.run_dir / "phase2" / "evaluations.jnl",
-                                 kind="phase2-evaluations")
-
-    def phase2_promotions_journal(self) -> EvaluationJournal:
-        """Journal of multi-fidelity promotion decisions (fidelity on)."""
-        return EvaluationJournal(self.run_dir / "phase2" / "promotions.jnl",
-                                 kind="phase2-promotions")
 
     def cem_checkpoint_path(self, hyperparams, scenario) -> Path:
         """Per-template-point CEM trainer snapshot file."""

@@ -2,7 +2,7 @@
 
 Phase 2 evaluates the same (policy network, accelerator config) pairs
 over and over: every optimiser restart, every (UAV, scenario) pipeline
-run, every fine-tune and every replayed checkpoint evaluates designs
+run, every fine-tune and every resumed checkpoint evaluates designs
 that were already evaluated.  The seed implementation memoised run
 reports per simulator instance keyed by ``(workload.name,
 id(workload))`` -- a key that never hits in practice (``run_network``
@@ -26,9 +26,8 @@ kinds of entry, each under its own key tag so they can never alias:
 * tier-0 bound estimates (:func:`estimate_key`).
 
 An entry here is the only stored copy of its result, and it never
-outlives the process that computed it: checkpoints journal the decisions
-(Phase 2's assignments), not the evaluations, so a resume recomputes
-every result with the current code.
+outlives the process that computed it: checkpoints store no Phase 2
+work at all, so a resume recomputes every result with the current code.
 
 Phase 1 training results are not cached here: the Air Learning database
 already trains each (template point, scenario) once per pipeline, so a

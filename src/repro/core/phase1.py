@@ -147,21 +147,23 @@ class FrontEnd:
                 Table II NN sub-space.
             database: An existing database to extend (policies are reused
                 across UAVs, per the paper's phase-reuse argument).
-            checkpoint: Optional run-checkpoint layout.  Every validated
-                template point is journalled, and (with the trainer
-                backend, in-process) each point's CEM state is
+            checkpoint: Optional run-checkpoint layout, used by the
+                trainer backend only.  Every validated template point is
+                journalled, and (in-process) each point's CEM state is
                 snapshotted per generation, so an interrupted sweep
                 resumes at the last completed generation of the point
-                it died in.
-            resume: Replay the checkpoint's journal into the database
-                instead of discarding it.  The trainer backend's replay
-                serves the journalled success rates; the surrogate's
-                re-derives each from the current surrogate.
+                it died in.  A surrogate rate costs microseconds, so a
+                surrogate run writes nothing there and a resume
+                re-derives every rate.
+            resume: Serve the checkpoint's journalled success rates
+                into the database instead of discarding the journal.
         """
         points = list(hyperparams or enumerate_template_space())
         db = database if database is not None else AirLearningDatabase()
         result = Phase1Result(database=db, backend=self.backend)
 
+        if self.backend == "surrogate":
+            checkpoint = None
         journal = None
         replayed_steps = 0
         if checkpoint is not None:
@@ -172,14 +174,7 @@ class FrontEnd:
                         continue
                     point = record["point"]
                     if db.get(point, task.scenario) is None:
-                        # The surrogate's rate costs microseconds, so a
-                        # resume re-derives it from the current model;
-                        # only the trainer's costly rates are served.
-                        success = (
-                            self._surrogate.success_rate(point, task.scenario)
-                            if self.backend == "surrogate"
-                            else record["success"])
-                        db.add(point, task.scenario, success)
+                        db.add(point, task.scenario, record["success"])
                         result.trained.append(point)
                         replayed_steps += record["env_steps"]
             else:

@@ -14,23 +14,19 @@ full evaluated history -- that Phase 3 lowers onto the target UAV.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Type
+from typing import List, Optional, Sequence, Type
 
 import numpy as np
 
 from repro.airlearning.database import AirLearningDatabase
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 from repro.optim.base import Optimizer, OptimizationResult
 from repro.optim.bayesopt import SmsEgoBayesOpt
 from repro.optim.pareto import non_dominated_mask
 from repro.optim.space import Assignment, DesignSpace
 from repro.perf.profiler import count
 from repro.soc.dssoc import DssocDesign, DssocEvaluation, DssocEvaluator
-
-# Only a checkpointing run, handed journals, loads the checkpoint layer.
-if TYPE_CHECKING:
-    from repro.core.checkpoint import EvaluationJournal
 
 #: Fractional safety margin applied to the design-space extreme
 #: objectives when deriving the hypervolume reference point.
@@ -177,77 +173,28 @@ class MultiObjectiveDse:
         return [pad, worst_latency * pad, worst_power * pad]
 
     def run(self, task: TaskSpec, budget: int = 120,
-            reference: Optional[Sequence[float]] = None,
-            journal: Optional[EvaluationJournal] = None,
-            resume: bool = False,
-            promotion_journal: Optional[EvaluationJournal] = None
-            ) -> Phase2Result:
+            reference: Optional[Sequence[float]] = None) -> Phase2Result:
         """Spend ``budget`` unique evaluations and collect candidates.
 
         The evaluation count is added as ``evals`` to the open span.
+        The run is a deterministic function of the seed, the space, the
+        optimiser settings and the evaluation model, so a resumed
+        pipeline simply calls this again.
 
         Args:
             task: The task specification (platform + scenario).
             budget: Unique design evaluations to spend.
             reference: Optional hypervolume reference override; derived
                 from the design-space extremes when omitted.
-            journal: Optional evaluation journal.  Every live
-                evaluation's assignment is durably appended to it -- the
-                decision, not the result.  With ``resume`` the journalled
-                assignments are *replayed*: the optimiser re-runs its
-                decision sequence from scratch and each replayed point
-                is re-evaluated through the shared cache, then
-                evaluation continues live -- producing a run
-                bit-identical to an uninterrupted one under the current
-                evaluation model.
-            resume: Replay ``journal`` instead of discarding it.  Each
-                replayed record is verified against the assignment the
-                optimiser actually requests; a mismatch (journal from a
-                different seed/space/configuration, or written under an
-                evaluation model whose results steered the optimiser
-                elsewhere) raises :class:`~repro.errors.CheckpointError`.
-            promotion_journal: Optional journal of the multi-fidelity
-                promotion decisions (one record per screened proposal
-                group, appended *before* the group's evaluations).  On
-                resume the recomputed decisions are verified against
-                the journalled ones, so a resumed multi-fidelity run is
-                provably replaying the same promotion sequence.
         """
         if budget <= 0:
             raise ConfigError("budget must be positive")
         candidates: List[CandidateDesign] = []
 
-        replayer = None
-        if journal is not None:
-            if resume:
-                from repro.core.checkpoint import JournalReplayer
-                replayer = JournalReplayer(journal.load())
-            else:
-                journal.reset()
-
         def objectives(assignment: Assignment) -> Sequence[float]:
-            # The optimiser re-issues the same deterministic request
-            # sequence on resume, so journalled assignments are checked
-            # in order until the journal drains; the rest is journalled
-            # as it is evaluated.  This also covers a q-point proposal
-            # group interrupted mid-group: the journal records per
-            # evaluation, and the optimiser reconstructs the identical
-            # group from the replayed history.
-            replaying = replayer is not None and replayer.pending
-            if replaying:
-                recorded = replayer.take()["assignment"]
-                if self.space.key(recorded) != self.space.key(assignment):
-                    raise CheckpointError(
-                        "phase 2 journal does not match the resumed run: "
-                        f"recorded point {recorded} but the optimiser "
-                        f"requested {dict(assignment)} (different seed, "
-                        "space, optimiser configuration or a changed "
-                        "evaluation model?)")
             candidate = self.evaluate_design(assignment_to_design(assignment),
                                              task)
             candidates.append(candidate)
-            if journal is not None and not replaying:
-                journal.append({"assignment": dict(assignment)})
             return candidate.objectives
 
         optimizer = self.optimizer_cls(self.space, seed=self.seed,
@@ -273,51 +220,11 @@ class MultiObjectiveDse:
                 return np.stack(
                     [failure, bounds.latency_s, bounds.soc_power_w], axis=1)
 
-            promotion_replayer = None
-            if promotion_journal is not None:
-                if resume:
-                    from repro.core.checkpoint import JournalReplayer
-                    promotion_replayer = JournalReplayer(
-                        promotion_journal.load())
-                else:
-                    promotion_journal.reset()
+            fidelity_kwargs = {"screen_fn": screen,
+                               "promotion_eta": self.promotion_eta}
 
-            def on_promotions(assignments: Sequence[Assignment],
-                              decisions: Sequence[bool]) -> None:
-                record = {
-                    "keys": tuple(tuple(self.space.key(a))
-                                  for a in assignments),
-                    "promoted": tuple(bool(d) for d in decisions),
-                }
-                if (promotion_replayer is not None
-                        and promotion_replayer.pending):
-                    expected = promotion_replayer.take()
-                    if expected != record:
-                        raise CheckpointError(
-                            "phase 2 promotion journal does not match the "
-                            "resumed run: recorded decisions "
-                            f"{expected} but the screen recomputed "
-                            f"{record} (different seed, space, fidelity "
-                            "or promotion_eta?)")
-                    return
-                if promotion_journal is not None:
-                    promotion_journal.append(record)
-
-            fidelity_kwargs = {
-                "screen_fn": screen,
-                "promotion_eta": self.promotion_eta,
-                "promotion_observer": on_promotions,
-            }
-
-        try:
-            record = optimizer.optimize(objectives, budget=budget,
-                                        reference=reference,
-                                        **fidelity_kwargs)
-        finally:
-            if journal is not None:
-                journal.close()
-            if promotion_journal is not None:
-                promotion_journal.close()
+        record = optimizer.optimize(objectives, budget=budget,
+                                    reference=reference, **fidelity_kwargs)
         count("evals", len(record.evaluations))
         return Phase2Result(candidates=candidates, optimization=record,
                             reference=np.asarray(reference, dtype=float))

@@ -95,15 +95,14 @@ class AutoPilot:
         run's wall time and counts.
 
         With ``checkpoint_dir`` set, the run writes an atomic manifest
-        plus per-phase progress journals into the directory; a later
-        call with ``resume=True`` fast-forwards through the completed
-        work and produces a result bit-identical to an uninterrupted
-        run.  Resuming verifies the manifest against this task and
-        config and raises :class:`~repro.errors.CheckpointError` on any
-        mismatch.  The manifest is written only when it records
-        progress no earlier write holds: at the start, before a live
-        Phase 2, and at the end (Phase 3 keeps no journal; a resume
-        recomputes it).
+        into the directory, and the trainer backend's Phase 1 its
+        journal and CEM snapshots; a later call with ``resume=True``
+        verifies the manifest against this task and config, raising
+        :class:`~repro.errors.CheckpointError` on any mismatch, serves
+        the trainer's completed work and recomputes the rest, producing
+        a result bit-identical to an uninterrupted run.  The manifest is
+        written only when it records progress no earlier write holds:
+        at the start, before a live Phase 2, and at the end.
         """
         if resume and checkpoint_dir is None:
             raise ConfigError("resume requires a checkpoint directory")
@@ -134,19 +133,12 @@ class AutoPilot:
                         "proposal_batch": config.proposal_batch},
                     fidelity=config.fidelity,
                     promotion_eta=config.promotion_eta)
-                journal = (checkpoint.phase2_journal()
-                           if checkpoint is not None else None)
-                promotion_journal = (checkpoint.phase2_promotions_journal()
-                                     if checkpoint is not None else None)
                 if manifest is not None:
                     manifest.status.update(phase1="complete",
                                            phase2="running")
                     manifest.save(checkpoint.run_dir)
                 with span("phase2"):
-                    phase2 = dse.run(task, budget=config.budget,
-                                     journal=journal,
-                                     promotion_journal=promotion_journal,
-                                     resume=resume)
+                    phase2 = dse.run(task, budget=config.budget)
                 self._phase2_cache[task.scenario] = phase2
 
             with span("phase3"):

@@ -233,16 +233,14 @@ class Optimizer:
     def optimize(self, objective_fn: ObjectiveFn, budget: int,
                  reference: Optional[Sequence[float]] = None,
                  screen_fn: Optional[Callable] = None,
-                 promotion_eta: float = 0.5,
-                 promotion_observer: Optional[Callable] = None
-                 ) -> OptimizationResult:
+                 promotion_eta: float = 0.5) -> OptimizationResult:
         """Spend ``budget`` unique evaluations minimising all objectives.
 
         ``objective_fn`` is called once per fresh evaluation, in history
         order.  Every optimiser is a deterministic function of its seed
-        and the observed values, so a checkpointing caller can journal
-        inside ``objective_fn`` and, on resume, serve the journalled
-        values back through it to rebuild the run bit-identically.
+        and the observed values, so calling it again with the same
+        inputs rebuilds the run bit-identically: that is how a
+        checkpointed run resumes.
 
         ``screen_fn`` switches on two-tier multi-fidelity evaluation:
         the evaluator becomes a
@@ -250,7 +248,6 @@ class Optimizer:
         proposal groups through the tier-0 bound estimate and promoting
         the top ``promotion_eta`` fraction (plus the safety-rail
         survivors) to the exact tier-1 evaluation.
-        ``promotion_observer`` journals the per-group decisions.
         """
         if screen_fn is not None:
             # Imported lazily: fidelity depends on this module.
@@ -259,7 +256,6 @@ class Optimizer:
                 self.space, objective_fn, budget,
                 screen_fn=screen_fn,
                 promotion_eta=promotion_eta,
-                promotion_observer=promotion_observer,
                 reference=reference)
         else:
             evaluator = CachingEvaluator(self.space, objective_fn, budget,

@@ -21,12 +21,11 @@ pool draws, same single argmax, same recorded history).
 Resume semantics: the whole optimiser is a deterministic function of its
 seed and the observed objective values.  Each proposal group reads the
 full evaluation history (GP fits) and the set of seen points (pool
-filtering), so checkpointing resumes by *replaying* journalled
-evaluations through the objective function in order -- never by
-pre-loading the evaluator cache, which would let "future" observations
-divert earlier proposals.  Because the q picks within a group depend
-only on that frozen history, replay reconstructs the exact same
-q-groups bit-identically, including a group interrupted mid-batch.
+filtering), so a checkpointed run resumes by re-running the optimiser
+from its seed -- never by pre-loading the evaluator cache, which would
+let "future" observations divert earlier proposals.  Because the q
+picks within a group depend only on that frozen history, the rerun
+reconstructs the exact same q-groups bit-identically.
 
 No proposal step runs once per old history point or builds an assignment
 per pool candidate: the evaluator keeps the history encoded as it grows

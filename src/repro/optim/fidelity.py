@@ -18,11 +18,8 @@ tier-1 budget and are never fed to the GP.
 Determinism and resume: a promotion decision is a pure function of the
 screen bounds (deterministic per design), the evaluator's observed
 history at decision time, ``promotion_eta`` and the reference point --
-so replaying journalled evaluations through the optimiser reproduces
-every decision bit-identically.  The ``promotion_observer`` hook fires
-once per screened group *before* the promoted evaluations are recorded,
-letting checkpointing journal decisions ahead of the evaluations they
-gate (and verify them on resume).
+so a resumed run, which re-runs the optimiser from its seed, reproduces
+every decision bit-identically.
 """
 
 from __future__ import annotations
@@ -43,11 +40,6 @@ from repro.perf.profiler import count, span
 #: truly bounding the tier-1 objective from below.
 ScreenFn = Callable[[List[Assignment]], Sequence[Sequence[float]]]
 
-#: Invoked once per screened group with the fresh (deduplicated,
-#: uncached) assignments and the per-point promotion decisions, before
-#: any of the promoted evaluations are recorded.
-PromotionObserverFn = Callable[[List[Assignment], List[bool]], None]
-
 
 class MultiFidelityEvaluator(CachingEvaluator):
     """A :class:`CachingEvaluator` with a tier-0 screening front end.
@@ -66,7 +58,6 @@ class MultiFidelityEvaluator(CachingEvaluator):
                  budget: int, *,
                  screen_fn: ScreenFn,
                  promotion_eta: float = 0.5,
-                 promotion_observer: Optional[PromotionObserverFn] = None,
                  reference: Optional[Sequence[float]] = None):
         if reference is None:
             raise ConfigError(
@@ -77,7 +68,6 @@ class MultiFidelityEvaluator(CachingEvaluator):
         super().__init__(space, objective_fn, budget, reference=reference)
         self.screen_fn = screen_fn
         self.promotion_eta = promotion_eta
-        self.promotion_observer = promotion_observer
         self._pruned_keys: set = set()
 
     def seen_key(self, key: Tuple[object, ...]) -> bool:
@@ -112,9 +102,6 @@ class MultiFidelityEvaluator(CachingEvaluator):
                     f"screen function returned shape {bounds.shape}, "
                     f"expected ({len(fresh)}, {self.reference.shape[0]})")
             mask = self._promotion_mask(bounds)
-            if self.promotion_observer is not None:
-                self.promotion_observer(fresh,
-                                        [bool(m) for m in mask])
             promoted = [a for a, m in zip(fresh, mask) if m]
             for key_index, keep in zip(fresh_indices, mask):
                 if not keep:
@@ -135,7 +122,7 @@ class MultiFidelityEvaluator(CachingEvaluator):
         objectives might dominate that front point, and no lower-bound
         screen can prove otherwise, so it is never pruned.  Deterministic
         given the evaluator history -- stable argsort, no RNG -- which
-        is what makes resume-by-replay exact.
+        is what makes a recomputed resume exact.
         """
         size = bounds.shape[0]
         if not self.result.evaluations:

@@ -20,7 +20,7 @@ from repro.bench import (
     render_bench_report,
 )
 from repro.cli import main
-from repro.core.checkpoint import RunCheckpoint, RunManifest
+from repro.core.checkpoint import RunManifest
 from repro.core.evalcache import reset_shared_cache
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig
@@ -31,16 +31,24 @@ BENCH_ARGS = ["bench", "--tags", "smoke", "--platforms", "nano",
               "--budget", "6", "--seed", "3"]
 CONFIG = RunConfig(seed=3, budget=6)
 
-#: Checkpoint writes before the first cell's first Phase 2 journal
-#: record: ``bench.json``, the cell's start manifest, its 27 Phase 1
-#: journal appends and its manifest written on entering Phase 2.
-PHASE2_FIRST_WRITE = 30
+#: A surrogate sweep's checkpoint writes start with ``bench.json``
+#: (write 0), then the first cell's manifest at its start (1), on
+#: entering Phase 2 (2) and at its end (3).  A kill at write 3 leaves
+#: the first cell with ``phase2: running`` and no other cell started.
+FIRST_CELL_FINAL_WRITE = 3
 
-#: Where the q=4 kills land, as the first cell's Phase 2 journal
-#: length (see ``tests/test_cli.py``'s ``GROUP_KILLS``).
-GROUP_KILLS = [pytest.param(6, id="warm-up"),
-               pytest.param(20, id="after-group"),
-               pytest.param(26, id="mid-group")]
+#: The first cell's manifest status each kill leaves, by the write it
+#: lands on.
+KILLED_STATUS = {
+    2: {"phase1": "running", "phase2": "pending", "phase3": "pending"},
+    3: {"phase1": "complete", "phase2": "running", "phase3": "pending"},
+}
+
+#: Where the q=4 kills land (see ``tests/test_cli.py``'s
+#: ``GROUP_KILLS``): before the cell's manifest entering Phase 2, and
+#: before its final one.
+GROUP_KILLS = [pytest.param(2, id="phase1-running"),
+               pytest.param(FIRST_CELL_FINAL_WRITE, id="phase2-running")]
 
 
 def profile_counts(out):
@@ -142,6 +150,49 @@ class TestRunner:
             manifest = RunManifest.load(bench_dir / "cells" / cell.cell_id)
             assert set(manifest.status.values()) == {"complete"}
 
+    #: Each sweep is killed at its second cell's final manifest write,
+    #: after ``bench.json`` (write 0) and the first cell's three.  A
+    #: second cell served from the first one's Phase 2 skips the write
+    #: entering Phase 2, so it dies one write earlier, still recording
+    #: ``phase1: running``.
+    @pytest.mark.parametrize("ids, platforms, kill_at, killed_status", [
+        pytest.param(["dense", "open-field"], ["nano"], 6,
+                     {"phase1": "complete", "phase2": "running",
+                      "phase3": "pending"}, id="own-phase2"),
+        pytest.param(["dense"], ["mini", "nano"], 5,
+                     {"phase1": "running", "phase2": "pending",
+                      "phase3": "pending"}, id="shared-phase2"),
+    ])
+    def test_kill_in_a_later_cell_resumes_identically(
+            self, tmp_path, ids, platforms, kill_at, killed_status):
+        """A sweep killed in its second cell resumes to the
+        uninterrupted sweep's report: the finished first cell runs
+        again, rebuilding the caches the second reads, its Phase 2
+        included when both cells share one."""
+        suite = build_suite(ids=ids, platforms=platforms)
+        reset_shared_cache()
+        fresh = BenchRunner(AutoPilot(CONFIG)).run(suite)
+
+        bench_dir = tmp_path / "bench"
+        reset_shared_cache()
+        with pytest.raises(faults.SimulatedKill):
+            with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
+                BenchRunner(AutoPilot(CONFIG),
+                            checkpoint_dir=bench_dir).run(suite)
+        first, second = (bench_dir / "cells" / cell.cell_id
+                         for cell in suite.cells())
+        assert set(RunManifest.load(first).status.values()) == {"complete"}
+        assert RunManifest.load(second).status == killed_status
+
+        reset_shared_cache()
+        resumed = BenchRunner(AutoPilot(CONFIG), checkpoint_dir=bench_dir,
+                              resume=True).run(suite)
+        assert (render_bench_report(resumed.metrics)
+                == render_bench_report(fresh.metrics))
+        for cell_dir in (first, second):
+            manifest = RunManifest.load(cell_dir)
+            assert set(manifest.status.values()) == {"complete"}
+
     def test_resume_with_different_config_refused(self, tmp_path):
         suite = build_suite(ids=["dense"], platforms=["nano"])
         bench_dir = tmp_path / "bench"
@@ -184,23 +235,22 @@ class TestBenchCli:
         baseline = capsys.readouterr().out
 
         bench_dir = tmp_path / "bench"
-        # Simulated process death mid-sweep: the first cell has
-        # journalled all six Phase 2 evaluations but not finished, and
-        # the other four were never started.
+        # Simulated process death mid-sweep: the first cell has not
+        # finished, and the other four were never started.
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(
-                    f"kill@checkpoint-write:{PHASE2_FIRST_WRITE + 6}"):
+                    f"kill@checkpoint-write:{FIRST_CELL_FINAL_WRITE}"):
                 main(BENCH_ARGS + ["--checkpoint-dir", str(bench_dir)])
         capsys.readouterr()
         (cell,) = (bench_dir / "cells").iterdir()
-        assert RunManifest.load(cell).status["phase2"] == "running"
-        assert len(RunCheckpoint(cell).phase2_journal().load()) == 6
+        assert (RunManifest.load(cell).status
+                == KILLED_STATUS[FIRST_CELL_FINAL_WRITE])
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == baseline
 
     def test_kill_and_resume_profiles_identically(self, tmp_path, capsys):
         """A resumed sweep counts the evaluations and cache hits an
-        uninterrupted one does: replayed evaluations go through the
+        uninterrupted one does: it recomputes every cell through the
         shared cache, so each cell sees the same cache contents."""
         args = BENCH_ARGS + ["--profile"]
         reset_shared_cache()
@@ -212,28 +262,27 @@ class TestBenchCli:
         bench_dir = tmp_path / "bench"
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(
-                    f"kill@checkpoint-write:{PHASE2_FIRST_WRITE + 6}"):
+                    f"kill@checkpoint-write:{FIRST_CELL_FINAL_WRITE}"):
                 main(args + ["--checkpoint-dir", str(bench_dir)])
         capsys.readouterr()
         reset_shared_cache()
         assert main(["bench", "--resume", str(bench_dir), "--profile"]) == 0
         assert profile_counts(capsys.readouterr().out) == baseline
 
-    @pytest.mark.parametrize("records", GROUP_KILLS)
+    @pytest.mark.parametrize("kill_at", GROUP_KILLS)
     def test_q4_groups_survive_kill_and_resume(self, tmp_path, capsys,
-                                               records):
+                                               kill_at):
         args = ["bench", "--scenarios", "dense", "--platforms", "nano",
                 "--seed", "7", "--budget", "60", "--proposal-batch", "4"]
         assert main(args) == 0
         baseline = capsys.readouterr().out
         bench_dir = tmp_path / "bench"
-        kill_at = PHASE2_FIRST_WRITE + records
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
                 main(args + ["--checkpoint-dir", str(bench_dir)])
         capsys.readouterr()
-        cell = RunCheckpoint(bench_dir / "cells" / "dense__nano")
-        assert len(cell.phase2_journal().load()) == records
+        cell = bench_dir / "cells" / "dense__nano"
+        assert RunManifest.load(cell).status == KILLED_STATUS[kill_at]
         assert main(["bench", "--resume", str(bench_dir)]) == 0
         assert capsys.readouterr().out == baseline
         assert BenchManifest.load(bench_dir).config.proposal_batch == 4

@@ -2,8 +2,8 @@
 
 The central invariant: a run that is killed between checkpoint writes
 and then resumed produces results *bit-identical* to an uninterrupted
-run -- for the CEM trainer, the Phase 2 Bayesian DSE and the full
-three-phase pipeline.
+run -- for the CEM trainer, the trainer's Phase 1 sweep and the full
+three-phase pipeline, whose Phase 2 a resume recomputes.
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.core import checkpoint as checkpoint_module
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     EvaluationJournal,
-    JournalReplayer,
     RunCheckpoint,
     RunManifest,
     atomic_write_json,
@@ -33,11 +32,11 @@ from repro.core.checkpoint import (
 )
 from repro.core.evalcache import reset_shared_cache
 from repro.core.phase1 import FrontEnd
-from repro.core.phase2 import CandidateDesign, MultiObjectiveDse
+from repro.core.phase2 import MultiObjectiveDse
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig, TaskSpec, build_design_space
 from repro.errors import CheckpointError, ConfigError
-from repro.nn.template import PolicyHyperparams
+from repro.nn.template import PolicyHyperparams, enumerate_template_space
 from repro.perf import span
 from repro.soc import dssoc
 from repro.testing import faults
@@ -220,15 +219,6 @@ class TestEvaluationJournal:
                 EvaluationJournal(tmp_path / "j.jnl", kind="test").load()] \
             == [0]
 
-    def test_replayer_cursor(self):
-        replayer = JournalReplayer([1, 2])
-        assert replayer.pending and replayer.remaining == 2
-        assert replayer.take() == 1
-        assert replayer.take() == 2
-        assert not replayer.pending
-        with pytest.raises(CheckpointError):
-            replayer.take()
-
 
 # ----------------------------------------------------------------------
 # CEM trainer resume
@@ -355,7 +345,7 @@ class TestCemResume:
 
 
 # ----------------------------------------------------------------------
-# Phase 2 DSE resume
+# Phase 2 DSE rerun: a resume recomputes Phase 2
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def task():
@@ -373,20 +363,6 @@ def small_space():
                               pe_choices=(16, 32), sram_choices=(64, 128))
 
 
-DSE_KWARGS = dict(seed=5, optimizer_kwargs={"num_initial": 4,
-                                            "pool_size": 16})
-
-
-def earlier_layout_candidate(evaluation, success_rate):
-    """A candidate pickled as earlier revisions wrote it into each Phase 2
-    journal record, with ``design`` stored beside ``evaluation``."""
-    candidate = object.__new__(CandidateDesign)
-    candidate.__dict__.update(design=evaluation.design,
-                              evaluation=evaluation,
-                              success_rate=success_rate)
-    return candidate
-
-
 def assert_phase2_equal(a, b):
     assert len(a.candidates) == len(b.candidates)
     for x, y in zip(a.candidates, b.candidates):
@@ -399,227 +375,35 @@ def assert_phase2_equal(a, b):
     np.testing.assert_array_equal(a.reference, b.reference)
 
 
-class TestPhase2Resume:
-    def test_killed_dse_resumes_bit_identically(self, tmp_path, database,
-                                                task, small_space):
-        baseline = MultiObjectiveDse(database=database, space=small_space,
-                                     **DSE_KWARGS).run(task, budget=12)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        # Kill before the 7th journal append: 6 evaluations persisted.
-        with faults.active_faults("kill@checkpoint-write:6"):
-            with pytest.raises(faults.SimulatedKill):
-                MultiObjectiveDse(database=database, space=small_space,
-                                  **DSE_KWARGS).run(task, budget=12,
-                                                    journal=journal)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        assert len(journal.load()) == 6
-        resumed = MultiObjectiveDse(database=database, space=small_space,
-                                    **DSE_KWARGS).run(task, budget=12,
-                                                      journal=journal,
-                                                      resume=True)
-        assert_phase2_equal(resumed, baseline)
-
-    def test_killed_qbatch_dse_resumes_bit_identically(self, tmp_path,
-                                                       database, task,
-                                                       small_space):
-        """q>1 kill-and-resume, dying *mid proposal group*: 4 warm-up
-        evaluations plus 2 of the first 4-point group are journalled;
-        replay must reconstruct the identical group and evaluate only
-        its unjournalled tail."""
-        kwargs = dict(seed=5, optimizer_kwargs={"num_initial": 4,
-                                                "pool_size": 16,
-                                                "proposal_batch": 4})
-        baseline = MultiObjectiveDse(database=database, space=small_space,
-                                     **kwargs).run(task, budget=14)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        with faults.active_faults("kill@checkpoint-write:6"):
-            with pytest.raises(faults.SimulatedKill):
-                MultiObjectiveDse(database=database, space=small_space,
-                                  **kwargs).run(task, budget=14,
-                                                journal=journal)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        assert len(journal.load()) == 6
-        resumed = MultiObjectiveDse(database=database, space=small_space,
-                                    **kwargs).run(task, budget=14,
-                                                  journal=journal,
-                                                  resume=True)
-        assert_phase2_equal(resumed, baseline)
-
-    def test_resume_of_complete_run_is_simulation_free(self, tmp_path,
-                                                       database, task,
-                                                       small_space):
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        baseline = MultiObjectiveDse(database=database, space=small_space,
-                                     **DSE_KWARGS).run(task, budget=10,
-                                                       journal=journal)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        resumed = MultiObjectiveDse(database=database, space=small_space,
-                                    **DSE_KWARGS).run(task, budget=10,
-                                                      journal=journal,
-                                                      resume=True)
-        assert_phase2_equal(resumed, baseline)
-
-    def test_mismatched_journal_rejected(self, tmp_path, database, task,
-                                         small_space):
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        MultiObjectiveDse(database=database, space=small_space,
-                          **DSE_KWARGS).run(task, budget=8, journal=journal)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        other = MultiObjectiveDse(database=database, space=small_space,
-                                  seed=6,
-                                  optimizer_kwargs={"num_initial": 4,
-                                                    "pool_size": 16})
-        with pytest.raises(CheckpointError, match="does not match"):
-            other.run(task, budget=8, journal=journal, resume=True)
-
-    def test_fresh_run_discards_stale_journal(self, tmp_path, database,
-                                              task, small_space):
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        journal.append({"assignment": {}, "candidate": None})
-        journal.close()
-        result = MultiObjectiveDse(database=database, space=small_space,
-                                   **DSE_KWARGS).run(task, budget=6,
-                                                     journal=journal)
-        reread = EvaluationJournal(tmp_path / "phase2.jnl",
-                                   kind="phase2-evaluations")
-        # A record is the decision alone, never its result.
-        assert reread.load() == [{"assignment": e.assignment}
-                                 for e in result.optimization.evaluations]
-
-    def test_journal_with_candidate_payloads_resumes_bit_identically(
-            self, tmp_path, database, task, small_space):
-        """Records in the earlier layout carry a whole candidate beside
-        the assignment.  A resume re-evaluates each assignment and reads
-        no payload, so even payloads holding stale results replay to
-        the current model's run."""
-        baseline = MultiObjectiveDse(database=database, space=small_space,
-                                     **DSE_KWARGS).run(task, budget=12)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        for evaluation, candidate in zip(baseline.optimization.evaluations[:6],
-                                         baseline.candidates):
-            stale = replace(candidate.evaluation,
-                            soc_power_w=candidate.soc_power_w * 1.5)
-            journal.append({"assignment": evaluation.assignment,
-                            "candidate": earlier_layout_candidate(
-                                stale, candidate.success_rate)})
-        journal.close()
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        resumed = MultiObjectiveDse(database=database, space=small_space,
-                                    **DSE_KWARGS).run(task, budget=12,
-                                                      journal=journal,
-                                                      resume=True)
-        assert_phase2_equal(resumed, baseline)
-        assert ([c.soc_power_w for c in resumed.candidates]
-                == [c.soc_power_w for c in baseline.candidates])
-        records = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations").load()
-        assert [set(r) for r in records] == (
-            [{"assignment", "candidate"}] * 6 + [{"assignment"}] * 6)
+#: Phase 2 settings a resume must recompute exactly: the serial loop,
+#: q-point groups, and q-point groups through the tier-0 screen.
+RERUNS = {
+    "q1": dict(optimizer_kwargs={"num_initial": 4, "pool_size": 16}),
+    "q4": dict(optimizer_kwargs={"num_initial": 4, "pool_size": 16,
+                                 "proposal_batch": 4}),
+    "q4-fidelity": dict(optimizer_kwargs={"num_initial": 4,
+                                          "pool_size": 16,
+                                          "proposal_batch": 4},
+                        fidelity="on", promotion_eta=0.5),
+}
 
 
-# ----------------------------------------------------------------------
-# Phase 2 multi-fidelity resume (promotion-decision journal)
-# ----------------------------------------------------------------------
-MF_DSE_KWARGS = dict(seed=5,
-                     optimizer_kwargs={"num_initial": 4, "pool_size": 16,
-                                       "proposal_batch": 4},
-                     fidelity="on", promotion_eta=0.5)
+class TestPhase2Rerun:
+    @pytest.mark.parametrize("settings", list(RERUNS))
+    def test_rerun_is_bit_identical(self, database, task, small_space,
+                                    settings):
+        """A resume re-runs Phase 2 from its seed, so a second run, on a
+        cold or a warm evaluation cache, must repeat the first."""
+        def run():
+            return MultiObjectiveDse(database=database, space=small_space,
+                                     seed=5, **RERUNS[settings]).run(
+                task, budget=14)
 
-
-class TestMultiFidelityResume:
-    def test_killed_multifidelity_dse_resumes_bit_identically(
-            self, tmp_path, database, task, small_space):
-        """Kill mid proposal group: 4 warm-up evaluations, the first
-        group's promotion record and one of its promoted evaluations
-        are persisted; the resumed run must replay the journalled
-        promotion decision (verified, not recomputed blind) and
-        evaluate only the unjournalled tail."""
-        baseline = MultiObjectiveDse(database=database, space=small_space,
-                                     **MF_DSE_KWARGS).run(task, budget=14)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        promotions = EvaluationJournal(tmp_path / "promotions.jnl",
-                                       kind="phase2-promotions")
-        # Writes 0-3: warm-up evaluations.  Write 4: the first group's
-        # promotion record (appended before its evaluations).  Writes
-        # 5+: the group's promoted evaluations.  Kill at write 6 --
-        # one promoted evaluation journalled, the rest in flight.
-        with faults.active_faults("kill@checkpoint-write:6"):
-            with pytest.raises(faults.SimulatedKill):
-                MultiObjectiveDse(database=database, space=small_space,
-                                  **MF_DSE_KWARGS).run(
-                    task, budget=14, journal=journal,
-                    promotion_journal=promotions)
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        promotions = EvaluationJournal(tmp_path / "promotions.jnl",
-                                       kind="phase2-promotions")
-        assert len(journal.load()) == 5
-        records = promotions.load()
-        assert len(records) == 1
-        assert set(records[0]) == {"keys", "promoted"}
-        resumed = MultiObjectiveDse(database=database, space=small_space,
-                                    **MF_DSE_KWARGS).run(
-            task, budget=14, journal=journal,
-            promotion_journal=promotions, resume=True)
-        assert_phase2_equal(resumed, baseline)
-
-    def test_resume_of_complete_multifidelity_run_replays_promotions(
-            self, tmp_path, database, task, small_space):
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        promotions = EvaluationJournal(tmp_path / "promotions.jnl",
-                                       kind="phase2-promotions")
-        baseline = MultiObjectiveDse(database=database, space=small_space,
-                                     **MF_DSE_KWARGS).run(
-            task, budget=10, journal=journal,
-            promotion_journal=promotions)
-        recorded = EvaluationJournal(tmp_path / "promotions.jnl",
-                                     kind="phase2-promotions").load()
-        assert recorded
-        journal = EvaluationJournal(tmp_path / "phase2.jnl",
-                                    kind="phase2-evaluations")
-        promotions = EvaluationJournal(tmp_path / "promotions.jnl",
-                                       kind="phase2-promotions")
-        resumed = MultiObjectiveDse(database=database, space=small_space,
-                                    **MF_DSE_KWARGS).run(
-            task, budget=10, journal=journal,
-            promotion_journal=promotions, resume=True)
-        assert_phase2_equal(resumed, baseline)
-        # Verified replay appends nothing: the journal is unchanged.
-        replayed = EvaluationJournal(tmp_path / "promotions.jnl",
-                                     kind="phase2-promotions").load()
-        assert replayed == recorded
-
-    def test_mismatched_promotion_journal_rejected(self, tmp_path,
-                                                   database, task,
-                                                   small_space):
-        promotions = EvaluationJournal(tmp_path / "promotions.jnl",
-                                       kind="phase2-promotions")
-        MultiObjectiveDse(database=database, space=small_space,
-                          **MF_DSE_KWARGS).run(
-            task, budget=10, promotion_journal=promotions)
-        promotions = EvaluationJournal(tmp_path / "promotions.jnl",
-                                       kind="phase2-promotions")
-        other = MultiObjectiveDse(
-            database=database, space=small_space, seed=6,
-            optimizer_kwargs=MF_DSE_KWARGS["optimizer_kwargs"],
-            fidelity="on", promotion_eta=0.5)
-        with pytest.raises(CheckpointError,
-                           match="promotion journal does not match"):
-            other.run(task, budget=10, promotion_journal=promotions,
-                      resume=True)
+        reset_shared_cache()
+        first = run()
+        assert_phase2_equal(run(), first)
+        reset_shared_cache()
+        assert_phase2_equal(run(), first)
 
 
 # ----------------------------------------------------------------------
@@ -638,23 +422,39 @@ def assert_pipeline_equal(a, b):
     assert list(a.phase1.database) == list(b.phase1.database)
 
 
+#: A surrogate run's checkpoint writes are its manifest at the start
+#: (write 0), on entering Phase 2 (write 1) and at the end (write 2).
+#: A kill at the last leaves the state a kill anywhere in Phase 2 or 3
+#: leaves, since neither writes anything of its own.
+FINAL_MANIFEST_WRITE = 2
+
+#: The manifest status a kill at each of those writes leaves on disk.
+KILLED_STATUS = {
+    1: {"phase1": "running", "phase2": "pending", "phase3": "pending"},
+    FINAL_MANIFEST_WRITE: {"phase1": "complete", "phase2": "running",
+                           "phase3": "pending"},
+}
+
+
+def killed(start, run_dir, write=FINAL_MANIFEST_WRITE) -> None:
+    """Run ``start`` until checkpoint write ``write``, then check the
+    status that the manifest in ``run_dir`` records."""
+    with faults.active_faults(f"kill@checkpoint-write:{write}"):
+        with pytest.raises(faults.SimulatedKill):
+            start()
+    assert RunManifest.load(run_dir).status == KILLED_STATUS[write]
+
+
 class TestPipelineResume:
-    def test_killed_pipeline_resumes_bit_identically(self, tmp_path, task):
+    @pytest.mark.parametrize("write", [
+        pytest.param(1, id="phase1-running"),
+        pytest.param(FINAL_MANIFEST_WRITE, id="phase2-running")])
+    def test_killed_pipeline_resumes_bit_identically(self, tmp_path, task,
+                                                     write):
         baseline = AutoPilot(PIPE_CONFIG).run(task)
         run_dir = tmp_path / "run"
-        # The start manifest (write 0), 27 Phase 1 journal appends (1-27)
-        # and the manifest entering Phase 2 (28) precede the Phase 2
-        # journal, whose first 12 appends (29-40) are SMS-EGO's random
-        # warm-up.  Counter 43 lands inside the model-based proposals,
-        # two of them journalled.
-        with faults.active_faults("kill@checkpoint-write:43"):
-            with pytest.raises(faults.SimulatedKill):
-                AutoPilot(PIPE_CONFIG).run(task, checkpoint_dir=run_dir)
-        manifest = RunManifest.load(run_dir)
-        assert manifest.status == {"phase1": "complete",
-                                   "phase2": "running",
-                                   "phase3": "pending"}
-        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 14
+        killed(lambda: AutoPilot(PIPE_CONFIG).run(
+            task, checkpoint_dir=run_dir), run_dir, write)
         resumed = AutoPilot(PIPE_CONFIG).run(task, checkpoint_dir=run_dir,
                                              resume=True)
         assert_pipeline_equal(resumed, baseline)
@@ -666,21 +466,13 @@ class TestPipelineResume:
 
     def test_killed_multifidelity_pipeline_resumes_bit_identically(
             self, tmp_path, task):
-        """The pipeline wires both Phase 2 journals (evaluations and
-        promotions) out of the run directory; a kill landing inside a
-        screened proposal group must resume bit-identically."""
+        """A resume recomputes every screened group's promotions from
+        the seed, so a run killed in Phase 2 resumes bit-identically."""
         config = replace(PIPE_CONFIG, proposal_batch=4, fidelity="on")
         baseline = AutoPilot(config).run(task)
         run_dir = tmp_path / "run"
-        # 29 writes precede the Phase 2 journals (see above); counter
-        # 43 lands past the warm-up batch (29-40) and the first
-        # promotion record (41), inside the first group's evaluations.
-        with faults.active_faults("kill@checkpoint-write:43"):
-            with pytest.raises(faults.SimulatedKill):
-                AutoPilot(config).run(task, checkpoint_dir=run_dir)
-        checkpoint = RunCheckpoint(run_dir)
-        assert len(checkpoint.phase2_promotions_journal().load()) == 1
-        assert len(checkpoint.phase2_journal().load()) == 13
+        killed(lambda: AutoPilot(config).run(task, checkpoint_dir=run_dir),
+               run_dir)
         resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
                                         resume=True)
         assert_pipeline_equal(resumed, baseline)
@@ -688,50 +480,77 @@ class TestPipelineResume:
         assert manifest.config.fidelity == "on"
         assert manifest.status["phase2"] == "complete"
 
+    @pytest.mark.parametrize("config", [
+        pytest.param(PIPE_CONFIG, id="q1"),
+        pytest.param(replace(PIPE_CONFIG, proposal_batch=4, fidelity="on"),
+                     id="q4-fidelity")])
+    def test_resume_of_a_complete_run_repeats_it(self, tmp_path, task,
+                                                 config):
+        """Resuming a finished run recomputes it from a cold cache, as
+        a new process would: the same result, and the directory holds
+        the same manifest, byte for byte, and nothing else."""
+        run_dir = tmp_path / "run"
+        reset_shared_cache()
+        completed = AutoPilot(config).run(task, checkpoint_dir=run_dir)
+        recorded = (run_dir / "manifest.json").read_bytes()
+        reset_shared_cache()
+        resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
+                                        resume=True)
+        assert_pipeline_equal(resumed, completed)
+        assert (run_dir / "manifest.json").read_bytes() == recorded
+        assert tree(run_dir) == ["manifest.json"]
+
+    @pytest.mark.parametrize("change", ["fixed-power", "ranking"])
     def test_resume_after_a_model_change_gives_the_current_models_run(
-            self, tmp_path, monkeypatch):
-        """A run killed with 11 Phase 2 records and resumed after the
-        evaluation model changed yields the current model's candidates,
-        not the recorded ones."""
+            self, tmp_path, monkeypatch, change):
+        """A run killed in Phase 2 and resumed after the evaluation model
+        changed yields the current model's candidates, not the recorded
+        ones: whether the change scales every design's power alike or
+        reorders designs, steering the optimiser elsewhere."""
         task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
         config = RunConfig(seed=3, budget=20)
         run_dir = tmp_path / "run"
         reset_shared_cache()
-        # 29 writes precede the Phase 2 journal (see above): counter 40
-        # lands after 11 warm-up evaluations.
-        with faults.active_faults("kill@checkpoint-write:40"):
-            with pytest.raises(faults.SimulatedKill):
-                AutoPilot(config).run(task, checkpoint_dir=run_dir)
-        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 11
+        killed(lambda: AutoPilot(config).run(task, checkpoint_dir=run_dir),
+               run_dir)
 
-        fixed_w = dssoc.fixed_components_power_w
-        monkeypatch.setattr(dssoc, "fixed_components_power_w",
-                            lambda: 1.5 * fixed_w())
+        if change == "fixed-power":
+            fixed_w = dssoc.fixed_components_power_w
+            monkeypatch.setattr(dssoc, "fixed_components_power_w",
+                                lambda: 1.5 * fixed_w())
+        else:
+            evaluate = dssoc.DssocEvaluator._evaluate
+
+            def larger_arrays_cost_more(self, design):
+                evaluation = evaluate(self, design)
+                scale = 1.0 + design.accelerator.num_pes / 1000
+                return replace(evaluation,
+                               soc_power_w=evaluation.soc_power_w * scale)
+
+            monkeypatch.setattr(dssoc.DssocEvaluator, "_evaluate",
+                                larger_arrays_cost_more)
         reset_shared_cache()
-        fresh = AutoPilot(config).run(task)
-        reset_shared_cache()
-        resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
-                                        resume=True)
-        reset_shared_cache()
+        try:
+            fresh = AutoPilot(config).run(task)
+            reset_shared_cache()
+            resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
+                                            resume=True)
+        finally:
+            reset_shared_cache()
         assert resumed.phase2.candidates == fresh.phase2.candidates
         assert_pipeline_equal(resumed, fresh)
 
     def test_resume_after_a_surrogate_change_gives_the_current_run(
             self, tmp_path, monkeypatch):
-        """The surrogate backend re-derives each journalled template
-        point's success rate on resume, so a run killed with four Phase 2
-        records and resumed after the surrogate changed yields the
-        current surrogate's candidates."""
+        """A resume re-derives every template point's success rate, so
+        a run killed in Phase 2 and resumed after the surrogate changed
+        yields the current surrogate's candidates."""
         task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
         config = RunConfig(seed=3, budget=20)
         run_dir = tmp_path / "run"
         reset_shared_cache()
-        with faults.active_faults("kill@checkpoint-write:33"):
-            with pytest.raises(faults.SimulatedKill):
-                AutoPilot(config).run(task, checkpoint_dir=run_dir)
-        checkpoint = RunCheckpoint(run_dir)
-        assert len(checkpoint.phase1_journal().load()) == 27
-        assert len(checkpoint.phase2_journal().load()) == 4
+        killed(lambda: AutoPilot(config).run(task, checkpoint_dir=run_dir),
+               run_dir)
 
         rate = SuccessRateSurrogate.success_rate
         monkeypatch.setattr(SuccessRateSurrogate, "success_rate",
@@ -745,41 +564,6 @@ class TestPipelineResume:
         assert resumed.phase2.candidates == fresh.phase2.candidates
         assert_pipeline_equal(resumed, fresh)
 
-    def test_resume_after_a_ranking_change_is_refused(self, tmp_path,
-                                                      monkeypatch):
-        """A model change that reorders designs steers the optimiser off
-        the journalled path; the resume then fails loudly instead of
-        mixing recorded and current results."""
-        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
-        config = RunConfig(seed=3, budget=20)
-        run_dir = tmp_path / "run"
-        reset_shared_cache()
-        # Counter 44 lands after the 12 warm-up evaluations and three
-        # model-based proposals.
-        with faults.active_faults("kill@checkpoint-write:44"):
-            with pytest.raises(faults.SimulatedKill):
-                AutoPilot(config).run(task, checkpoint_dir=run_dir)
-        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 15
-
-        evaluate = dssoc.DssocEvaluator._evaluate
-
-        def larger_arrays_cost_more(self, design):
-            evaluation = evaluate(self, design)
-            scale = 1.0 + design.accelerator.num_pes / 1000
-            return replace(evaluation,
-                           soc_power_w=evaluation.soc_power_w * scale)
-
-        monkeypatch.setattr(dssoc.DssocEvaluator, "_evaluate",
-                            larger_arrays_cost_more)
-        reset_shared_cache()
-        try:
-            with pytest.raises(CheckpointError,
-                               match="changed evaluation model"):
-                AutoPilot(config).run(task, checkpoint_dir=run_dir,
-                                      resume=True)
-        finally:
-            reset_shared_cache()
-
     def test_checkpointing_leaves_the_design_unchanged(self, tmp_path,
                                                        task):
         config = RunConfig(seed=7, budget=30)
@@ -792,20 +576,15 @@ class TestPipelineResume:
 
     def test_kill_mid_phase2_resumes_to_the_same_design(self, tmp_path,
                                                         task):
-        """The checkpointing runtime gate's workload, killed once the
-        manifest and the Phase 1 journal are durable."""
+        """The checkpointing runtime gate's workload, killed before its
+        final manifest write."""
         config = RunConfig(seed=7, budget=30)
         reset_shared_cache()
         baseline = AutoPilot(config).run(task)
         run_dir = tmp_path / "run"
         reset_shared_cache()
-        # 29 writes precede the Phase 2 journal (see above): counter 33
-        # lands after four warm-up evaluations.
-        with faults.active_faults("kill@checkpoint-write:33"):
-            with pytest.raises(faults.SimulatedKill):
-                AutoPilot(config).run(task, checkpoint_dir=run_dir)
-        assert RunManifest.load(run_dir).status["phase2"] == "running"
-        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 4
+        killed(lambda: AutoPilot(config).run(task, checkpoint_dir=run_dir),
+               run_dir)
         reset_shared_cache()
         resumed = AutoPilot(config).run(task, checkpoint_dir=run_dir,
                                         resume=True)
@@ -841,14 +620,22 @@ def json_writes(monkeypatch):
     return writes
 
 
+def tree(directory):
+    """Every path under ``directory``, relative, as POSIX strings."""
+    return sorted(path.relative_to(directory).as_posix()
+                  for path in directory.rglob("*"))
+
+
 class TestWriteSchedule:
     def test_run_writes_its_manifest_three_times(self, tmp_path, task,
                                                   json_writes):
-        # At the start, on entering Phase 2 and at the end.
+        # At the start, on entering Phase 2 and at the end; a surrogate
+        # run keeps nothing else.
         run_dir = tmp_path / "run"
         AutoPilot(RunConfig(seed=3, budget=6)).run(task,
                                                    checkpoint_dir=run_dir)
         assert json_writes == [run_dir / "manifest.json"] * 3
+        assert tree(run_dir) == ["manifest.json"]
 
     def test_bench_writes_its_manifest_once(self, tmp_path, json_writes):
         suite = build_suite(ids=["dense"], platforms=["mini", "nano"])
@@ -867,6 +654,10 @@ class TestWriteSchedule:
         assert written() == {"bench.json": 1,
                              "cells/dense__mini/manifest.json": 3,
                              "cells/dense__nano/manifest.json": 2}
+        assert tree(bench_dir) == [
+            "bench.json", "cells", "cells/dense__mini",
+            "cells/dense__mini/manifest.json", "cells/dense__nano",
+            "cells/dense__nano/manifest.json"]
         # A resume verifies bench.json without rewriting it.
         BenchRunner(AutoPilot(RunConfig(seed=3, budget=6)),
                     checkpoint_dir=bench_dir, resume=True).run(suite)
@@ -894,7 +685,7 @@ NON_DEFAULT = {
 
 def _recorded_then_killed(start) -> None:
     """Run ``start`` until its second checkpoint write: the manifest is
-    on disk, no work has been done."""
+    on disk, and Phase 2 has not started."""
     with faults.active_faults("kill@checkpoint-write:1"):
         with pytest.raises(faults.SimulatedKill):
             start()
@@ -976,8 +767,8 @@ class TestRetiredFields:
             return BenchRunner(AutoPilot(config), checkpoint_dir=directory,
                                resume=resume).run(suite)
 
-        # Two writes: the run manifest and a Phase 1 record, or
-        # bench.json and the cell's manifest.
+        # Two writes: the run manifest at the start and on entering
+        # Phase 2, or bench.json and the cell's start manifest.
         with faults.active_faults("kill@checkpoint-write:2"):
             with pytest.raises(faults.SimulatedKill):
                 run()
@@ -997,9 +788,51 @@ class TestRetiredFields:
 
 
 # ----------------------------------------------------------------------
+# Phase 1 checkpoint: the surrogate keeps nothing
+# ----------------------------------------------------------------------
+class TestPhase1SurrogateCheckpoint:
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_surrogate_ignores_the_checkpoint(self, tmp_path, task, resume):
+        """A surrogate front end reads and writes nothing in the run
+        directory: a journal that earlier versions wrote there, here
+        with stale rates, is neither served nor rewritten."""
+        checkpoint = RunCheckpoint(tmp_path / "run")
+        with checkpoint.phase1_journal() as journal:
+            for point in enumerate_template_space():
+                journal.append({"point": point, "scenario": "dense",
+                                "success": 0.0, "env_steps": 0})
+        written = file_bytes(checkpoint.run_dir)
+        baseline = FrontEnd(backend="surrogate", seed=3).run(task)
+        result = FrontEnd(backend="surrogate", seed=3).run(
+            task, checkpoint=checkpoint, resume=resume)
+        assert list(result.database) == list(baseline.database)
+        assert result.trained == baseline.trained
+        assert file_bytes(checkpoint.run_dir) == written
+
+
+# ----------------------------------------------------------------------
 # Phase 1 journal resume (trainer backend, per-point CEM snapshots)
 # ----------------------------------------------------------------------
 class TestPhase1TrainerResume:
+    def test_fresh_sweep_discards_a_stale_journal(self, tmp_path, task):
+        """A sweep started without ``resume`` serves nothing from a
+        journal already in the directory, and replaces it."""
+        frontend = FrontEnd(backend="trainer", seed=3,
+                            trainer=CemTrainer(**dict(SMALL_CEM,
+                                                      iterations=1)),
+                            validation_episodes=4, workers=1)
+        checkpoint = RunCheckpoint(tmp_path / "run")
+        with checkpoint.phase1_journal() as journal:
+            journal.append({"point": POINT, "scenario": "dense",
+                            "success": -1.0, "env_steps": 0})
+        result = frontend.run(task, hyperparams=[POINT],
+                              checkpoint=checkpoint)
+        success = result.database.get(POINT, task.scenario).success_rate
+        assert success >= 0.0
+        assert checkpoint.phase1_journal().load() == [
+            {"point": POINT, "scenario": "dense", "success": success,
+             "env_steps": result.env_steps}]
+
     def test_killed_training_sweep_resumes_bit_identically(self, tmp_path,
                                                            task):
         points = [PolicyHyperparams(num_layers=4, num_filters=32),

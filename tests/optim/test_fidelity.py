@@ -36,10 +36,10 @@ def loose_screen(assignments):
     return [[v / 2.0 for v in objective(a)] for a in assignments]
 
 
-def make_evaluator(screen=loose_screen, budget=32, eta=0.5, **kwargs):
+def make_evaluator(screen=loose_screen, budget=32, eta=0.5):
     return MultiFidelityEvaluator(make_space(), objective, budget,
                                   screen_fn=screen, promotion_eta=eta,
-                                  reference=REFERENCE, **kwargs)
+                                  reference=REFERENCE)
 
 
 class TestConstruction:
@@ -131,16 +131,6 @@ class TestPromotion:
         results = evaluator.evaluate_screened(points[8:16])
         promoted = sum(1 for r in results if r is not None)
         assert len(evaluator.result.evaluations) == 1 + promoted
-
-    def test_promotion_observer_fires_before_evaluations(self):
-        seen_counts = []
-        evaluator = make_evaluator(
-            screen=loose_screen,
-            promotion_observer=lambda fresh, decisions: seen_counts.append(
-                (len(fresh), list(decisions))))
-        points = list(make_space().all_points())[:4]
-        evaluator.evaluate_screened(points)
-        assert seen_counts == [(4, [True] * 4)]
 
     def test_screen_shape_mismatch_raises(self):
         evaluator = make_evaluator(

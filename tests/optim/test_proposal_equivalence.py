@@ -194,22 +194,33 @@ def three_objectives(point):
             1.0 - point["y"] / 12.0, (point["x"] * point["y"]) % 7 / 7.0]
 
 
-def screened_run(seed):
+#: The screen's own promotion rule, which :func:`screened_run` wraps.
+PROMOTION_MASK = MultiFidelityEvaluator._promotion_mask
+
+
+def screened_run(seed, monkeypatch):
     """A q=4 run through the tier-0 screen: its history and every
-    promotion decision."""
+    promotion decision, each as the screened group's bound bytes and
+    its mask."""
     space = DesignSpace([Dimension("x", tuple(range(12))),
                          Dimension("y", tuple(range(12))),
                          Dimension("z", ("a", "b", "c"))])
     decisions = []
+
+    def recorded_mask(evaluator, bounds):
+        mask = PROMOTION_MASK(evaluator, bounds)
+        decisions.append((bounds.tobytes(), mask.tolist()))
+        return mask
+
+    monkeypatch.setattr(MultiFidelityEvaluator, "_promotion_mask",
+                        recorded_mask)
     result = SmsEgoBayesOpt(
         space, seed=seed, num_initial=6, pool_size=48,
         proposal_batch=4).optimize(
             three_objectives, budget=30, reference=[2.0, 2.0, 2.0],
             screen_fn=lambda group: [[v - 0.05 for v in three_objectives(p)]
                                      for p in group],
-            promotion_eta=0.25,
-            promotion_observer=lambda group, mask: decisions.append(
-                ([space.key(p) for p in group], mask)))
+            promotion_eta=0.25)
     return result, decisions
 
 
@@ -220,9 +231,9 @@ class TestScreenedRunMatchesReread:
         """The proposal and the screen's promotion mask read the kept
         front; re-reading the whole history at every read instead
         changes no decision and no recorded bit."""
-        result, decisions = screened_run(seed)
+        result, decisions = screened_run(seed, monkeypatch)
         monkeypatch.setattr(CachingEvaluator, "observed", reread_history)
-        legacy, legacy_decisions = screened_run(seed)
+        legacy, legacy_decisions = screened_run(seed, monkeypatch)
         assert any(not all(mask) for _, mask in decisions)
         assert decisions == legacy_decisions
         assert ([e.assignment for e in result.evaluations]

@@ -9,10 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.airlearning.scenarios import Scenario
 from repro.cli import build_parser, main
-from repro.core.checkpoint import RunCheckpoint, RunManifest
+from repro.core.checkpoint import EvaluationJournal, RunManifest
 from repro.core.evalcache import reset_shared_cache
+from repro.core.pipeline import AutoPilot
+from repro.core.spec import RunConfig, TaskSpec, build_design_space
+from repro.nn.template import enumerate_template_space
 from repro.testing import faults
+from repro.uav.platforms import NANO_ZHANG
 
 
 @pytest.fixture(autouse=True)
@@ -237,17 +242,22 @@ class TestGoldenReports:
 DESIGN_ARGS = ["design", "--uav", "nano", "--scenario", "low",
                "--budget", "15", "--seed", "3"]
 
-#: Checkpoint writes before a run's first Phase 2 journal record: the
-#: start manifest, one Phase 1 journal append per template point (27)
-#: and the manifest written on entering Phase 2.
-PHASE2_FIRST_WRITE = 29
+#: A surrogate ``design`` run's checkpoint writes are its manifest at
+#: the start (write 0), on entering Phase 2 (write 1) and at the end
+#: (write 2).  Phases 2 and 3 write nothing of their own, so a kill at
+#: the final write leaves what a kill anywhere in them leaves.
+FINAL_MANIFEST_WRITE = 2
 
-#: Where the q=4 kills land, as the Phase 2 journal length each leaves.
-#: Groups of four follow the 12 warm-up records, so 20 records end the
-#: second group and 26 is mid-way through the fourth (records 25-28).
-GROUP_KILLS = [pytest.param(6, id="warm-up"),
-               pytest.param(20, id="after-group"),
-               pytest.param(26, id="mid-group")]
+#: The manifest status each kill leaves, by the write it lands on.
+KILLED_STATUS = {
+    1: {"phase1": "running", "phase2": "pending", "phase3": "pending"},
+    2: {"phase1": "complete", "phase2": "running", "phase3": "pending"},
+}
+
+#: Where the q=4 kills land: before the manifest entering Phase 2, and
+#: before the final one.
+GROUP_KILLS = [pytest.param(1, id="phase1-running"),
+               pytest.param(FINAL_MANIFEST_WRITE, id="phase2-running")]
 
 #: One non-default value of every option a checkpoint records.
 NON_DEFAULT_OPTIONS = [
@@ -258,15 +268,42 @@ NON_DEFAULT_OPTIONS = [
 ]
 
 #: A design and a bench command, each with the checkpoint write to
-#: kill it at.  12 SMS-EGO warm-up evaluations follow the run's first 29
-#: (bench, which first writes bench.json: 30) checkpoint writes, so each
-#: kill lands two Phase 2 journal writes into the model-based proposals.
+#: kill it at: its (only) run's final manifest write, which in the
+#: bench follows ``bench.json``.  Each leaves ``phase2: running``.
 MID_PHASE2_KILLS = [
     (["design", "--uav", "nano", "--scenario", "low", "--budget", "20"],
-     PHASE2_FIRST_WRITE + 14),
+     FINAL_MANIFEST_WRITE),
     (["bench", "--scenarios", "dense", "--platforms", "nano",
-      "--budget", "20"], PHASE2_FIRST_WRITE + 15),
+      "--budget", "20"], FINAL_MANIFEST_WRITE + 1),
 ]
+
+
+def earlier_journals(seed):
+    """The journals earlier versions wrote into a checkpointed
+    ``design --uav nano --scenario dense --budget 24 --proposal-batch 4
+    --fidelity on`` run with ``seed``, by path: the surrogate's Phase 1
+    records, and Phase 2's assignments and promotion decisions.  Each
+    value is the journal's kind and its records."""
+    task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.DENSE)
+    result = AutoPilot(RunConfig(seed=seed, budget=24, proposal_batch=4,
+                                 fidelity="on")).run(task)
+    space = build_design_space()
+    assignments = [evaluation.assignment
+                   for evaluation in result.phase2.optimization.evaluations]
+    keys = [tuple(space.key(a)) for a in assignments]
+    trainings = [{"point": point, "scenario": "dense", "env_steps": 0,
+                  "success": result.phase1.database.get(
+                      point, task.scenario).success_rate}
+                 for point in enumerate_template_space()]
+    promotions = [{"keys": tuple(keys[i:i + 4]),
+                   "promoted": (True,) * len(keys[i:i + 4])}
+                  for i in range(12, len(keys), 4)]
+    return {
+        "phase1/trainings.jnl": ("phase1-trainings", trainings),
+        "phase2/evaluations.jnl": (
+            "phase2-evaluations", [{"assignment": a} for a in assignments]),
+        "phase2/promotions.jnl": ("phase2-promotions", promotions),
+    }
 
 
 def killed_with_refit_cadence(tmp_path, capsys, command, kill_at, value):
@@ -292,9 +329,9 @@ class TestCheckpointCli:
         assert "AutoPilot design report" in first
         manifest = RunManifest.load(run_dir)
         assert manifest.status["phase3"] == "complete"
-        # Resuming a completed run replays the journals and reproduces
-        # the report verbatim -- seed, budget and task all come from
-        # the manifest, not the command line.
+        # Resuming a completed run recomputes it and reproduces the
+        # report verbatim -- seed, budget and task all come from the
+        # manifest, not the command line.
         assert main(["design", "--resume", str(run_dir)]) == 0
         assert capsys.readouterr().out == first
 
@@ -303,16 +340,52 @@ class TestCheckpointCli:
         assert main(DESIGN_ARGS) == 0
         baseline = capsys.readouterr().out
         run_dir = tmp_path / "run"
-        # Kill the process (simulated) mid-phase-2, once four phase 2
-        # evaluations have been journalled.
+        # Kill the process (simulated) with Phase 2 running.
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(
-                    f"kill@checkpoint-write:{PHASE2_FIRST_WRITE + 4}"):
+                    f"kill@checkpoint-write:{FINAL_MANIFEST_WRITE}"):
                 main(DESIGN_ARGS + ["--checkpoint-dir", str(run_dir)])
         capsys.readouterr()
-        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == 4
+        assert (RunManifest.load(run_dir).status
+                == KILLED_STATUS[FINAL_MANIFEST_WRITE])
         assert main(["design", "--resume", str(run_dir)]) == 0
         assert capsys.readouterr().out == baseline
+
+    @pytest.mark.parametrize("command, kill_at, run", [
+        (["design", "--uav", "nano"], FINAL_MANIFEST_WRITE, "."),
+        (["bench", "--platforms", "nano"], FINAL_MANIFEST_WRITE + 1,
+         "cells/dense__nano"),
+    ], ids=["design", "bench"])
+    def test_resume_ignores_the_journals_earlier_versions_wrote(
+            self, tmp_path, capsys, command, kill_at, run):
+        """A run directory in the earlier layout, or a bench cell's,
+        resumes to the uninterrupted report, though its Phase 2
+        journals name another seed's assignments (a resume that
+        replayed them refused it), and leaves every journal byte for
+        byte as it was."""
+        scenario = "--scenario" if command[0] == "design" else "--scenarios"
+        args = command + [scenario, "dense", "--seed", "7", "--budget", "24",
+                          "--proposal-batch", "4", "--fidelity", "on"]
+        assert main(args) == 0
+        baseline = capsys.readouterr().out
+        checkpoint_dir = tmp_path / "checkpoint"
+        with pytest.raises(faults.SimulatedKill):
+            with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
+                main(args + ["--checkpoint-dir", str(checkpoint_dir)])
+        capsys.readouterr()
+        run_dir = checkpoint_dir / run
+        assert (RunManifest.load(run_dir).status
+                == KILLED_STATUS[FINAL_MANIFEST_WRITE])
+        journals = earlier_journals(seed=8)
+        for name, (kind, records) in journals.items():
+            with EvaluationJournal(run_dir / name, kind=kind) as journal:
+                for record in records:
+                    journal.append(record)
+        written = {name: (run_dir / name).read_bytes() for name in journals}
+        assert main([command[0], "--resume", str(checkpoint_dir)]) == 0
+        assert capsys.readouterr().out == baseline
+        assert {name: (run_dir / name).read_bytes()
+                for name in written} == written
 
     def test_resume_missing_manifest_is_a_clean_error(self, tmp_path,
                                                       capsys):
@@ -343,20 +416,19 @@ class TestCheckpointCli:
         assert manifest["seed"] == 3
         assert manifest["budget"] == 15
 
-    @pytest.mark.parametrize("records", GROUP_KILLS)
+    @pytest.mark.parametrize("kill_at", GROUP_KILLS)
     def test_q4_groups_survive_kill_and_resume(self, tmp_path, capsys,
-                                               records):
+                                               kill_at):
         args = ["design", "--uav", "nano", "--scenario", "dense",
                 "--seed", "7", "--budget", "60", "--proposal-batch", "4"]
         assert main(args) == 0
         baseline = capsys.readouterr().out
         run_dir = tmp_path / "run"
-        kill_at = PHASE2_FIRST_WRITE + records
         with pytest.raises(faults.SimulatedKill):
             with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
                 main(args + ["--checkpoint-dir", str(run_dir)])
         capsys.readouterr()
-        assert len(RunCheckpoint(run_dir).phase2_journal().load()) == records
+        assert RunManifest.load(run_dir).status == KILLED_STATUS[kill_at]
         # The resume command line names no pipeline option: the
         # manifest restores the group size.
         assert main(["design", "--resume", str(run_dir)]) == 0
@@ -377,13 +449,10 @@ class TestCheckpointCli:
             with faults.active_faults(f"kill@checkpoint-write:{kill_at}"):
                 main(args + ["--checkpoint-dir", str(run_dir)])
         capsys.readouterr()
-        # Fourteen Phase 2 journal writes; with the fidelity screen on,
-        # the first group's promotion record is one of them.
         cell = run_dir if command[0] == "design" else next(
             run_dir.glob("cells/*"))
-        checkpoint = RunCheckpoint(cell)
-        assert (len(checkpoint.phase2_journal().load())
-                + len(checkpoint.phase2_promotions_journal().load())) == 14
+        assert (RunManifest.load(cell).status
+                == KILLED_STATUS[FINAL_MANIFEST_WRITE])
         # The resume command line names no option: the manifest
         # restores every one of them.
         assert main([command[0], "--resume", str(run_dir)]) == 0
@@ -433,6 +502,9 @@ class TestCheckpointCli:
         reset_shared_cache()
         assert main(args + ["--checkpoint-dir", str(run_dir)]) == 0
         first = capsys.readouterr().out
+        # Only the trainer's Phase 1 keeps progress beside the manifest.
+        assert sorted(path.name for path in run_dir.iterdir()) == [
+            "manifest.json", "phase1"]
         reset_shared_cache()
         assert main(["design", "--resume", str(run_dir)]) == 0
         assert capsys.readouterr().out == first
