@@ -3,14 +3,12 @@
 Phase 1 stores each validated policy -- an algorithm identifier, its
 hyper-parameters and its validated success rate -- in a database that
 Phase 2's Bayesian optimiser queries instead of retraining.  The
-database is an in-memory map with optional JSON persistence.
+database is an in-memory map.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.airlearning.scenarios import Scenario
@@ -94,19 +92,3 @@ class AirLearningDatabase:
         if not records:
             raise ConfigError(f"database has no records for {scenario.value!r}")
         return records[0]
-
-    # ------------------------------------------------------------------
-    def save(self, path: Path | str) -> None:
-        """Persist all records as JSON."""
-        payload = [asdict(r) for r in self._records.values()]
-        Path(path).write_text(json.dumps(payload, indent=2))
-
-    @classmethod
-    def load(cls, path: Path | str) -> "AirLearningDatabase":
-        """Load a database previously written by :meth:`save`."""
-        db = cls()
-        payload = json.loads(Path(path).read_text())
-        for entry in payload:
-            record = PolicyRecord(**entry)
-            db._records[(record.algorithm_id, record.scenario)] = record
-        return db

@@ -62,23 +62,3 @@ def render_arena(arena: Arena,
     border = "+" + "-" * cells + "+"
     return "\n".join([border] + [f"|{line}|" for line in lines] + [border])
 
-
-def trace_episode(env, policy_act, max_steps: int = 300
-                  ) -> Tuple[List[Tuple[float, float]], bool]:
-    """Fly one episode recording the trajectory.
-
-    ``policy_act`` maps an observation to an action (for E2E policies)
-    -- SPA agents can be adapted with ``lambda _: agent.act(env)``.
-    Returns (trajectory, success).
-    """
-    obs = env.reset()
-    trajectory = [(env.state.x, env.state.y)]
-    success = False
-    for _ in range(max_steps):
-        step = env.step(policy_act(obs))
-        obs = step.observation
-        trajectory.append((env.state.x, env.state.y))
-        if step.done:
-            success = step.success
-            break
-    return trajectory, success

@@ -80,11 +80,6 @@ class RaycastSensor:
         offsets.setflags(write=False)
         object.__setattr__(self, "_offsets", offsets)
 
-    @property
-    def ray_offsets(self) -> np.ndarray:
-        """Body-frame angular offsets of each ray (read-only view)."""
-        return self._offsets
-
     def ray_angles(self, heading: float) -> np.ndarray:
         """World-frame angles of each ray given the UAV heading."""
         return heading + self._offsets

@@ -112,8 +112,3 @@ class SuccessRateSurrogate:
         base = MIN_SUCCESS_RATE + (peak - MIN_SUCCESS_RATE) * math.exp(-quad)
         value = base + _jitter(hyperparams, handle, self.seed)
         return float(min(peak, max(MIN_SUCCESS_RATE, value)))
-
-    def best_hyperparams(self, scenario: ScenarioLike) -> PolicyHyperparams:
-        """The template with the highest success rate for a scenario."""
-        peak = _peak_for(scenario)
-        return PolicyHyperparams(num_layers=peak[1], num_filters=peak[2])

@@ -11,6 +11,5 @@ _EXPORTS = {
     "FIG5_BASELINES": "computers",
     "TABLE5_BASELINES": "computers",
     "ALL_BASELINES": "computers",
-    "baseline_by_name": "computers",
 }
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -125,12 +125,3 @@ TABLE5_BASELINES: Tuple[BaselineComputer, ...] = (JETSON_TX2, INTEL_NCS)
 
 ALL_BASELINES: Tuple[BaselineComputer, ...] = (JETSON_TX2, XAVIER_NX,
                                                PULP_DRONET, INTEL_NCS)
-
-
-def baseline_by_name(name: str) -> BaselineComputer:
-    """Look up a baseline computer by name."""
-    for baseline in ALL_BASELINES:
-        if baseline.name == name:
-            return baseline
-    raise ConfigError(f"unknown baseline {name!r}; "
-                      f"known: {[b.name for b in ALL_BASELINES]}")

@@ -20,6 +20,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -39,7 +40,7 @@ from repro.nn.template import (
     PolicyHyperparams,
     build_policy_network,
 )
-from repro.perf import count, render_profile, span
+from repro.perf import count, recorded_span, render_profile
 from repro.uav.f1_model import F1Model
 from repro.uav.mission import evaluate_mission
 from repro.uav.physics import can_lift
@@ -287,7 +288,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     policy = PolicyHyperparams(num_layers=args.layers,
                                num_filters=args.filters)
-    with span("run") as run, span("sweep"):
+    with recorded_span("run", root=args.profile) as run, \
+            recorded_span("sweep"):
         results = accelerator_frontier(policy=policy)
         count("evals", len(results))
     rows = [[f"{r.pe_rows}x{r.pe_cols}", r.sram_kb,
@@ -400,9 +402,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    With ``REPRO_FAULTS`` set, its spec is checked before the command
+    runs, and afterwards each ``checkpoint-write`` rule whose index the
+    command never reached is named on stderr: such a rule lets the run
+    finish normally, so a kill-and-resume check that does not test the
+    exit status would pass without any kill.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # The fault layer loads only when a fault is declared.
+    if not os.environ.get("REPRO_FAULTS", "").strip():
+        return args.func(args)
+    from repro.testing.faults import SITE_CHECKPOINT_WRITE, env_injector
+
+    try:
+        injector = env_injector()
+    except ConfigError as exc:
+        return _error(exc)
+    status = args.func(args)
+    writes, rules = injector.unreached(SITE_CHECKPOINT_WRITE)
+    for rule in rules:
+        print(f"warning: REPRO_FAULTS rule {rule} never fired: the run "
+              f"made {writes} checkpoint writes", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

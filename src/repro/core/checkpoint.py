@@ -418,11 +418,6 @@ class RunCheckpoint:
     def __init__(self, run_dir: Union[str, os.PathLike]):
         self.run_dir = Path(run_dir)
 
-    @property
-    def manifest_path(self) -> Path:
-        """Location of the run manifest."""
-        return self.run_dir / MANIFEST_NAME
-
     def phase1_journal(self) -> EvaluationJournal:
         """Journal of the trainer's validated Phase 1 template points."""
         return EvaluationJournal(self.run_dir / "phase1" / "trainings.jnl",

@@ -138,8 +138,8 @@ class MultiObjectiveDse:
 
         The seed implementation hard-coded ``[1.0, 1.0, 50.0]``, which
         silently dropped candidates whose SoC power exceeds 50 W (easily
-        reached by the 1024x1024 arrays of Table II) and flattened the
-        hypervolume trace.  Instead, evaluate the two corner designs
+        reached by the 1024x1024 arrays of Table II) from the
+        hypervolume.  Instead, evaluate the two corner designs
         that bound the objectives -- the largest network on the smallest
         accelerator (worst latency) and the largest network on the
         largest accelerator (worst power) -- and pad by

@@ -7,8 +7,9 @@ scored by the number of missions (Eq. 1-4).  The candidate maximising
 missions is AutoPilot's selection ('AP').
 
 When no candidate sits at the knee-point, architectural fine-tuning
-(frequency scaling within a DVFS window, optionally technology-node
-scaling) nudges the selected design toward it (Section III-C).
+scales the selected design's clock within a DVFS window toward it
+(Section III-C).  The paper's other fine-tuning knob, technology-node
+scaling, is not reproduced: Phase 3 fine-tunes the clock only.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from repro.core.phase2 import MultiObjectiveDse, Phase2Result
 from repro.core.phase3 import BackEnd, Phase3Result, RankedDesign
 from repro.core.spec import RunConfig, TaskSpec
 from repro.errors import ConfigError
-from repro.perf import Span, span
+from repro.perf import Span, recorded_span
 
 # Only a checkpointing run loads the checkpoint layer (and ``logging``).
 if TYPE_CHECKING:
@@ -87,12 +87,14 @@ class AutoPilot:
             resume: bool = False) -> AutoPilotResult:
         """Run the three phases for one task specification.
 
-        The run is timed as a ``run`` span (:func:`repro.perf.span`)
-        with a ``phase1``, ``phase2`` and ``phase3`` child, nested under
-        whatever span the caller has open; a Phase 2 served from this
-        pilot's earlier run has no ``phase2`` span.  With
-        ``profile=True`` the result carries that span, holding only this
-        run's wall time and counts.
+        With ``profile=True``, or under a span the caller has open, the
+        run is timed as a ``run`` span (:func:`repro.perf.span`) with a
+        ``phase1``, ``phase2`` and ``phase3`` child, nested under the
+        caller's span; a Phase 2 served from this pilot's earlier run
+        has no ``phase2`` span.  With ``profile=True`` the result
+        carries that span, holding only this run's wall time and
+        counts.  Otherwise the run opens no span, and each layer's
+        spans are roots, dropped as their blocks end.
 
         With ``checkpoint_dir`` set, the run writes an atomic manifest
         into the directory, and the trainer backend's Phase 1 its
@@ -118,8 +120,8 @@ class AutoPilot:
             manifest.status["phase1"] = "running"
             manifest.save(checkpoint.run_dir)
 
-        with span("run") as run:
-            with span("phase1"):
+        with recorded_span("run", root=profile) as run:
+            with recorded_span("phase1"):
                 phase1 = self.frontend.run(task, database=self.database,
                                            checkpoint=checkpoint,
                                            resume=resume)
@@ -137,11 +139,11 @@ class AutoPilot:
                     manifest.status.update(phase1="complete",
                                            phase2="running")
                     manifest.save(checkpoint.run_dir)
-                with span("phase2"):
+                with recorded_span("phase2"):
                     phase2 = dse.run(task, budget=config.budget)
                 self._phase2_cache[task.scenario] = phase2
 
-            with span("phase3"):
+            with recorded_span("phase3"):
                 phase3 = self.backend.run(phase2.candidates, task)
             if manifest is not None:
                 manifest.status.update(phase1="complete", phase2="complete",

@@ -11,7 +11,6 @@ _EXPORTS = {
     "PolicyNetwork": "template",
     "build_policy_network": "template",
     "enumerate_template_space": "template",
-    "template_space_size": "template",
     "LAYER_CHOICES": "template",
     "FILTER_CHOICES": "template",
     "NUM_ACTIONS": "template",

@@ -77,11 +77,6 @@ class ConvLayer:
         """Input feature-map size in elements."""
         return self.in_height * self.in_width * self.in_channels
 
-    @property
-    def ofmap_elements(self) -> int:
-        """Output feature-map size in elements."""
-        return self.out_height * self.out_width * self.num_filters
-
     def as_gemm(self) -> "GemmShape":
         """Lower to an im2col GEMM: (M=output pixels) x (K=kernel volume) x (N=filters)."""
         return GemmShape(
@@ -112,16 +107,6 @@ class DenseLayer:
     def macs(self) -> int:
         """Multiply-accumulate operations for one inference."""
         return self.in_features * self.out_features
-
-    @property
-    def ifmap_elements(self) -> int:
-        """Input activation size in elements."""
-        return self.in_features
-
-    @property
-    def ofmap_elements(self) -> int:
-        """Output activation size in elements."""
-        return self.out_features
 
     def as_gemm(self) -> "GemmShape":
         """Lower to a GEMM with a single output row."""
@@ -186,11 +171,6 @@ class GemmShape:
     def macs(self) -> int:
         """Total multiply-accumulates in the GEMM."""
         return self.m * self.k * self.n
-
-    @property
-    def ifmap_elements(self) -> int:
-        """Elements of the streamed input operand (im2col matrix)."""
-        return self.m * self.k
 
     @property
     def filter_elements(self) -> int:

@@ -18,7 +18,7 @@ layer is concatenated with the state vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.nn.layers import ConvLayer, DenseLayer, GemmShape, PoolLayer
@@ -164,9 +164,3 @@ def enumerate_template_space() -> List[PolicyHyperparams]:
     """All template points in Table II's NN sub-space (|L| x |F| = 27)."""
     return [PolicyHyperparams(num_layers=l, num_filters=f)
             for l in LAYER_CHOICES for f in FILTER_CHOICES]
-
-
-def template_space_size(layer_choices: Sequence[int] = LAYER_CHOICES,
-                        filter_choices: Sequence[int] = FILTER_CHOICES) -> int:
-    """Size of the NN hyper-parameter sub-space."""
-    return len(layer_choices) * len(filter_choices)

@@ -38,19 +38,9 @@ class LayerWorkload:
     bytes_per_element: int = DEFAULT_BYTES_PER_ELEMENT
 
     @property
-    def macs(self) -> int:
-        """MACs in this layer."""
-        return self.gemm.macs
-
-    @property
     def ifmap_bytes(self) -> int:
         """Bytes of the stored input feature map (DRAM-facing)."""
         return self.stored_ifmap_elements * self.bytes_per_element
-
-    @property
-    def streamed_ifmap_elements(self) -> int:
-        """Elements of the im2col-expanded input stream (SRAM-facing)."""
-        return self.gemm.ifmap_elements
 
     @property
     def filter_bytes(self) -> int:
@@ -69,21 +59,6 @@ class NetworkWorkload:
 
     name: str
     layers: Sequence[LayerWorkload]
-
-    @property
-    def total_macs(self) -> int:
-        """Total MACs across all layers."""
-        return sum(layer.macs for layer in self.layers)
-
-    @property
-    def total_filter_bytes(self) -> int:
-        """Total weight footprint in bytes (resident-model size)."""
-        return sum(layer.filter_bytes for layer in self.layers)
-
-    @property
-    def max_layer_ifmap_bytes(self) -> int:
-        """Largest single-layer input operand, a lower bound on staging needs."""
-        return max(layer.ifmap_bytes for layer in self.layers)
 
 
 def lower_network(network: PolicyNetwork,

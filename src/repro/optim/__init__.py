@@ -24,12 +24,9 @@ _EXPORTS = {
     "pairwise_sq": "gp",
     "se_kernel": "gp",
     "hypervolume": "hypervolume",
-    "hypervolume_contribution": "hypervolume",
     "dominates": "pareto",
     "non_dominated_mask": "pareto",
     "non_dominated_sort": "pareto",
-    "pareto_front": "pareto",
-    "pareto_indices": "pareto",
     "crowding_distance": "pareto",
 }
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -3,8 +3,8 @@
 Every optimiser consumes a :class:`~repro.optim.space.DesignSpace` and a
 black-box evaluation function mapping an assignment to an objective
 vector (minimisation convention), spends a fixed evaluation budget, and
-returns the full history plus the Pareto subset -- so optimisers are
-directly comparable in the ablation benchmarks.
+returns the full history -- so optimisers are directly comparable in the
+ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -33,10 +33,13 @@ class Evaluation:
 
 @dataclass
 class OptimizationResult:
-    """History and summary of one optimisation run."""
+    """History of one optimisation run.
+
+    Hypervolume is computed from the history when asked for
+    (:meth:`final_hypervolume`); no per-evaluation curve is kept.
+    """
 
     evaluations: List[Evaluation] = field(default_factory=list)
-    hypervolume_trace: List[float] = field(default_factory=list)
 
     @property
     def objective_matrix(self) -> np.ndarray:
@@ -44,13 +47,6 @@ class OptimizationResult:
         if not self.evaluations:
             return np.zeros((0, 0))
         return np.vstack([e.objectives for e in self.evaluations])
-
-    def pareto_evaluations(self) -> List[Evaluation]:
-        """The non-dominated subset of the history, in evaluation order."""
-        if not self.evaluations:
-            return []
-        mask = non_dominated_mask(self.objective_matrix)
-        return [e for e, keep in zip(self.evaluations, mask) if keep]
 
     def final_hypervolume(self, reference: Sequence[float]) -> float:
         """Hypervolume of the final Pareto set."""
@@ -66,6 +62,10 @@ class CachingEvaluator:
     design point is never evaluated twice, and (b) the evaluation budget
     counts *unique* simulator invocations, matching how the paper counts
     DSE cost.
+
+    ``reference`` is the hypervolume reference point of the run, kept
+    for the optimisers that score against it (the multi-fidelity screen
+    and REINFORCE); the evaluator itself computes no hypervolume.
     """
 
     def __init__(self, space: DesignSpace, objective_fn: ObjectiveFn,
@@ -80,11 +80,6 @@ class CachingEvaluator:
                                                                    dtype=float)
         self.result = OptimizationResult()
         self._cache: Dict[Tuple[object, ...], np.ndarray] = {}
-        # Incremental hypervolume state: the current non-dominated front
-        # and its volume, so each new evaluation updates the trace in
-        # O(front) instead of recomputing over the whole history.
-        self._front: Optional[np.ndarray] = None
-        self._hv = 0.0
         # The whole history as arrays (:meth:`observed`), and how many
         # evaluations they cover.
         self._observed: Optional[Tuple[np.ndarray, np.ndarray,
@@ -132,9 +127,9 @@ class CachingEvaluator:
         every point that is cached or fits in the remaining budget, and
         ``None`` for points skipped because the budget ran out.  Unseen
         points are deduplicated within the group and passed to
-        ``objective_fn`` one at a time.  The history and hypervolume
-        trace record points in input order, so a grouped run is
-        indistinguishable from a serial one.
+        ``objective_fn`` one at a time.  The history records points in
+        input order, so a grouped run is indistinguishable from a serial
+        one.
         """
         keys = [self.space.key(a) for a in assignments]
         for assignment, key in zip(assignments, keys):
@@ -153,8 +148,7 @@ class CachingEvaluator:
         nothing.  The front of the old front plus the new points is the
         whole history's front, row for row and in history order: a
         point that any history point dominates is dominated by a front
-        point.  Unlike the hypervolume front it also holds points
-        outside the reference box.  Needs a non-empty history.
+        point.  Needs a non-empty history.
         """
         new = self.result.evaluations[self._observed_size:]
         if new:
@@ -176,13 +170,13 @@ class CachingEvaluator:
 
     def _record(self, key: Tuple[object, ...], assignment: Assignment,
                 objectives: np.ndarray) -> np.ndarray:
-        """Store one fresh evaluation: cache, history and trace.
+        """Store one fresh evaluation in the cache and the history.
 
-        Returns the recorded vector.  The cache, the history entry, the
-        hypervolume front and every caller all share this one array, so
-        it is frozen (``writeable=False``) -- an accidental in-place
-        mutation anywhere downstream would silently corrupt the recorded
-        history.  A private copy is frozen, never the caller's array.
+        Returns the recorded vector.  The cache, the history entry and
+        every caller all share this one array, so it is frozen
+        (``writeable=False``) -- an accidental in-place mutation anywhere
+        downstream would silently corrupt the recorded history.  A
+        private copy is frozen, never the caller's array.
         """
         if objectives.ndim != 1:
             raise ConfigError("objective function must return a 1-D vector")
@@ -191,34 +185,7 @@ class CachingEvaluator:
         self._cache[key] = objectives
         self.result.evaluations.append(
             Evaluation(assignment=dict(assignment), objectives=objectives))
-        if self.reference is not None:
-            self._hv = self._updated_hypervolume(objectives)
-            self.result.hypervolume_trace.append(self._hv)
         return objectives
-
-    def _updated_hypervolume(self, objectives: np.ndarray) -> float:
-        """Fold one point into the running front and return the volume.
-
-        Equivalent to ``hypervolume(objective_matrix, reference)`` over
-        the full history -- dominated and out-of-reference points add no
-        volume -- but costs O(front size), not O(history^2).
-        """
-        if objectives.shape != self.reference.shape:
-            raise ValueError(
-                f"objective dim {objectives.shape} does not match "
-                f"reference dim {self.reference.shape}")
-        if not np.all(objectives < self.reference):
-            return self._hv
-        if self._front is not None and self._front.shape[0] and np.any(
-                np.all(self._front <= objectives[None, :], axis=1)):
-            return self._hv
-        if self._front is None or self._front.shape[0] == 0:
-            front = objectives[None, :]
-        else:
-            front = np.vstack([self._front, objectives[None, :]])
-        volume = hypervolume(front, self.reference)
-        self._front = front[non_dominated_mask(front)]
-        return volume
 
 
 class Optimizer:

@@ -386,7 +386,7 @@ class MultiObjectiveGP:
 
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior means and stds at query points: two (m x k) arrays."""
+        """Posterior means and stds at k query points: two (k x m) arrays."""
         if self._x is None or self._models is None:
             raise ConfigError("predict() called before fit()")
         x = np.atleast_2d(np.asarray(x, dtype=float))

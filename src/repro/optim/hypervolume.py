@@ -23,19 +23,6 @@ import numpy as np
 from repro.optim.pareto import non_dominated_mask
 
 
-def _validate(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be 2-D (n x d)")
-    if ref.shape != (pts.shape[1],):
-        raise ValueError(
-            f"reference dim {ref.shape} does not match points dim {pts.shape[1]}")
-    # Points at or beyond the reference contribute nothing; drop them.
-    keep = np.all(pts < ref, axis=1)
-    return pts[keep]
-
-
 def hypervolume(points: np.ndarray, reference: Sequence[float]) -> float:
     """Exact hypervolume of ``points`` w.r.t. ``reference`` (minimisation).
 
@@ -56,7 +43,8 @@ def hypervolume(points: np.ndarray, reference: Sequence[float]) -> float:
         # The staircase sweep skips dominated and out-of-reference
         # points as it goes; no filtering or pruning pass needed.
         return _hypervolume_3d(pts, ref)
-    pts = _validate(pts, ref)
+    # Points at or beyond the reference contribute nothing; drop them.
+    pts = pts[np.all(pts < ref, axis=1)]
     if pts.shape[0] == 0:
         return 0.0
     if d == 1:
@@ -161,20 +149,6 @@ def _hypervolume_recursive(points: np.ndarray, reference: np.ndarray) -> float:
             slab_volume = hypervolume(slab, reference[:last])
         total += depth * slab_volume
     return float(total)
-
-
-def hypervolume_contribution(points: np.ndarray, candidate: Sequence[float],
-                             reference: Sequence[float]) -> float:
-    """Hypervolume gained by adding ``candidate`` to ``points``.
-
-    This is the quantity SMS-EGO maximises; zero when the candidate is
-    dominated by the current set or lies beyond the reference.
-    """
-    cand = np.asarray(candidate, dtype=float).ravel()
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        pts = np.zeros((0, cand.shape[0]))
-    return float(hypervolume_contributions(pts, cand[None, :], reference)[0])
 
 
 def _nondominated_boxes(points: np.ndarray, reference: np.ndarray

@@ -39,17 +39,6 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     return ~dominated
 
 
-def pareto_front(points: np.ndarray) -> np.ndarray:
-    """The Pareto-optimal subset of ``points``, in input order."""
-    pts = np.asarray(points, dtype=float)
-    return pts[non_dominated_mask(pts)]
-
-
-def pareto_indices(points: np.ndarray) -> List[int]:
-    """Indices of Pareto-optimal rows, in input order."""
-    return list(np.flatnonzero(non_dominated_mask(points)))
-
-
 def non_dominated_sort(points: np.ndarray) -> List[List[int]]:
     """Fast non-dominated sorting (NSGA-II): ranks of indices.
 

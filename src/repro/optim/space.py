@@ -30,29 +30,19 @@ class Dimension:
     def __post_init__(self) -> None:
         if not self.values:
             raise DesignSpaceError(f"dimension {self.name!r} has no values")
-        if len(set(self.values)) != len(self.values):
-            raise DesignSpaceError(f"dimension {self.name!r} has duplicates")
         # O(1) value -> index lookups; index_of sits on the hot path of
         # every encode/validate/key call in the DSE inner loop.
-        try:
-            index_map = {value: i for i, value in enumerate(self.values)}
-        except TypeError:  # unhashable values: fall back to linear scans
-            index_map = None
+        index_map = {value: i for i, value in enumerate(self.values)}
+        if len(index_map) != len(self.values):
+            raise DesignSpaceError(f"dimension {self.name!r} has duplicates")
         object.__setattr__(self, "_index_map", index_map)
 
     def index_of(self, value: object) -> int:
         """Position of ``value`` within this dimension."""
-        if self._index_map is not None:
-            index = self._index_map.get(value)
-            if index is None:
-                raise DesignSpaceError(
-                    f"{value!r} not in dimension {self.name!r}")
-            return index
-        try:
-            return self.values.index(value)
-        except ValueError as exc:
-            raise DesignSpaceError(
-                f"{value!r} not in dimension {self.name!r}") from exc
+        index = self._index_map.get(value)
+        if index is None:
+            raise DesignSpaceError(f"{value!r} not in dimension {self.name!r}")
+        return index
 
 
 class DesignSpace:
@@ -135,18 +125,6 @@ class DesignSpace:
     def encode_indices(self, indices: np.ndarray) -> np.ndarray:
         """Encode rows of value indices to the bits of their assignments."""
         return indices / self._denominators
-
-    def decode(self, vector: np.ndarray) -> Assignment:
-        """Map a [0, 1]^d vector to the nearest assignment."""
-        vec = np.asarray(vector, dtype=float).ravel()
-        if vec.shape[0] != self.num_dimensions:
-            raise DesignSpaceError("vector dimensionality mismatch")
-        out: Assignment = {}
-        for i, dim in enumerate(self.dimensions):
-            denom = max(1, len(dim.values) - 1)
-            index = int(round(np.clip(vec[i], 0.0, 1.0) * denom))
-            out[dim.name] = dim.values[index]
-        return out
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> List[Assignment]:
         """Draw ``count`` uniform random points."""

@@ -3,9 +3,9 @@
 One span tree answers the questions that matter for DSE cost (the
 paper's 3-7 day Phase 2 loop): where did the time go, how many designs
 per second were evaluated, and how much work did the content-addressed
-cache absorb?  ``AutoPilot.run`` opens a ``run`` span with one child per
-phase, the layers add their counts to whichever span is open, and
-:func:`render_profile` prints the ``--profile`` table from it.
+cache absorb?  A profiled ``AutoPilot.run`` opens a ``run`` span with
+one child per phase, the layers add their counts to whichever span is
+open, and :func:`render_profile` prints the ``--profile`` table from it.
 """
 
 from repro import _lazy_exports
@@ -13,6 +13,7 @@ from repro import _lazy_exports
 _EXPORTS = {
     "Span": "profiler",
     "span": "profiler",
+    "recorded_span": "profiler",
     "count": "profiler",
     "render_profile": "profiler",
 }

@@ -7,7 +7,9 @@ span.  The open span lives in a :class:`contextvars.ContextVar`, and a
 new thread starts with an empty context, so a second thread's cache
 lookups never reach the span the main thread has open.  A count with no
 span open is dropped, so code running outside any run -- a pool worker,
-a unit test -- records nothing.
+a unit test -- records nothing.  :func:`recorded_span` opens a span only
+where it will be read, so a run nobody profiles keeps no tree: each
+layer's span is then a root, dropped as its block ends.
 
 A pool task's counts are made in the parent from the task's result, as
 Phase 1 does with each template point's rollout steps.
@@ -19,10 +21,10 @@ into it without an import cycle.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import ContextManager, Dict, Iterator, List, Optional
 
 
 @dataclass(eq=False)
@@ -70,6 +72,19 @@ def span(name: str) -> Iterator[Span]:
     finally:
         node.wall_s = time.perf_counter() - start
         _open_span.reset(token)
+
+
+def recorded_span(name: str, *, root: bool = False
+                  ) -> ContextManager[Optional[Span]]:
+    """:func:`span` where something will read it, else a no-op.
+
+    The span opens under an open span, or as a root when the caller
+    asks for one (``root=True``, as a profiled run does).  Otherwise
+    the block runs untimed and the context yields ``None``.
+    """
+    if root or _open_span.get() is not None:
+        return span(name)
+    return nullcontext()
 
 
 def count(key: str, n: float = 1) -> None:

@@ -13,10 +13,6 @@ _EXPORTS = {
     "IDLE_ENERGY_PJ": "pe",
     "AcceleratorPowerBreakdown": "soc_power",
     "accelerator_power": "soc_power",
-    "ScalingFactors": "technology",
-    "node_scaling": "technology",
     "frequency_power_factor": "technology",
-    "REFERENCE_NODE_NM": "technology",
-    "SUPPORTED_NODES_NM": "technology",
 }
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

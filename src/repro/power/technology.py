@@ -1,55 +1,18 @@
-"""Technology-node and frequency scaling for architectural fine-tuning.
+"""Frequency scaling for architectural fine-tuning.
 
-AutoPilot's Phase 3 seeds two fine-tuning knobs when no Pareto candidate
-sits exactly on the F-1 knee-point: frequency scaling and technology-node
-scaling (Section III-C).  This module provides first-order scaling rules:
-
-* **Frequency**: throughput scales linearly; dynamic power scales with
-  ``f * V(f)^2`` where supply voltage tracks frequency within a DVFS
-  window (we model V proportional to f within +-30% of nominal).
-* **Node**: dynamic energy scales with the square of the feature-size
-  ratio (capacitance x V^2), leakage roughly linearly, and achievable
-  frequency inversely with gate delay.
+AutoPilot's Phase 3 fine-tunes the selected design when no Pareto
+candidate sits exactly on the F-1 knee-point (Section III-C).  The
+paper names two knobs, frequency scaling and technology-node scaling;
+this reproduction models the first only.  Throughput scales linearly
+with the clock, and dynamic power scales with ``f * V(f)^2``, where
+supply voltage tracks frequency within a DVFS window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ConfigError
-
-#: Nodes with calibrated scaling entries (nm).
-SUPPORTED_NODES_NM: Tuple[int, ...] = (40, 28, 16, 12, 7)
-
-#: Reference node for all calibrated power constants in this package.
-REFERENCE_NODE_NM = 28
-
-
-@dataclass(frozen=True)
-class ScalingFactors:
-    """Multiplicative factors applied to a 28 nm-calibrated design."""
-
-    dynamic_energy: float
-    leakage_power: float
-    max_frequency: float
-
-    def __post_init__(self) -> None:
-        if min(self.dynamic_energy, self.leakage_power, self.max_frequency) <= 0:
-            raise ConfigError("scaling factors must be positive")
-
-
-def node_scaling(node_nm: int) -> ScalingFactors:
-    """First-order scaling from 28 nm to the requested node."""
-    if node_nm not in SUPPORTED_NODES_NM:
-        raise ConfigError(
-            f"node {node_nm} nm unsupported; choose from {SUPPORTED_NODES_NM}")
-    ratio = node_nm / REFERENCE_NODE_NM
-    return ScalingFactors(
-        dynamic_energy=ratio ** 2,
-        leakage_power=ratio,
-        max_frequency=1.0 / ratio,
-    )
 
 
 def frequency_power_factor(clock_scale: float,

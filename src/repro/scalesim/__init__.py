@@ -7,7 +7,6 @@ _EXPORTS = {
     "Dataflow": "config",
     "PE_DIM_CHOICES": "config",
     "SRAM_KB_CHOICES": "config",
-    "hardware_space_size": "config",
     "MappingStats": "dataflow",
     "map_gemm": "dataflow",
     "TrafficStats": "memory",

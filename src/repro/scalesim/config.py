@@ -111,9 +111,3 @@ class AcceleratorConfig:
                 f"SRAM i/f/o = {self.ifmap_sram_kb}/{self.filter_sram_kb}/"
                 f"{self.ofmap_sram_kb} KB, {self.dataflow.value.upper()}, "
                 f"{self.clock_hz / 1e6:.0f} MHz")
-
-
-def hardware_space_size(pe_choices: Tuple[int, ...] = PE_DIM_CHOICES,
-                        sram_choices: Tuple[int, ...] = SRAM_KB_CHOICES) -> int:
-    """Size of Table II's hardware sub-space (rows x cols x 3 SRAMs)."""
-    return (len(pe_choices) ** 2) * (len(sram_choices) ** 3)

@@ -140,17 +140,6 @@ class BoundEstimate:
     filter_sram_reads: np.ndarray
     ofmap_sram_writes: np.ndarray
 
-    @property
-    def batch_size(self) -> int:
-        """Config count B."""
-        return len(self.configs)
-
-    @property
-    def sram_accesses(self) -> np.ndarray:
-        """Total scratchpad access floor per config."""
-        return (self.ifmap_sram_reads + self.filter_sram_reads
-                + self.ofmap_sram_writes)
-
     def latency_seconds(self) -> np.ndarray:
         """Per-config latency floor (cycles over each config's clock)."""
         clocks = np.asarray([c.clock_hz for c in self.configs], dtype=float)

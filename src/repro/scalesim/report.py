@@ -19,32 +19,9 @@ class LayerReport:
     total_cycles: int
 
     @property
-    def compute_cycles(self) -> int:
-        """Array-limited cycle count."""
-        return self.mapping.compute_cycles
-
-    @property
-    def dram_cycles(self) -> int:
-        """Bandwidth-limited cycle count."""
-        return self.traffic.dram_cycles
-
-    @property
-    def is_memory_bound(self) -> bool:
-        """True when DRAM bandwidth, not the array, limits this layer."""
-        return self.dram_cycles > self.compute_cycles
-
-    @property
     def macs(self) -> int:
         """MACs executed by the layer."""
         return self.mapping.macs
-
-    @property
-    def pe_utilization(self) -> float:
-        """Useful-MAC fraction of PE-cycles over the layer's total cycles."""
-        denom = self.total_cycles * self.mapping.num_pes
-        if denom == 0:
-            return 0.0
-        return min(1.0, self.macs / denom)
 
 
 @dataclass(frozen=True)
@@ -89,27 +66,6 @@ class RunReport:
         return min(1.0, self.total_macs / denom)
 
     @property
-    def total_sram_reads(self) -> int:
-        """Total scratchpad reads (elements) across operands and layers."""
-        return sum(l.mapping.ifmap_sram_reads + l.mapping.filter_sram_reads
-                   + l.mapping.ofmap_sram_reads for l in self.layers)
-
-    @property
-    def total_sram_writes(self) -> int:
-        """Total scratchpad writes (elements): ofmap writes + DRAM fills."""
-        fills = sum(l.traffic.dram_read_bytes for l in self.layers)
-        ofmap = sum(l.mapping.ofmap_sram_writes for l in self.layers)
-        return fills + ofmap
-
-    @property
     def total_dram_bytes(self) -> int:
         """Total DRAM traffic (bytes) per inference."""
         return sum(l.traffic.dram_total_bytes for l in self.layers)
-
-    @property
-    def memory_bound_fraction(self) -> float:
-        """Fraction of cycles spent in memory-bound layers."""
-        if self.total_cycles == 0:
-            return 0.0
-        bound = sum(l.total_cycles for l in self.layers if l.is_memory_bound)
-        return bound / self.total_cycles

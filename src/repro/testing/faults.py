@@ -90,6 +90,9 @@ class FaultRule:
         if self.index < 0:
             raise ConfigError("fault index must be non-negative")
 
+    def __str__(self) -> str:
+        return f"{self.kind}@{self.site}:{self.index}"
+
 
 class FaultInjector:
     """A deterministic set of fault rules plus per-site counters.
@@ -119,6 +122,16 @@ class FaultInjector:
         index = self._counters.get(site, 0)
         self._counters[site] = index + 1
         return index
+
+    def unreached(self, site: str) -> Tuple[int, Tuple[FaultRule, ...]]:
+        """A counted site's event count, and its rules that count missed.
+
+        A rule whose index the process never reached did not fire, so
+        the run it was meant to interrupt finished normally.
+        """
+        events = self._counters.get(site, 0)
+        return events, tuple(rule for rule in self.rules
+                             if rule.site == site and rule.index >= events)
 
     # -- instrumented sites -------------------------------------------
     def on_pool_task(self, index: int) -> None:
@@ -199,6 +212,15 @@ def current_injector() -> Optional[FaultInjector]:
     """The active injector: installed one, else ``REPRO_FAULTS``, else None."""
     if _installed is not None:
         return _installed
+    return env_injector()
+
+
+def env_injector() -> Optional[FaultInjector]:
+    """The injector ``REPRO_FAULTS`` declares, or None when it is unset.
+
+    One injector per spec string, so its checkpoint-write counter counts
+    every write of the process.
+    """
     spec = os.environ.get(FAULTS_ENV, "").strip()
     if not spec:
         return None

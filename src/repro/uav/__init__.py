@@ -20,7 +20,6 @@ _EXPORTS = {
     "FIGURE_OF_MERIT": "physics",
     "FLIGHT_POWER_FACTOR": "physics",
     "safe_velocity": "safety",
-    "safe_velocity_smooth": "safety",
     "velocity_ceiling": "safety",
     "knee_throughput_hz": "safety",
     "KNEE_FRACTION": "safety",

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.uav.physics import max_acceleration, total_mass_kg
+from repro.uav.physics import max_acceleration
 from repro.uav.platforms import UavPlatform
 from repro.uav.safety import (
     knee_throughput_hz,
@@ -63,11 +63,6 @@ class F1Model:
             raise ConfigError("compute_weight_g must be non-negative")
         if self.sensor_fps <= 0:
             raise ConfigError("sensor_fps must be positive")
-
-    @property
-    def total_mass_kg(self) -> float:
-        """Loaded takeoff mass."""
-        return total_mass_kg(self.platform, self.compute_weight_g)
 
     @property
     def max_accel(self) -> float:

@@ -24,9 +24,6 @@ ceiling -- is their intersection:
 
 A single calibrated ``BLIND_FRACTION`` reproduces both knee-points the
 paper reports in Fig. 11 (nano ~46 FPS, DJI Spark ~27 FPS).
-
-A smooth closed-form alternative (blind travel + braking in one
-inequality) is provided as :func:`safe_velocity_smooth` for comparison.
 """
 
 from __future__ import annotations
@@ -67,25 +64,6 @@ def safe_velocity(max_accel: float, sense_distance: float,
         return 0.0
     reaction_bound = blind_fraction * sense_distance * action_throughput_hz
     return min(velocity_ceiling(max_accel, sense_distance), reaction_bound)
-
-
-def safe_velocity_smooth(max_accel: float, sense_distance: float,
-                         action_throughput_hz: float) -> float:
-    """Smooth single-inequality variant: v*t_r + v^2/(2a) <= d.
-
-    Solving for the largest safe ``v`` gives
-    ``v = a * (-t_r + sqrt(t_r^2 + 2 d / a))``.  Kept as a reference
-    model; the roofline form above is what the F-1 plots use.
-    """
-    if sense_distance <= 0:
-        raise ConfigError("sense_distance must be positive")
-    if action_throughput_hz < 0:
-        raise ConfigError("action_throughput_hz must be non-negative")
-    if max_accel <= 0 or action_throughput_hz == 0:
-        return 0.0
-    t_r = 1.0 / action_throughput_hz
-    return max_accel * (-t_r + math.sqrt(t_r * t_r
-                                         + 2.0 * sense_distance / max_accel))
 
 
 def knee_throughput_hz(max_accel: float, sense_distance: float,

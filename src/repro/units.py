@@ -29,39 +29,9 @@ def grams_to_kg(grams: float) -> float:
     return grams / 1000.0
 
 
-def kg_to_grams(kg: float) -> float:
-    """Convert kilograms to grams."""
-    return kg * 1000.0
-
-
 def mah_to_joules(capacity_mah: float, voltage: float) -> float:
     """Convert a battery rating (mAh at a nominal voltage) to joules.
 
     Energy [J] = capacity [Ah] * voltage [V] * 3600 [s/h].
     """
     return (capacity_mah / 1000.0) * voltage * 3600.0
-
-
-def joules_to_wh(joules: float) -> float:
-    """Convert joules to watt-hours."""
-    return joules / 3600.0
-
-
-def weight_newtons(mass_kg: float) -> float:
-    """Weight (N) of a mass (kg) under standard gravity."""
-    return mass_kg * GRAVITY
-
-
-def celsius_delta(t_max_c: float, t_ambient_c: float) -> float:
-    """Temperature rise budget (K) between junction limit and ambient."""
-    return t_max_c - t_ambient_c
-
-
-def pj_to_joules(pj: float) -> float:
-    """Convert picojoules to joules."""
-    return pj * 1e-12
-
-
-def mw_to_w(mw: float) -> float:
-    """Convert milliwatts to watts."""
-    return mw / 1000.0

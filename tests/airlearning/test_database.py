@@ -72,13 +72,3 @@ class TestQueries:
 
     def test_iteration(self, database):
         assert len(list(database)) == 3
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, database, tmp_path):
-        path = tmp_path / "db.json"
-        database.save(path)
-        loaded = AirLearningDatabase.load(path)
-        assert len(loaded) == len(database)
-        assert loaded.success_rate(PolicyHyperparams(7, 48),
-                                   Scenario.DENSE) == 0.80

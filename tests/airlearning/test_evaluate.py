@@ -44,6 +44,11 @@ class TestValidatePolicy:
         with pytest.raises(ConfigError):
             validate_policy(make_policy(), Scenario.LOW, episodes=0)
 
+    def test_rejects_unknown_engine(self):
+        with pytest.raises(ConfigError, match="engine must be one of"):
+            validate_policy(make_policy(), Scenario.LOW, episodes=1,
+                            engine="gpu")
+
     def test_validation_arenas_differ_from_training(self):
         # The validation seed offset must change the generated arenas.
         train_env = NavigationEnv(Scenario.LOW, seed=4)

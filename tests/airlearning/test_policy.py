@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.airlearning.policy import MlpPolicy
+from repro.airlearning.policy import BatchedMlpPolicy, MlpPolicy
 from repro.errors import ConfigError
 from repro.nn.template import PolicyHyperparams
 
@@ -91,3 +91,17 @@ class TestForward:
         policy.set_params(rng.normal(size=policy.num_params))
         second = policy.action_logits(obs)
         assert not np.allclose(first, second)
+
+
+class TestBatchedPolicy:
+    def test_params_matrix_must_match_the_template(self):
+        with pytest.raises(ConfigError, match="expected params"):
+            BatchedMlpPolicy(PolicyHyperparams(3, 32), 16, 25,
+                             np.zeros((4, make_policy().num_params + 1)))
+
+    def test_observations_must_hold_one_row_per_lane(self):
+        policy = make_policy()
+        batched = BatchedMlpPolicy(PolicyHyperparams(3, 32), 16, 25,
+                                   np.zeros((4, policy.num_params)))
+        with pytest.raises(ConfigError, match="expected observations"):
+            batched.action_logits(np.zeros((3, 16)))

@@ -1,15 +1,12 @@
-"""Tests for arena rendering and episode tracing."""
+"""Tests for arena rendering."""
 
-import numpy as np
 import pytest
 
 from repro.airlearning.arena import Arena, Obstacle
 from repro.airlearning.env import NavigationEnv
-from repro.airlearning.policy import MlpPolicy
-from repro.airlearning.render import render_arena, trace_episode
+from repro.airlearning.render import render_arena
 from repro.airlearning.scenarios import Scenario
 from repro.errors import ConfigError
-from repro.nn.template import PolicyHyperparams
 
 
 def make_arena():
@@ -52,17 +49,3 @@ class TestRenderArena:
         env.reset()
         text = render_arena(env.arena)
         assert "#" in text
-
-
-class TestTraceEpisode:
-    def test_trajectory_recorded(self):
-        env = NavigationEnv(Scenario.LOW, seed=4)
-        policy = MlpPolicy(PolicyHyperparams(2, 32), env.observation_dim,
-                           env.num_actions)
-        policy.set_params(np.random.default_rng(0).normal(
-            size=policy.num_params))
-        trajectory, success = trace_episode(env, policy.act, max_steps=50)
-        assert len(trajectory) >= 2
-        assert isinstance(success, bool)
-        # Trajectory starts at the arena start.
-        assert trajectory[0] == env.arena.start

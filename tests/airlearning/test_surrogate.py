@@ -45,12 +45,6 @@ class TestScenarioOptima:
                    key=lambda p: surrogate.success_rate(p, Scenario.DENSE))
         assert (best.num_layers, best.num_filters) == (7, 48)
 
-    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-    def test_best_hyperparams_helper_agrees(self, surrogate, scenario):
-        best = max(enumerate_template_space(),
-                   key=lambda p: surrogate.success_rate(p, scenario))
-        assert surrogate.best_hyperparams(scenario) == best
-
 
 class TestShape:
     def test_success_falls_away_from_optimum(self, surrogate):

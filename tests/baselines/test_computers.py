@@ -4,13 +4,13 @@ import pytest
 
 from repro.baselines.computers import (
     ALL_BASELINES,
+    BaselineComputer,
     FIG5_BASELINES,
     INTEL_NCS,
     JETSON_TX2,
     PULP_DRONET,
     TABLE5_BASELINES,
     XAVIER_NX,
-    baseline_by_name,
 )
 from repro.errors import ConfigError
 from repro.nn.template import PolicyHyperparams, build_policy_network
@@ -79,14 +79,34 @@ class TestRegistry:
         assert [b.name for b in TABLE5_BASELINES] == \
             ["Jetson TX2", "Intel NCS"]
 
-    def test_lookup(self):
-        assert baseline_by_name("Xavier NX") is XAVIER_NX
-
-    def test_lookup_unknown_raises(self):
-        with pytest.raises(ConfigError):
-            baseline_by_name("Orin")
+    def test_names_are_unique(self):
+        names = [b.name for b in ALL_BASELINES]
+        assert len(set(names)) == len(names)
 
     def test_power_magnitudes(self):
         assert PULP_DRONET.power_w == pytest.approx(0.064)
         assert JETSON_TX2.power_w > XAVIER_NX.power_w > INTEL_NCS.power_w \
             > PULP_DRONET.power_w
+
+
+class TestValidation:
+    def test_nonpositive_power_rejected(self):
+        with pytest.raises(ConfigError, match="power"):
+            BaselineComputer(name="dead", power_w=0.0,
+                             effective_macs_per_second=1e9)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ConfigError, match="weight"):
+            BaselineComputer(name="floating", power_w=1.0,
+                             effective_macs_per_second=1e9, weight_g=-1.0)
+
+    def test_needs_a_mac_rate_or_a_fixed_frame_rate(self):
+        with pytest.raises(ConfigError, match="MAC rate"):
+            BaselineComputer(name="idle", power_w=1.0,
+                             effective_macs_per_second=0.0)
+
+    def test_fixed_frame_rate_needs_no_mac_rate(self, network):
+        fixed = BaselineComputer(name="fixed", power_w=1.0,
+                                 effective_macs_per_second=0.0,
+                                 fixed_fps=12.5)
+        assert fixed.throughput_fps(network) == 12.5

@@ -200,6 +200,20 @@ class TestEvaluationJournal:
     def test_missing_file_loads_empty(self, tmp_path):
         assert EvaluationJournal(tmp_path / "none.jnl").load() == []
 
+    def test_unreadable_header_loads_empty(self, tmp_path, caplog):
+        path = tmp_path / "j.jnl"
+        path.write_bytes(b"not a pickle")
+        with caplog.at_level("WARNING"):
+            assert EvaluationJournal(path, kind="test").load() == []
+        assert "unreadable header" in caplog.text
+
+    def test_other_schema_rejected(self, tmp_path):
+        path = tmp_path / "j.jnl"
+        path.write_bytes(pickle.dumps(
+            {"journal": "test", "schema": CHECKPOINT_SCHEMA_VERSION + 1}))
+        with pytest.raises(CheckpointError, match="has schema"):
+            EvaluationJournal(path, kind="test").load()
+
     def test_reset_discards_records(self, tmp_path):
         journal = EvaluationJournal(tmp_path / "j.jnl", kind="test")
         journal.append({"i": 0})
@@ -369,9 +383,8 @@ def assert_phase2_equal(a, b):
         np.testing.assert_array_equal(x.objectives, y.objectives)
         assert x.design.policy == y.design.policy
         assert x.design.accelerator == y.design.accelerator
-    np.testing.assert_array_equal(
-        np.asarray(a.optimization.hypervolume_trace),
-        np.asarray(b.optimization.hypervolume_trace))
+    np.testing.assert_array_equal(a.optimization.objective_matrix,
+                                  b.optimization.objective_matrix)
     np.testing.assert_array_equal(a.reference, b.reference)
 
 

@@ -211,6 +211,48 @@ class TestFaultPrimitives:
     def test_simulated_kill_is_a_base_exception(self):
         assert not issubclass(faults.SimulatedKill, Exception)
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            faults.FaultRule("kill", "checkpoint-write", -1)
+
+    def test_rule_prints_as_its_spec(self):
+        rule, = faults.parse_faults(" kill@checkpoint-write:35 ").rules
+        assert str(rule) == "kill@checkpoint-write:35"
+        assert faults.parse_faults(str(rule)).rules == (rule,)
+
+    def test_injector_is_truthy_only_with_rules(self):
+        assert not faults.FaultInjector()
+        assert not faults.parse_faults(" , ")
+        assert faults.parse_faults("crash@pool-task:0")
+
+
+class TestUnreachedRules:
+    """``unreached`` names the rules a run's counted events never hit."""
+
+    def test_rules_past_the_last_event_are_unreached(self):
+        injector = faults.parse_faults(
+            "kill@checkpoint-write:7, kill@checkpoint-write:3")
+        for _ in range(3):
+            injector.on_checkpoint_write()  # writes 0, 1 and 2
+        assert injector.unreached(faults.SITE_CHECKPOINT_WRITE) == (
+            3, (faults.FaultRule("kill", "checkpoint-write", 7),
+                faults.FaultRule("kill", "checkpoint-write", 3)))
+
+    def test_a_fired_rule_is_not_unreached(self):
+        injector = faults.parse_faults(
+            "kill@checkpoint-write:1, kill@checkpoint-write:5")
+        injector.on_checkpoint_write()
+        with pytest.raises(faults.SimulatedKill):
+            injector.on_checkpoint_write()
+        assert injector.unreached(faults.SITE_CHECKPOINT_WRITE) == (
+            2, (faults.FaultRule("kill", "checkpoint-write", 5),))
+
+    def test_other_sites_rules_are_left_out(self):
+        injector = faults.parse_faults(
+            "crash@pool-task:4, kill@checkpoint-write:0")
+        assert injector.unreached(faults.SITE_CHECKPOINT_WRITE) == (
+            0, (faults.FaultRule("kill", "checkpoint-write", 0),))
+
 
 class TestPoolStatsAccounting:
     """The fallback counts land in the span open around the call."""

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.airlearning.database import AirLearningDatabase
-from repro.airlearning.scenarios import Scenario
+from repro.airlearning.scenarios import ALL_SCENARIOS, Scenario
 from repro.airlearning.surrogate import SuccessRateSurrogate
 from repro.airlearning.trainer import CemTrainer
 from repro.core.phase1 import FrontEnd
 from repro.core.spec import TaskSpec
 from repro.errors import ConfigError
-from repro.nn.template import PolicyHyperparams
+from repro.nn.template import PolicyHyperparams, enumerate_template_space
 from repro.uav.platforms import NANO_ZHANG
 
 
@@ -50,6 +50,15 @@ class TestSurrogateBackend:
         result = FrontEnd(backend="surrogate").run(make_task(),
                                                    hyperparams=subset)
         assert len(result.database) == 2
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+    def test_best_record_is_the_surrogate_argmax(self, scenario):
+        surrogate = SuccessRateSurrogate(seed=0)
+        best = max(enumerate_template_space(),
+                   key=lambda p: surrogate.success_rate(p, scenario))
+        result = FrontEnd(backend="surrogate", seed=0).run(
+            make_task(scenario))
+        assert result.database.best(scenario).hyperparams == best
 
     def test_best_success_rate_helper(self):
         result = FrontEnd(backend="surrogate").run(make_task())

@@ -1,5 +1,7 @@
 """Unit tests for the Phase 2 multi-objective DSE."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.phase1 import FrontEnd
 from repro.core.phase2 import CandidateDesign, MultiObjectiveDse
 from repro.core.spec import TaskSpec, assignment_to_design, build_design_space
 from repro.errors import ConfigError
+from repro.optim.hypervolume import hypervolume
 from repro.optim.random_search import RandomSearch
 from repro.perf import span
 from repro.uav.platforms import NANO_ZHANG
@@ -89,6 +92,16 @@ class TestPhase2:
         with pytest.raises(ConfigError):
             dse.run(task, budget=0)
 
+    def test_rejects_unknown_fidelity(self, database):
+        with pytest.raises(ConfigError, match="fidelity must be"):
+            MultiObjectiveDse(database, fidelity="maybe")
+
+    @pytest.mark.parametrize("eta", [0.0, 1.5])
+    def test_rejects_promotion_eta_outside_unit_interval(self, database,
+                                                         eta):
+        with pytest.raises(ConfigError, match="promotion_eta"):
+            MultiObjectiveDse(database, fidelity="on", promotion_eta=eta)
+
     def test_evaluate_design_explicit_point(self, database, task):
         dse = MultiObjectiveDse(database=database)
         design = assignment_to_design({
@@ -149,11 +162,10 @@ class TestDerivedReference:
         for candidate in big_result.candidates:
             assert np.all(candidate.objectives < big_result.reference)
 
-    def test_trace_reflects_out_of_old_reference_candidates(self,
-                                                            big_result):
-        trace = big_result.optimization.hypervolume_trace
-        assert len(trace) == len(big_result.candidates)
-        assert trace[-1] > 0.0
+    def test_hypervolume_reflects_out_of_old_reference_candidates(
+            self, big_result):
+        assert big_result.optimization.final_hypervolume(
+            big_result.reference) > 0.0
 
     def test_reference_derivation_uses_corner_designs(self, database,
                                                       big_space):
@@ -204,8 +216,6 @@ def assert_histories_identical(a, b):
     assert [e.assignment for e in a.evaluations] == \
         [e.assignment for e in b.evaluations]
     np.testing.assert_array_equal(a.objective_matrix, b.objective_matrix)
-    np.testing.assert_array_equal(np.asarray(a.hypervolume_trace),
-                                  np.asarray(b.hypervolume_trace))
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +271,34 @@ class TestMultiFidelityRun:
         points = phase.total("fidelity.screened")
         assert points > 0
         assert points - phase.total("fidelity.promoted") > 0  # pruned
+
+
+class TestNoRunningHypervolume:
+    """A run computes no hypervolume of the whole front: SMS-EGO and the
+    screen score candidates by exclusive contribution, and the front's
+    volume is computed only when a caller asks for it."""
+
+    @pytest.mark.parametrize("proposal_batch, dse_kwargs", [
+        (1, {}),
+        (8, {}),
+        (4, {"fidelity": "on", "promotion_eta": 0.5}),
+    ], ids=["q1", "q8", "q4-fidelity"])
+    def test_run_calls_hypervolume_zero_times(
+            self, monkeypatch, database, task, full_reference,
+            proposal_batch, dse_kwargs):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return hypervolume(*args, **kwargs)
+
+        # Every module that bound the function at import time.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and \
+                    vars(module).get("hypervolume") is hypervolume:
+                monkeypatch.setattr(module, "hypervolume", spy)
+        result = run_full_space(database, task, full_reference,
+                                proposal_batch=proposal_batch,
+                                budget=SCREENED_BUDGET, **dse_kwargs)
+        assert len(result.candidates) == SCREENED_BUDGET
+        assert calls == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.airlearning.scenarios import Scenario
-from repro.power.area import soc_area
 from repro.uav.mission import evaluate_mission
 from repro.uav.platforms import ALL_PLATFORMS, NANO_ZHANG
 
@@ -25,27 +24,6 @@ class TestEnergyBudget:
         mission = result.selected.mission
         share = mission.compute_power_w / mission.total_power_w
         assert 0.0 < share < 0.15
-
-
-class TestFormFactor:
-    def test_nano_ap_design_is_a_small_die(self, shared_context):
-        # The selected nano DSSoC must be implausible neither thermally
-        # nor physically: its die should be within a few camera
-        # footprints (Table III quotes the OV9755 at 6.24 x 3.84 mm).
-        result = shared_context.run(NANO_ZHANG, Scenario.DENSE)
-        config = result.selected.candidate.design.accelerator
-        report = soc_area(config)
-        assert report.total_mm2 < 4 * 6.24 * 3.84
-
-    def test_area_tracks_design_size(self, shared_context):
-        result = shared_context.run(NANO_ZHANG, Scenario.DENSE)
-        candidates = result.phase2.candidates
-        areas = [soc_area(c.design.accelerator).total_mm2
-                 for c in candidates]
-        pes = [c.design.accelerator.num_pes for c in candidates]
-        biggest = max(range(len(pes)), key=lambda i: pes[i])
-        smallest = min(range(len(pes)), key=lambda i: pes[i])
-        assert areas[biggest] > areas[smallest]
 
 
 class TestWeightPowerVelocityChain:

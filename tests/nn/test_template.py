@@ -18,7 +18,6 @@ from repro.nn.template import (
     PolicyHyperparams,
     build_policy_network,
     enumerate_template_space,
-    template_space_size,
 )
 
 
@@ -39,7 +38,7 @@ class TestPolicyHyperparams:
 
     def test_identifiers_unique_across_space(self):
         ids = {p.identifier for p in enumerate_template_space()}
-        assert len(ids) == template_space_size()
+        assert len(ids) == 27
 
 
 class TestBuildPolicyNetwork:
@@ -113,9 +112,6 @@ class TestBuildPolicyNetwork:
 
 
 class TestTemplateSpace:
-    def test_size_is_27(self):
-        assert template_space_size() == 27
-
     def test_enumeration_matches_size(self):
         assert len(enumerate_template_space()) == 27
 

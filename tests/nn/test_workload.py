@@ -23,12 +23,6 @@ class TestLayerWorkload:
         assert w2.ifmap_bytes == 2 * w1.ifmap_bytes
         assert w2.filter_bytes == 2 * w1.filter_bytes
 
-    def test_streamed_ifmap_larger_than_stored_for_conv(self):
-        # The im2col stream replicates each input pixel ~k^2 times.
-        conv = ConvLayer("c", 16, 16, 3, 8, 3, 1)
-        workload = LayerWorkload("c", conv.as_gemm(), conv.ifmap_elements)
-        assert workload.streamed_ifmap_elements > workload.stored_ifmap_elements
-
 
 class TestLowerNetwork:
     def test_layer_count_matches_compute_layers(self, medium_policy):
@@ -39,7 +33,8 @@ class TestLowerNetwork:
     def test_total_macs_preserved(self, medium_policy):
         network = build_policy_network(medium_policy)
         workload = lower_network(network)
-        assert workload.total_macs == network.total_macs
+        assert sum(l.gemm.macs for l in workload.layers) == \
+            network.total_macs
 
     def test_dense_stored_ifmap_is_in_features(self):
         network = build_policy_network(PolicyHyperparams(2, 32))
@@ -59,12 +54,8 @@ class TestLowerNetwork:
         # counted in params but not lowered as GEMM operands).
         network = build_policy_network(medium_policy)
         workload = lower_network(network)
-        assert 0.95 < workload.total_filter_bytes / network.total_params <= 1.0
-
-    def test_max_layer_ifmap_is_first_layer(self, medium_policy):
-        workload = lower_network(build_policy_network(medium_policy))
-        assert workload.max_layer_ifmap_bytes == max(
-            l.ifmap_bytes for l in workload.layers)
+        filter_bytes = sum(l.filter_bytes for l in workload.layers)
+        assert 0.95 < filter_bytes / network.total_params <= 1.0
 
     def test_names_preserved(self, small_policy):
         network = build_policy_network(small_policy)

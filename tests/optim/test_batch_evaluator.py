@@ -1,10 +1,10 @@
-"""Batched evaluation and incremental hypervolume-trace properties."""
+"""Batched evaluation and final-hypervolume properties."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.optim.base import CachingEvaluator
+from repro.optim.base import CachingEvaluator, OptimizationResult
 from repro.optim.hypervolume import hypervolume
 from repro.optim.space import DesignSpace, Dimension
 
@@ -38,9 +38,6 @@ class TestEvaluateBatch:
                         serial.result.evaluations):
             assert a.assignment == b.assignment
             np.testing.assert_array_equal(a.objectives, b.objectives)
-        np.testing.assert_array_equal(
-            np.asarray(batched.result.hypervolume_trace),
-            np.asarray(serial.result.hypervolume_trace))
 
     def test_batch_returns_vectors_in_input_order(self):
         space = make_space()
@@ -182,7 +179,6 @@ class TestBudgetExhaustionMidBatch:
                                      reference=[2.0, 2.0, 2.0])
         evaluator.evaluate_batch(points)
         assert len(evaluator.result.evaluations) == 3
-        assert len(evaluator.result.hypervolume_trace) == 3
         assert len(journal) == 3
         for (seen_a, seen_o), evaluation in zip(
                 journal, evaluator.result.evaluations):
@@ -190,49 +186,43 @@ class TestBudgetExhaustionMidBatch:
             np.testing.assert_array_equal(seen_o, evaluation.objectives)
 
 
-class TestIncrementalHypervolumeTrace:
-    """Property: the O(front) trace equals the full recompute."""
+class TestFinalHypervolume:
+    """The front's volume, computed from the history on request."""
+
+    @staticmethod
+    def evaluate_all(objectives, reference):
+        n = objectives.shape[0]
+        space = DesignSpace(dimensions=(Dimension("i", tuple(range(n))),))
+        evaluator = CachingEvaluator(
+            space, lambda a: objectives[a["i"]], budget=n,
+            reference=reference)
+        for i in range(n):
+            evaluator.evaluate({"i": i})
+        return evaluator.result
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
            d=st.integers(2, 3))
-    def test_trace_matches_full_recompute(self, seed, n, d):
+    def test_matches_full_recompute(self, seed, n, d):
         rng = np.random.default_rng(seed)
         objectives = rng.random((n, d)) * 1.4  # some points beyond ref
         reference = np.ones(d)
-        space = DesignSpace(dimensions=(Dimension("i", tuple(range(n))),))
-        vectors = {i: objectives[i] for i in range(n)}
-        evaluator = CachingEvaluator(
-            space, lambda a: vectors[a["i"]], budget=n,
-            reference=reference)
-        for i in range(n):
-            evaluator.evaluate({"i": i})
-        trace = evaluator.result.hypervolume_trace
-        assert len(trace) == n
-        for i in range(n):
-            expected = hypervolume(objectives[: i + 1], reference)
-            assert trace[i] == pytest.approx(expected, rel=1e-12,
-                                             abs=1e-12)
+        result = self.evaluate_all(objectives, reference)
+        assert result.final_hypervolume(reference) == pytest.approx(
+            hypervolume(objectives, reference), rel=1e-12, abs=1e-12)
 
-    def test_trace_is_monotone(self):
-        rng = np.random.default_rng(3)
-        objectives = rng.random((30, 3))
-        space = DesignSpace(dimensions=(Dimension("i", tuple(range(30))),))
-        evaluator = CachingEvaluator(
-            space, lambda a: objectives[a["i"]], budget=30,
-            reference=[1.0, 1.0, 1.0])
-        for i in range(30):
-            evaluator.evaluate({"i": i})
-        trace = evaluator.result.hypervolume_trace
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
+    def test_never_shrinks_as_evaluations_accrue(self):
+        objectives = np.random.default_rng(3).random((30, 3))
+        result = self.evaluate_all(objectives, [1.0, 1.0, 1.0])
+        volumes = [
+            OptimizationResult(result.evaluations[:k + 1])
+            .final_hypervolume([1.0, 1.0, 1.0]) for k in range(30)]
+        # A dominated point leaves the volume unchanged but can reorder
+        # the sweep's sums, moving the last bit.
+        assert all(b >= a - 1e-12 for a, b in zip(volumes, volumes[1:]))
+        assert volumes[-1] == result.final_hypervolume([1.0, 1.0, 1.0])
 
-    def test_out_of_reference_point_leaves_trace_flat(self):
-        space = DesignSpace(dimensions=(Dimension("i", (0, 1)),))
-        vectors = {0: np.array([0.5, 0.5]), 1: np.array([2.0, 0.1])}
-        evaluator = CachingEvaluator(
-            space, lambda a: vectors[a["i"]], budget=2,
-            reference=[1.0, 1.0])
-        evaluator.evaluate({"i": 0})
-        evaluator.evaluate({"i": 1})
-        trace = evaluator.result.hypervolume_trace
-        assert trace[1] == trace[0] == pytest.approx(0.25)
+    def test_out_of_reference_point_adds_nothing(self):
+        objectives = np.array([[0.5, 0.5], [2.0, 0.1]])
+        result = self.evaluate_all(objectives, [1.0, 1.0])
+        assert result.final_hypervolume([1.0, 1.0]) == pytest.approx(0.25)

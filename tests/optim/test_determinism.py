@@ -53,8 +53,6 @@ class TestSeedDeterminism:
             [e.assignment for e in b.evaluations]
         np.testing.assert_array_equal(a.objective_matrix,
                                       b.objective_matrix)
-        np.testing.assert_array_equal(
-            np.asarray(a.hypervolume_trace), np.asarray(b.hypervolume_trace))
 
     @pytest.mark.parametrize("optimizer_cls", ALL_OPTIMIZERS)
     def test_different_seeds_are_independent_runs(self, toy_space,
@@ -108,9 +106,6 @@ class TestObserverHook:
             [e.assignment for e in baseline.evaluations]
         np.testing.assert_array_equal(replay.objective_matrix,
                                       baseline.objective_matrix)
-        np.testing.assert_array_equal(
-            np.asarray(replay.hypervolume_trace),
-            np.asarray(baseline.hypervolume_trace))
 
 
 class TestProposalBatchDeterminism:
@@ -129,8 +124,6 @@ class TestProposalBatchDeterminism:
             [e.assignment for e in b.evaluations]
         np.testing.assert_array_equal(a.objective_matrix,
                                       b.objective_matrix)
-        np.testing.assert_array_equal(
-            np.asarray(a.hypervolume_trace), np.asarray(b.hypervolume_trace))
 
     def test_batched_replay_reconstructs_group_boundaries(
             self, toy_space, evaluated_groups):

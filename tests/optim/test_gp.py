@@ -115,6 +115,53 @@ class TestGaussianProcess:
         with pytest.raises(ConfigError):
             GaussianProcess(noise=0.0)
 
+    def test_nonpositive_lengthscale_rejected(self):
+        with pytest.raises(ConfigError):
+            GaussianProcess(lengthscale=0.0)
+
+
+class TestMultiObjectiveGpContract:
+    """The production GP refuses what the scalar oracle refuses."""
+
+    def test_predict_before_fit_raises(self):
+        with pytest.raises(ConfigError, match="before fit"):
+            MultiObjectiveGP().predict(np.zeros((1, 2)))
+
+    def test_fitted_lengthscales_before_fit_raise(self):
+        with pytest.raises(ConfigError, match="before fit"):
+            MultiObjectiveGP().fitted_lengthscales
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ConfigError):
+            MultiObjectiveGP().fit(np.zeros((3, 2)), np.zeros((4, 2)))
+
+    def test_empty_fit_rejected(self):
+        with pytest.raises(ConfigError):
+            MultiObjectiveGP().fit(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    def test_nonpositive_hyperparameters_rejected(self):
+        with pytest.raises(ConfigError):
+            MultiObjectiveGP(noise=0.0)
+        with pytest.raises(ConfigError):
+            MultiObjectiveGP(lengthscale=-1.0)
+
+    def test_one_dimensional_targets_fit_one_objective(self):
+        x = np.random.default_rng(4).uniform(size=(12, 2))
+        y = np.sin(3 * x[:, 0])
+        gp = MultiObjectiveGP().fit(x, y)
+        means, stds = gp.predict(x[:3])
+        assert means.shape == stds.shape == (3, 1)
+        assert gp.fitted_lengthscales == [
+            GaussianProcess().fit(x, y).fitted_lengthscale]
+
+    def test_fixed_lengthscale_factorises_once(self):
+        x = np.random.default_rng(5).uniform(size=(10, 2))
+        y = np.random.default_rng(6).normal(size=(10, 3))
+        with span("fit") as fit:
+            gp = MultiObjectiveGP(lengthscale=0.4).fit(x, y)
+        assert fit.total("gp.factorisations") == 1
+        assert gp.fitted_lengthscales == [0.4] * 3
+
 
 class TestMedianHeuristic:
     """The partition median must give ``np.median``'s bits exactly."""
@@ -132,7 +179,9 @@ class TestMedianHeuristic:
         [[0.0], [0.1], [0.5], [1.0]],
         [[0.0], [0.5], [1.0], [1.5]],
         [[0.0], [0.0], [0.4]],
-    ], ids=["one-distance", "odd", "even", "even-tied", "duplicate-points"])
+        [[0.3, 0.7]],
+    ], ids=["one-distance", "odd", "even", "even-tied", "duplicate-points",
+            "one-point"])
     def test_matches_numpy_median(self, points):
         x = np.asarray(points)
         assert _median_heuristic(x) == self.numpy_median(x)

@@ -13,7 +13,6 @@ from repro.optim.hypervolume import (
     _hypervolume_recursive,
     _nondominated_boxes,
     hypervolume,
-    hypervolume_contribution,
     hypervolume_contributions,
 )
 from repro.optim.pareto import non_dominated_mask
@@ -56,6 +55,10 @@ class TestExactValues:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             hypervolume(np.array([[0.5, 0.5]]), [1.0, 1.0, 1.0])
+
+    def test_non_2d_points_raise(self):
+        with pytest.raises(ValueError, match="2-D"):
+            hypervolume(np.array([0.5, 0.5]), [1.0, 1.0])
 
 
 class TestInvariants:
@@ -229,6 +232,12 @@ class TestContributions:
         assert out[0] == 0.0
         assert out[1] > 0.0
 
+    def test_candidate_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="match the reference"):
+            hypervolume_contributions(np.array([[0.5, 0.5]]),
+                                      np.array([[0.1, 0.1, 0.1]]),
+                                      [1.0, 1.0])
+
     def test_empty_front_gives_box_volume(self):
         out = hypervolume_contributions(
             np.zeros((0, 2)), np.array([[0.5, 0.5]]), [1.0, 1.0])
@@ -236,23 +245,27 @@ class TestContributions:
 
 
 class TestContribution:
+    @staticmethod
+    def contribution(front, candidate, reference):
+        return hypervolume_contributions(front, np.array([candidate]),
+                                         reference)[0]
+
     def test_dominating_point_contributes(self):
         front = np.array([[0.5, 0.5]])
-        gain = hypervolume_contribution(front, [0.2, 0.2], [1.0, 1.0])
+        gain = self.contribution(front, [0.2, 0.2], [1.0, 1.0])
         assert gain == pytest.approx(0.8 * 0.8 - 0.25)
 
     def test_dominated_point_contributes_nothing(self):
         front = np.array([[0.2, 0.2]])
-        assert hypervolume_contribution(front, [0.5, 0.5], [1.0, 1.0]) == 0.0
+        assert self.contribution(front, [0.5, 0.5], [1.0, 1.0]) == 0.0
 
     def test_contribution_to_empty_front(self):
-        gain = hypervolume_contribution(np.zeros((0, 2)), [0.5, 0.5],
-                                        [1.0, 1.0])
+        gain = self.contribution(np.zeros((0, 2)), [0.5, 0.5], [1.0, 1.0])
         assert gain == pytest.approx(0.25)
 
     def test_incomparable_point_adds_volume(self):
         front = np.array([[0.1, 0.9]])
-        gain = hypervolume_contribution(front, [0.9, 0.1], [1.0, 1.0])
+        gain = self.contribution(front, [0.9, 0.1], [1.0, 1.0])
         assert gain > 0.0
 
 

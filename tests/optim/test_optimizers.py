@@ -8,6 +8,7 @@ from repro.optim.annealing import SimulatedAnnealing
 from repro.optim.base import CachingEvaluator, OptimizationResult
 from repro.optim.bayesopt import SmsEgoBayesOpt
 from repro.optim.genetic import NsgaII
+from repro.optim.hypervolume import hypervolume
 from repro.optim.random_search import RandomSearch
 from repro.optim.space import DesignSpace, Dimension
 
@@ -69,12 +70,15 @@ class TestCommonBehaviour:
         assert len(result.evaluations) == 4
 
     @pytest.mark.parametrize("optimizer_cls", ALL_OPTIMIZERS)
-    def test_hypervolume_trace_monotone(self, toy_space, optimizer_cls):
+    def test_front_volume_never_shrinks(self, toy_space, optimizer_cls):
         result = optimizer_cls(toy_space, seed=2).optimize(
             toy_objectives, budget=25, reference=REFERENCE)
-        trace = result.hypervolume_trace
-        assert len(trace) == 25
-        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
+        objectives = result.objective_matrix
+        assert objectives.shape == (25, 2)
+        volumes = [hypervolume(objectives[:k], REFERENCE)
+                   for k in range(1, 26)]
+        assert all(b >= a - 1e-12 for a, b in zip(volumes, volumes[1:]))
+        assert volumes[-1] == result.final_hypervolume(REFERENCE)
 
 
 class TestBayesOpt:
@@ -229,5 +233,4 @@ class TestCachingEvaluator:
 
     def test_empty_result_properties(self):
         result = OptimizationResult()
-        assert result.pareto_evaluations() == []
         assert result.final_hypervolume([1.0]) == 0.0

@@ -10,8 +10,6 @@ from repro.optim.pareto import (
     dominates,
     non_dominated_mask,
     non_dominated_sort,
-    pareto_front,
-    pareto_indices,
 )
 
 points_strategy = hnp.arrays(
@@ -64,7 +62,7 @@ class TestNonDominatedMask:
     @settings(max_examples=60, deadline=None)
     @given(points=points_strategy)
     def test_front_points_mutually_nondominated(self, points):
-        front = pareto_front(points)
+        front = points[non_dominated_mask(points)]
         for i in range(front.shape[0]):
             for j in range(front.shape[0]):
                 assert not dominates(front[i], front[j])
@@ -82,15 +80,12 @@ class TestNonDominatedMask:
     def test_at_least_one_point_on_front(self, points):
         assert non_dominated_mask(points).any()
 
-
-class TestParetoHelpers:
-    def test_indices_in_input_order(self):
-        points = np.array([[2, 0], [3, 3], [0, 2]])
-        assert pareto_indices(points) == [0, 2]
-
-    def test_front_preserves_order(self):
-        points = np.array([[2, 0], [3, 3], [0, 2]])
-        assert np.allclose(pareto_front(points), [[2, 0], [0, 2]])
+    @settings(max_examples=30, deadline=None)
+    @given(points=points_strategy, seed=st.integers(0, 1000))
+    def test_mask_follows_input_order(self, points, seed):
+        order = np.random.default_rng(seed).permutation(points.shape[0])
+        np.testing.assert_array_equal(non_dominated_mask(points[order]),
+                                      non_dominated_mask(points)[order])
 
 
 class TestNonDominatedSort:
@@ -104,6 +99,22 @@ class TestNonDominatedSort:
         fronts = non_dominated_sort(points)
         flat = sorted(i for front in fronts for i in front)
         assert flat == list(range(5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(points=points_strategy)
+    def test_each_front_mutually_nondominated(self, points):
+        for front in non_dominated_sort(points):
+            for i in front:
+                assert not any(dominates(points[j], points[i])
+                               for j in front)
+
+    @settings(max_examples=30, deadline=None)
+    @given(points=points_strategy)
+    def test_later_fronts_dominated_by_the_one_before(self, points):
+        fronts = non_dominated_sort(points)
+        for earlier, later in zip(fronts, fronts[1:]):
+            for i in later:
+                assert any(dominates(points[j], points[i]) for j in earlier)
 
     @settings(max_examples=30, deadline=None)
     @given(points=points_strategy)

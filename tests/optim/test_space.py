@@ -80,23 +80,6 @@ class TestDesignSpace:
             space.encode_many([{"a": 1, "b": "x", "c": 0}])
         assert space.encode_many([]).shape == (0, 2)
 
-    def test_encode_decode_roundtrip(self, space):
-        for point in space.all_points():
-            assert space.decode(space.encode(point)) == point
-
-    def test_decode_snaps_to_nearest(self, space):
-        decoded = space.decode(np.array([0.34, 0.49]))
-        assert decoded["a"] == 2  # index round(0.34*3) = 1
-        assert decoded["b"] == "y"
-
-    def test_decode_clips_out_of_range(self, space):
-        decoded = space.decode(np.array([2.0, -1.0]))
-        assert decoded == {"a": 8, "b": "x"}
-
-    def test_decode_rejects_wrong_dim(self, space):
-        with pytest.raises(DesignSpaceError):
-            space.decode(np.array([0.5]))
-
     def test_sample_valid_points(self, space, rng):
         for point in space.sample(rng, 20):
             space.validate(point)
@@ -132,6 +115,20 @@ class TestDesignSpace:
         b = space.key({"b": "y", "a": 2})
         assert a == b
         hash(a)
+
+    def test_from_key_inverts_key(self, space):
+        for point in space.all_points():
+            assert space.from_key(space.key(point)) == point
+
+    def test_sampled_rows_encode_like_their_assignments(self, space, rng):
+        rows, keys = space.sample_rows(rng, 25)
+        assignments = [space.from_key(key) for key in keys]
+        np.testing.assert_array_equal(space.encode_indices(rows),
+                                      space.encode_many(assignments))
+
+    def test_neighbor_of_single_valued_space_is_itself(self, rng):
+        space = DesignSpace([Dimension("only", ("v",))])
+        assert space.neighbor({"only": "v"}, rng) == {"only": "v"}
 
 
 class TestSampleBlockStream:

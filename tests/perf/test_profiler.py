@@ -1,15 +1,18 @@
 """Tests for the span tree and the ``--profile`` table rendered from it."""
 
+import gc
 import threading
 import time
 
 import pytest
 
+import repro.perf.profiler as profiler
 from repro.airlearning.scenarios import Scenario
 from repro.core.evalcache import shared_report_cache
+from repro.core.phase3 import BackEnd
 from repro.core.pipeline import AutoPilot
 from repro.core.spec import RunConfig, TaskSpec
-from repro.perf import Span, count, render_profile, span
+from repro.perf import Span, count, recorded_span, render_profile, span
 from repro.uav.platforms import NANO_ZHANG
 
 
@@ -92,6 +95,25 @@ class TestSpanScoping:
         assert run.counts == {}
         assert run.children == []
 
+    def test_recorded_span_without_an_open_span_is_a_no_op(self):
+        with recorded_span("gp.fit") as node:
+            count("gp.full_fits", 3)
+        assert node is None
+
+    def test_recorded_span_nests_under_the_open_span(self):
+        with span("run") as run:
+            with recorded_span("sweep") as node:
+                count("evals", 4)
+        assert run.children == [node]
+        assert run.total("evals") == 4
+
+    def test_recorded_root_span_is_kept(self):
+        with recorded_span("run", root=True) as run:
+            with recorded_span("sweep"):
+                count("evals", 2)
+        assert [child.name for child in run.children] == ["sweep"]
+        assert run.total("evals") == 2
+
     def test_second_thread_lookups_stay_out_of_the_open_span(self):
         cache = shared_report_cache()
         before = cache.stats.misses
@@ -121,6 +143,34 @@ class TestSpanScoping:
             assert profile.total("evals") == config.budget
             assert cache_counts(profile) == own_lookups
         assert sweep.total("evals") == 2 * config.budget
+
+    def test_unprofiled_run_keeps_no_span(self, monkeypatch):
+        """A default run opens no span of its own, and each span its
+        layers open is dropped as its block ends: none is open when
+        Phase 3 starts, and none made in Phase 2 is still alive."""
+        made = []
+
+        class CountedSpan(Span):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self.name)
+
+        monkeypatch.setattr(profiler, "Span", CountedSpan)
+        seen = {}
+        phase3 = BackEnd.run
+
+        def probe(backend, *args, **kwargs):
+            seen["open"] = profiler._open_span.get()
+            seen["alive"] = [node.name for node in gc.get_objects()
+                             if isinstance(node, CountedSpan)]
+            return phase3(backend, *args, **kwargs)
+
+        monkeypatch.setattr(BackEnd, "run", probe)
+        task = TaskSpec(platform=NANO_ZHANG, scenario=Scenario.LOW)
+        result = AutoPilot(RunConfig(seed=3, budget=20)).run(task)
+        assert result.profile is None
+        assert "gp.fit" in made and "gp.predict" in made
+        assert seen == {"open": None, "alive": []}
 
 
 class TestProfileReport:

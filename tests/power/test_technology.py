@@ -1,42 +1,9 @@
-"""Unit tests for technology and frequency scaling."""
+"""Unit tests for frequency scaling."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.power.technology import (
-    SUPPORTED_NODES_NM,
-    frequency_power_factor,
-    node_scaling,
-)
-
-
-class TestNodeScaling:
-    def test_reference_node_is_identity(self):
-        factors = node_scaling(28)
-        assert factors.dynamic_energy == pytest.approx(1.0)
-        assert factors.leakage_power == pytest.approx(1.0)
-        assert factors.max_frequency == pytest.approx(1.0)
-
-    def test_smaller_node_less_energy_more_frequency(self):
-        factors = node_scaling(7)
-        assert factors.dynamic_energy < 1.0
-        assert factors.leakage_power < 1.0
-        assert factors.max_frequency > 1.0
-
-    def test_larger_node_more_energy(self):
-        factors = node_scaling(40)
-        assert factors.dynamic_energy > 1.0
-        assert factors.max_frequency < 1.0
-
-    def test_energy_scales_quadratically(self):
-        factors = node_scaling(14) if 14 in SUPPORTED_NODES_NM else \
-            node_scaling(7)
-        node = 14 if 14 in SUPPORTED_NODES_NM else 7
-        assert factors.dynamic_energy == pytest.approx((node / 28) ** 2)
-
-    def test_unsupported_node_rejected(self):
-        with pytest.raises(ConfigError):
-            node_scaling(3)
+from repro.power.technology import frequency_power_factor
 
 
 class TestFrequencyPowerFactor:
@@ -63,3 +30,18 @@ class TestFrequencyPowerFactor:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             frequency_power_factor(0.0)
+
+    @pytest.mark.parametrize("edge", [0.5, 1.5])
+    def test_continuous_at_window_edges(self, edge):
+        # The cubic and linear regimes meet where the rail saturates.
+        below = frequency_power_factor(edge - 1e-9)
+        above = frequency_power_factor(edge + 1e-9)
+        assert below == pytest.approx(edge ** 3, rel=1e-6)
+        assert above == pytest.approx(edge ** 3, rel=1e-6)
+
+    def test_custom_window_moves_the_clamp(self):
+        # With a (0.8, 1.2) window, 0.6x clock keeps the 0.8x voltage.
+        assert frequency_power_factor(0.6, dvfs_window=(0.8, 1.2)) == \
+            pytest.approx(0.6 * 0.8 ** 2)
+        assert frequency_power_factor(1.0, dvfs_window=(0.8, 1.2)) == \
+            pytest.approx(1.0)

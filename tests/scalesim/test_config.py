@@ -8,7 +8,6 @@ from repro.scalesim.config import (
     SRAM_KB_CHOICES,
     AcceleratorConfig,
     Dataflow,
-    hardware_space_size,
 )
 
 
@@ -72,10 +71,6 @@ class TestAcceleratorConfig:
 
 
 class TestHardwareSpace:
-    def test_table2_size(self):
-        # 8 PE-row x 8 PE-col x 8^3 SRAM combinations.
-        assert hardware_space_size() == 8 * 8 * 8 * 8 * 8
-
     def test_choice_lists_match_table2(self):
         assert PE_DIM_CHOICES == (8, 16, 32, 64, 128, 256, 512, 1024)
         assert SRAM_KB_CHOICES == (32, 64, 128, 256, 512, 1024, 2048, 4096)

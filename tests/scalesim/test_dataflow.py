@@ -1,5 +1,6 @@
 """Unit and property tests for the dataflow mapping model."""
 
+import dataclasses
 import math
 
 import pytest
@@ -121,8 +122,7 @@ class TestMappingInvariants:
            dataflow=st.sampled_from(list(Dataflow)))
     def test_operands_read_at_least_once(self, gemm, rows, cols, dataflow):
         stats = map_gemm(gemm, make_config(rows, cols, dataflow))
-        assert stats.ifmap_sram_reads >= gemm.ifmap_elements or \
-            stats.ifmap_sram_reads >= gemm.m * gemm.k
+        assert stats.ifmap_sram_reads >= gemm.m * gemm.k
         assert stats.filter_sram_reads >= gemm.filter_elements
 
     @settings(max_examples=40, deadline=None)
@@ -134,6 +134,12 @@ class TestMappingInvariants:
         # so compare at equal per-fold overhead via fold count.
         big = map_gemm(gemm, make_config(32, 32, dataflow))
         assert big.folds <= small.folds
+
+    def test_zero_cycle_mapping_has_zero_utilization(self):
+        stats = dataclasses.replace(map_gemm(GemmShape(4, 4, 4),
+                                             make_config()),
+                                    compute_cycles=0)
+        assert stats.pe_utilization == 0.0
 
     def test_unknown_dataflow_rejected(self):
         config = make_config()

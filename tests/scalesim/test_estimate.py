@@ -9,8 +9,11 @@ exact simulator (Kendall tau floor).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
+from repro.nn.workload import NetworkWorkload
 from repro.scalesim.config import (
     PE_DIM_CHOICES,
     SRAM_KB_CHOICES,
@@ -143,6 +146,14 @@ class TestAggregates:
         via_agg = estimate_batch(agg, configs)
         assert np.array_equal(direct.total_cycles, via_agg.total_cycles)
         assert np.array_equal(direct.dram_bytes, via_agg.dram_bytes)
+
+    def test_workload_without_layers_rejected(self):
+        with pytest.raises(SimulationError, match="no layers"):
+            lower_workload_aggregates(NetworkWorkload("empty", ()))
+
+    def test_empty_config_batch_rejected(self):
+        with pytest.raises(SimulationError, match="must not be empty"):
+            estimate_batch(workload_for(ZOO[0]), [])
 
     def test_mixed_dataflow_batch_preserves_order(self):
         workload = workload_for(ZOO[0])

@@ -7,6 +7,7 @@ import pytest
 from repro.nn.template import PolicyHyperparams, build_policy_network
 from repro.nn.workload import lower_network
 from repro.scalesim.config import AcceleratorConfig, Dataflow
+from repro.scalesim.report import RunReport
 from repro.scalesim.simulator import SystolicArraySimulator, simulate
 
 
@@ -49,23 +50,17 @@ class TestRunReport:
     def test_layer_cycles_at_least_max_of_bounds(self, network):
         report = simulate(network, make_config())
         for layer in report.layers:
-            assert layer.total_cycles >= max(layer.compute_cycles,
-                                             layer.dram_cycles)
+            assert layer.total_cycles >= max(layer.mapping.compute_cycles,
+                                             layer.traffic.dram_cycles)
 
     def test_utilization_in_unit_interval(self, network):
         report = simulate(network, make_config())
         assert 0.0 < report.overall_utilization <= 1.0
-        for layer in report.layers:
-            assert 0.0 <= layer.pe_utilization <= 1.0
-
-    def test_memory_bound_fraction_bounds(self, network):
-        report = simulate(network, make_config())
-        assert 0.0 <= report.memory_bound_fraction <= 1.0
 
     def test_sram_and_dram_totals_positive(self, network):
         report = simulate(network, make_config())
-        assert report.total_sram_reads > 0
-        assert report.total_sram_writes > 0
+        assert sum(l.mapping.ifmap_sram_reads for l in report.layers) > 0
+        assert sum(l.mapping.ofmap_sram_writes for l in report.layers) > 0
         assert report.total_dram_bytes > 0
 
 
@@ -107,6 +102,47 @@ class TestScalingBehaviour:
         report = simulate(network, make_config(dataflow=dataflow))
         assert report.total_cycles > 0
         assert report.total_macs == network.total_macs
+
+
+class TestEveryDataflow:
+    """Report invariants of each dataflow's mapping, not just WS's."""
+
+    @pytest.mark.parametrize("dataflow", list(Dataflow))
+    def test_layer_cycles_cover_compute_and_dram(self, network, dataflow):
+        report = simulate(network, make_config(dataflow=dataflow))
+        for layer in report.layers:
+            assert layer.total_cycles >= max(layer.mapping.compute_cycles,
+                                             layer.traffic.dram_cycles)
+        assert report.total_cycles == sum(l.total_cycles
+                                          for l in report.layers)
+
+    @pytest.mark.parametrize("dataflow", list(Dataflow))
+    def test_dram_traffic_splits_into_reads_and_writes(self, network,
+                                                       dataflow):
+        report = simulate(network, make_config(dataflow=dataflow))
+        for layer in report.layers:
+            traffic = layer.traffic
+            assert traffic.dram_total_bytes == \
+                traffic.dram_read_bytes + traffic.dram_write_bytes
+            assert traffic.dram_ofmap_write_bytes > 0
+        assert report.total_dram_bytes == sum(
+            l.traffic.dram_total_bytes for l in report.layers)
+
+    @pytest.mark.parametrize("dataflow", list(Dataflow))
+    def test_utilization_in_unit_interval(self, network, dataflow):
+        report = simulate(network, make_config(dataflow=dataflow))
+        assert 0.0 < report.overall_utilization <= 1.0
+        for layer in report.layers:
+            assert 0.0 < layer.mapping.pe_utilization <= 1.0
+
+
+class TestEmptyReport:
+    def test_rates_of_a_report_without_layers_are_zero(self):
+        report = RunReport(network_name="empty", layers=(), clock_hz=200e6)
+        assert report.total_cycles == report.total_macs == 0
+        assert report.frames_per_second == 0.0
+        assert report.overall_utilization == 0.0
+        assert report.total_dram_bytes == 0
 
 
 class TestSimulatorCaching:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Pareto" in out
         assert "e2e-L4-F32" in out
+
+    def test_sweep_profile_counts_every_design(self, capsys):
+        assert main(["sweep", "--layers", "4", "--filters", "32",
+                     "--profile"]) == 0
+        table, profile = capsys.readouterr().out.split("## Profile")
+        designs = re.findall(r"^\d+x\d+ ", table, flags=re.MULTILINE)
+        sweep, = [line.split() for line in profile.splitlines()
+                  if line.startswith("sweep ")]
+        assert sweep[2] == str(len(designs)) != "0"
 
     def test_design_command_small_budget(self, capsys):
         assert main(["design", "--uav", "nano", "--scenario", "low",
@@ -351,6 +361,42 @@ class TestCheckpointCli:
         assert main(["design", "--resume", str(run_dir)]) == 0
         assert capsys.readouterr().out == baseline
 
+    def test_unfired_fault_rule_is_reported(self, tmp_path, capsys):
+        """A ``REPRO_FAULTS`` kill past the run's last checkpoint write
+        never fires: the run finishes as it would without the rule, and
+        says so once on stderr."""
+        reference = tmp_path / "reference.md"
+        assert main(DESIGN_ARGS + ["--output", str(reference)]) == 0
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env["REPRO_FAULTS"] = "kill@checkpoint-write:35"
+        faulted = tmp_path / "faulted.md"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *DESIGN_ARGS,
+             "--checkpoint-dir", str(tmp_path / "run"),
+             "--output", str(faulted)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert [line for line in done.stderr.splitlines()
+                if line.startswith("warning:")] == [
+            "warning: REPRO_FAULTS rule kill@checkpoint-write:35 never "
+            f"fired: the run made {FINAL_MANIFEST_WRITE + 1} checkpoint "
+            "writes"]
+        assert faulted.read_bytes() == reference.read_bytes()
+
+    def test_every_unfired_rule_is_named(self, capsys, monkeypatch):
+        """Without ``--checkpoint-dir`` a run makes no checkpoint write,
+        so none of its ``checkpoint-write`` rules fires."""
+        monkeypatch.setenv("REPRO_FAULTS", "kill@checkpoint-write:0, "
+                                           "kill@checkpoint-write:4")
+        assert main(DESIGN_ARGS) == 0
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")] == [
+            f"warning: REPRO_FAULTS rule kill@checkpoint-write:{index} "
+            "never fired: the run made 0 checkpoint writes"
+            for index in (0, 4)]
+
     @pytest.mark.parametrize("command, kill_at, run", [
         (["design", "--uav", "nano"], FINAL_MANIFEST_WRITE, "."),
         (["bench", "--platforms", "nano"], FINAL_MANIFEST_WRITE + 1,
@@ -539,5 +585,20 @@ class TestInvalidConfig:
                     + ["--checkpoint-dir", str(run_dir)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["design", "--uav", "nano", "--scenario", "low"],
+        ["bench", "--scenarios", "dense", "--platforms", "nano"],
+    ], ids=["design", "bench"])
+    def test_bad_fault_spec_rejected_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("REPRO_FAULTS", "kill@checkpoint-write:1x2")
+        run_dir = tmp_path / "run"
+        assert main(command + ["--checkpoint-dir", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: bad fault index in rule "
+                                "'kill@checkpoint-write:1x2'\n")
         assert captured.out == ""
         assert not run_dir.exists()

@@ -6,9 +6,8 @@ from repro import units
 
 
 class TestConversions:
-    def test_grams_kg_roundtrip(self):
-        assert units.kg_to_grams(units.grams_to_kg(123.0)) == \
-            pytest.approx(123.0)
+    def test_grams_to_kg(self):
+        assert units.grams_to_kg(123.0) == pytest.approx(0.123)
 
     def test_mah_to_joules(self):
         # 1000 mAh at 1 V = 1 Ah * 1 V * 3600 s = 3600 J.
@@ -17,21 +16,6 @@ class TestConversions:
     def test_nano_battery_energy(self):
         # Table IV nano: 500 mAh at 3.7 V = 6660 J.
         assert units.mah_to_joules(500.0, 3.7) == pytest.approx(6660.0)
-
-    def test_joules_to_wh(self):
-        assert units.joules_to_wh(3600.0) == pytest.approx(1.0)
-
-    def test_weight_newtons(self):
-        assert units.weight_newtons(1.0) == pytest.approx(9.80665)
-
-    def test_celsius_delta(self):
-        assert units.celsius_delta(85.0, 25.0) == 60.0
-
-    def test_pj_to_joules(self):
-        assert units.pj_to_joules(1e12) == pytest.approx(1.0)
-
-    def test_mw_to_w(self):
-        assert units.mw_to_w(1500.0) == pytest.approx(1.5)
 
 
 class TestConstants:

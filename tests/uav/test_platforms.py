@@ -1,5 +1,7 @@
 """Unit tests for Table IV platforms."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -58,3 +60,21 @@ class TestTableIV:
 
     def test_lookup_by_class(self):
         assert platform_by_class(UavClass.NANO) is NANO_ZHANG
+
+
+class TestValidation:
+    POSITIVE_FIELDS = ("battery_capacity_mah", "battery_voltage_v",
+                       "base_weight_g", "max_thrust_n", "rotor_disk_area_m2",
+                       "sense_distance_m", "mission_distance_m")
+
+    def test_every_physical_quantity_must_be_positive(self):
+        for field in self.POSITIVE_FIELDS:
+            with pytest.raises(ConfigError, match=field):
+                replace(NANO_ZHANG, **{field: 0.0})
+
+    def test_negative_other_power_rejected(self):
+        with pytest.raises(ConfigError, match="other_power_w"):
+            replace(NANO_ZHANG, other_power_w=-0.1)
+
+    def test_zero_other_power_allowed(self):
+        assert replace(NANO_ZHANG, other_power_w=0.0).other_power_w == 0.0

@@ -10,7 +10,6 @@ from repro.uav.safety import (
     BLIND_FRACTION,
     knee_throughput_hz,
     safe_velocity,
-    safe_velocity_smooth,
     velocity_ceiling,
 )
 
@@ -43,6 +42,16 @@ class TestRooflineSafeVelocity:
 
     def test_zero_throughput_zero_velocity(self):
         assert safe_velocity(22.6, 2.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("sense_distance, throughput, blind", [
+        (0.0, 6.0, BLIND_FRACTION),
+        (2.0, -1.0, BLIND_FRACTION),
+        (2.0, 6.0, 0.0),
+    ], ids=["sense-distance", "throughput", "blind-fraction"])
+    def test_rejects_invalid_inputs(self, sense_distance, throughput, blind):
+        with pytest.raises(ConfigError):
+            safe_velocity(22.6, sense_distance, throughput,
+                          blind_fraction=blind)
 
     def test_doubling_throughput_below_knee_doubles_velocity(self):
         knee = knee_throughput_hz(22.6, 2.0)
@@ -96,25 +105,16 @@ class TestKneePoint:
     def test_zero_accel_zero_knee(self):
         assert knee_throughput_hz(0.0, 2.0) == 0.0
 
+    @pytest.mark.parametrize("sense_distance, blind", [
+        (-2.0, BLIND_FRACTION),
+        (2.0, -0.1),
+    ], ids=["sense-distance", "blind-fraction"])
+    def test_rejects_invalid_inputs(self, sense_distance, blind):
+        with pytest.raises(ConfigError):
+            knee_throughput_hz(22.6, sense_distance, blind_fraction=blind)
+
     @given(a=accel, d=distance)
     def test_velocity_at_knee_equals_ceiling(self, a, d):
         knee = knee_throughput_hz(a, d)
         assert safe_velocity(a, d, knee) == pytest.approx(
             velocity_ceiling(a, d), rel=1e-9)
-
-
-class TestSmoothVariant:
-    @given(a=accel, d=distance, t=throughput)
-    def test_smooth_below_ceiling(self, a, d, t):
-        assert safe_velocity_smooth(a, d, t) < velocity_ceiling(a, d)
-
-    @given(a=accel, d=distance, t=throughput)
-    def test_smooth_monotone(self, a, d, t):
-        assert safe_velocity_smooth(a, d, t + 1.0) >= \
-            safe_velocity_smooth(a, d, t)
-
-    def test_smooth_satisfies_stopping_constraint(self):
-        a, d, t = 10.0, 3.0, 20.0
-        v = safe_velocity_smooth(a, d, t)
-        # v * t_r + v^2 / (2a) == d at the optimum.
-        assert v / t + v ** 2 / (2 * a) == pytest.approx(d)
